@@ -2,8 +2,9 @@
 
 Ops execute eagerly on numpy and record themselves on a thread-local tape
 (a Wengert list). ``backward`` replays the tape in reverse, accumulating
-gradients at fan-out points. Everything is double precision; neighborhood
-scale is small enough that dense math wins and gradient checks stay sharp.
+gradients at fan-out points. Everything is double precision so gradient
+checks stay sharp; graph structure enters as constant sparse operators or as
+the index runs of the segment primitives.
 
 Each thread has an ambient default tape; scoped work (one training batch,
 one finite-difference probe) should run under ``with Tape():`` so records
@@ -118,44 +119,13 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routed through the module-level ops
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
 
 def parameter(values: ArrayLike) -> Tensor:
@@ -240,10 +210,9 @@ def sparse_const_matmul(bag: sp.spmatrix, x: Tensor) -> Tensor:
     csr = bag.tocsr()
     if x.values.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {csr.shape} @ {x.shape}")
-    csr_t = csr.T.tocsr()
 
     def rule(g: Array):
-        return (np.asarray(csr_t @ g),)
+        return (np.asarray(csr.T @ g),)
 
     return _apply(np.asarray(csr @ x.values), (x,), rule)
 
@@ -357,30 +326,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def _as_mask(mask, shape) -> Optional[Array]:
-    if mask is None:
-        return None
-    m = mask.values if isinstance(mask, Tensor) else np.asarray(mask)
-    m = m.astype(bool)
-    if m.shape != shape:
-        raise ShapeError(f"mask shape {m.shape} differs from input {shape}")
-    return m
-
-
-def softmax_rows(x: Tensor, mask=None) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction.
-
-    Masked-out entries get probability exactly 0; a fully masked row is a
-    contract violation.
-    """
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax, stabilized by row-max subtraction."""
     if x.values.ndim != 2:
         raise ShapeError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    m = _as_mask(mask, x.values.shape)
-    logits = x.values if m is None else np.where(m, x.values, -np.inf)
-    if m is not None and not m.any(axis=1).all():
-        bad = int(np.flatnonzero(~m.any(axis=1))[0])
-        raise DomainError(f"softmax_rows: row {bad} is fully masked")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = x.values - x.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
 
@@ -447,12 +397,16 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-d blocks vertically; derived from transpose + concat_cols."""
+    """Stack 2-d blocks vertically."""
     if not parts:
         raise ShapeError("concat_rows of an empty list")
     if len(parts) == 1:
         return parts[0]
-    return transpose(concat_cols([transpose(p) for p in parts]))
+    if any(p.values.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise ShapeError(f"concat_rows column counts differ: {[q.shape for q in parts]}")
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return _apply(np.concatenate([p.values for p in parts], axis=0), tuple(parts),
+                  lambda g: tuple(np.split(g, splits, axis=0)))
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -484,7 +438,48 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _apply(x.values[idx].copy(), (x,), rule)
+    return _apply(x.values[idx], (x,), rule)
+
+
+def scale_rows(x: Tensor, w: Tensor) -> Tensor:
+    """Multiply row i of an (m, d) matrix by w[i] of an (m, 1) column."""
+    if x.values.ndim != 2 or w.shape != (x.shape[0], 1):
+        raise ShapeError(f"scale_rows needs (m, d) and (m, 1), got {x.shape} and {w.shape}")
+    xv, wv = x.values, w.values
+    return _apply(xv * wv, (x, w),
+                  lambda g: (g * wv, (g * xv).sum(axis=1, keepdims=True)))
+
+
+def _runs(x: Tensor, indptr, what: str) -> tuple[Array, Array]:
+    """Start and length of each run; run k is rows indptr[k] to
+    indptr[k + 1] - 1, as in a CSR matrix, and must not be empty."""
+    ptr = np.asarray(indptr, dtype=np.int64)
+    counts = np.diff(ptr)
+    if (x.values.ndim != 2 or ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0
+            or ptr[-1] != x.shape[0] or counts.min() < 1):
+        raise ShapeError(f"{what}: indptr must rise strictly from 0 to {x.shape[0]} rows")
+    return ptr[:-1], counts
+
+
+def segment_sum(x: Tensor, indptr) -> Tensor:
+    """Row sums over contiguous runs: (m, d) -> (len(indptr) - 1, d). A
+    scatter-add over sorted indices thus needs no ``np.add.at``."""
+    starts, counts = _runs(x, indptr, "segment_sum")
+    return _apply(np.add.reduceat(x.values, starts, axis=0), (x,),
+                  lambda g: (np.repeat(g, counts, axis=0),))
+
+
+def segment_softmax(x: Tensor, indptr) -> Tensor:
+    """Softmax within each contiguous run of an (m, 1) column, stabilized
+    by the run's maximum."""
+    starts, counts = _runs(x, indptr, "segment_softmax")
+    if x.shape[1] != 1:
+        raise ShapeError(f"segment_softmax expects an (m, 1) column, got {x.shape}")
+    e = np.exp(x.values - np.repeat(np.maximum.reduceat(x.values, starts),
+                                    counts, axis=0))
+    y = e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)
+    return _apply(y, (x,), lambda g: (y * (g - np.repeat(
+        np.add.reduceat(g * y, starts), counts, axis=0)),))
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

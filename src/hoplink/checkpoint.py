@@ -41,15 +41,26 @@ def save_checkpoint(path, config: dict, vocab: dict[str, int],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
+    """Read a checkpoint, raising CheckpointError for any malformed file: bad
+    magic, a header that is cut off, not JSON or missing a section, a
+    truncated tensor, or bytes after the last tensor."""
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     header_len = int.from_bytes(data[8:16], "little")
-    header = json.loads(data[16:16 + header_len].decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} "
-            f"not supported (expected {FORMAT_VERSION})")
+    if len(data) < 16 or 16 + header_len > len(data):
+        raise CheckpointError(f"{path}: header runs past the end of the file")
+    try:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+        header = json.loads(data[16:16 + header_len].decode("utf-8"))
+    except ValueError as err:
+        raise CheckpointError(f"{path}: header is not valid JSON ({err})") from None
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version} "
+                              f"not supported (expected {FORMAT_VERSION})")
+    for key in ("config", "vocab", "tensors"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key}")
     tensors: dict[str, np.ndarray] = {}
     offset = 16 + header_len
     for name, shape in header["tensors"]:
@@ -59,4 +70,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         offset += 8 * count
+    if offset != len(data):
+        raise CheckpointError(
+            f"{path}: {len(data) - offset} trailing bytes after the last tensor")
     return header["config"], header["vocab"], tensors

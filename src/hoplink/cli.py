@@ -297,13 +297,16 @@ def resolve_name(label: str, table: dict[str, int], what: str) -> int:
     raise CliError(f"unknown {what} {label!r}{hint}")
 
 
-def neighbor_order(model: KgcModel, sub, kg: KnowledgeGraph) -> list[int]:
-    """Neighbor display order: attention weight from the head when the
-    encoder produces one, otherwise hop then degree."""
+def neighbor_order(model: KgcModel, batch, kg: KnowledgeGraph) -> list[int]:
+    """Neighbor display order: attention weight from the head (row 0) when
+    the encoder produces one, otherwise hop then degree."""
+    sub = batch.subgraphs[0]
     indices = list(range(1, sub.num_nodes))
     if model.config.encoder == "gat" and model.gnn.last_attention:
-        att = model.gnn.last_attention[-1]
-        return sorted(indices, key=lambda i: (-att[0, i], i))
+        into_head = batch.graph.dst == 0
+        att = dict(zip(batch.graph.src[into_head].tolist(),
+                       model.gnn.last_attention[-1][into_head].tolist()))
+        return sorted(indices, key=lambda i: (-att.get(i, 0.0), i))
     return sorted(indices,
                   key=lambda i: (int(sub.hop_of[i]),
                                  -kg.degree(sub.nodes[i]), sub.nodes[i]))
@@ -365,7 +368,7 @@ def cmd_explain(args) -> int:
     sub = batch.subgraphs[0]
     top_tokens = set(tokenize(top[0]["entity"])) if top else set()
     neighbors = []
-    for idx in neighbor_order(model, sub, kg):
+    for idx in neighbor_order(model, batch, kg):
         rec = kg.entities[sub.nodes[idx]]
         overlap = sorted(top_tokens
                          & set(tokenize(f"{rec.name} {rec.description}")))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, Triple, build_filter_index, queries_both_directions
+# build_filter_index stays importable here: perfbench's tracer wraps it by name
+from .kg import KnowledgeGraph, Triple, build_filter_index, queries_both_directions  # noqa: F401
 from .model import KgcModel, eval_neighborhood_seed
 
 
@@ -89,7 +90,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
              max_queries: int | None = None) -> RankingMetrics:
     """Filtered MRR and Hits@{1,3,10} over forward and inverse queries.
 
-    Runs without gradients and mutates nothing; neighborhood seeds depend
+    Runs without gradients and mutates nothing: it reads ``kg.filter_index``,
+    which ``add_inverse_relations`` keeps current. Neighborhood seeds depend
     only on the run seed, the split, and the query index.
     """
     queries = queries_both_directions(kg, split)
@@ -97,7 +99,7 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
         queries = queries[:max_queries]
     if not queries:
         return RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
-    filter_index = build_filter_index(kg)
+    filter_index = kg.filter_index
     tail_rows, _ = model.tail_matrix(kg)
     ranks = [
         rank_query(model, kg, query, tail_rows, filter_index,

@@ -1,14 +1,16 @@
 """Neighborhood encoders: GCN, GAT, and GraphSAGE layers over a subgraph.
 
 All variants map an n x d feature matrix to n x d, so they are drop-in
-interchangeable. The adjacency is symmetrized before normalization or
-attention masking; edge direction is preserved upstream for edge
-reconstruction. Layers carry no bias terms.
+interchangeable. They read one ``GraphBatch`` of the batch's symmetrized
+arrows: GCN and SAGE multiply by a sparse operator, GAT normalizes per-edge
+scores over each node's incoming edges. Edge direction is preserved upstream
+for edge reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,63 +52,84 @@ class GraphEncoderConfig:
         return [base + (1 if h < extra else 0) for h in range(self.heads)]
 
 
-def symmetrize(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {A.shape}")
-    return np.maximum(A, A.T)
+class GraphBatch:
+    """A batch's stacked subgraphs as one edge index, shared by every layer.
+
+    ``arrows`` (m x 2) are directed (i, j) pairs over the stacked node rows.
+    The encoders see max(A, A^T) + I: its edges j -> i are ``src``/``dst``,
+    sorted by dst then src, and node i's incoming edges fill positions
+    indptr[i] to indptr[i + 1] - 1 (never empty, thanks to the self-loop).
+    """
+
+    def __init__(self, arrows: np.ndarray, num_nodes: int):
+        n = self.num_nodes = num_nodes
+        arrows = self.arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
+        if arrows.size and (arrows.min() < 0 or arrows.max() >= n):
+            raise ShapeError(f"arrow endpoint outside {n} nodes")
+        i, j = arrows[:, 0], arrows[:, 1]
+        keys = np.sort(np.concatenate([i * n + j, j * n + i,
+                                       np.arange(n) * (n + 1)]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        self.dst, self.src = np.divmod(keys, n)
+        self.indptr = np.searchsorted(self.dst, np.arange(n + 1))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Each edge's entry in max(A, A^T) + I: 2 on a looped node's diagonal."""
+        out = np.ones(len(self.dst))
+        looped = self.arrows[self.arrows[:, 0] == self.arrows[:, 1], 0]
+        out[np.flatnonzero(self.dst == self.src)[looped]] = 2.0
+        return out
+
+    def _csr(self, values: np.ndarray, keep=slice(None)) -> sp.csr_matrix:
+        counts = np.bincount(self.dst[keep], minlength=self.num_nodes)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return sp.csr_matrix((values[keep], self.src[keep], indptr),
+                             shape=(self.num_nodes, self.num_nodes))
+
+    @cached_property
+    def gcn_operator(self) -> sp.csr_matrix:
+        """D^(-1/2) (max(A, A^T) + I) D^(-1/2); isolated nodes keep their
+        self-loop."""
+        d_inv_sqrt = 1.0 / np.sqrt(np.bincount(self.dst, weights=self.weight,
+                                               minlength=self.num_nodes))
+        return self._csr(self.weight * d_inv_sqrt[self.dst] * d_inv_sqrt[self.src])
+
+    @cached_property
+    def mean_operator(self) -> sp.csr_matrix:
+        """Row-normalized max(A, A^T); a node with no neighbors gets a zero
+        row so its mean-neighbor term vanishes."""
+        keep = (self.dst != self.src) | (self.weight == 2.0)
+        deg = np.bincount(self.dst[keep], minlength=self.num_nodes)
+        return self._csr(1.0 / np.maximum(deg, 1)[self.dst], keep)
 
 
-def normalize_adjacency(A: np.ndarray) -> np.ndarray:
-    """D^(-1/2) (max(A, A^T) + I) D^(-1/2); isolated nodes keep their self-loop."""
-    A_tilde = symmetrize(A) + np.eye(A.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(A_tilde.sum(axis=1))
-    return A_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-
-def mean_neighbor_matrix(A: np.ndarray) -> np.ndarray:
-    """Row-normalized symmetrized adjacency; a node with no neighbors gets a
-    zero row so its mean-neighbor term vanishes."""
-    A_sym = symmetrize(A)
-    deg = A_sym.sum(axis=1)
-    deg[deg == 0] = 1.0
-    return A_sym / deg[:, None]
-
-
-def _const_matmul(M, X: Tensor) -> Tensor:
-    if sp.issparse(M):
-        return ad.sparse_const_matmul(M.tocsr(), X)
-    return ad.matmul(ad.constant(M), X)
-
-
-def gcn_layer(X: Tensor, A_hat, W: Tensor, activation=None) -> Tensor:
-    out = ad.matmul(_const_matmul(A_hat, X), W)
+def gcn_layer(X: Tensor, A_hat: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
+    out = ad.matmul(ad.sparse_const_matmul(A_hat, X), W)
     return activation(out) if activation is not None else out
 
 
-def sage_layer(X: Tensor, M, W: Tensor, activation=None) -> Tensor:
-    out = ad.matmul(ad.concat_cols([X, _const_matmul(M, X)]), W)
+def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
+    out = ad.matmul(ad.concat_cols([X, ad.sparse_const_matmul(M, X)]), W)
     return activation(out) if activation is not None else out
 
 
-def gat_head(X: Tensor, mask: np.ndarray, W: Tensor, a_src: Tensor,
+def gat_head(X: Tensor, graph: GraphBatch, W: Tensor, a_src: Tensor,
              a_dst: Tensor, alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
-    """One attention head: scores leaky_relu(a^T [Wx_i ++ Wx_j]) masked to
-    A_sym + I neighborhoods. Returns (alpha @ XW, attention values)."""
-    n = X.shape[0]
+    """One attention head: edge j -> i scores leaky_relu(a^T [Wx_i ++ Wx_j]),
+    softmax-normalized over i's incoming edges. Returns (the attention-
+    weighted sums of XW, per-edge attention in ``graph`` edge order)."""
     h = ad.matmul(X, W)
-    u = ad.matmul(h, a_src)
-    v = ad.matmul(h, a_dst)
-    ones_row = ad.constant(np.ones((1, n)))
-    ones_col = ad.constant(np.ones((n, 1)))
-    scores = ad.leaky_relu(
-        ad.add(ad.matmul(u, ones_row), ad.matmul(ones_col, ad.transpose(v))), alpha)
-    att = ad.softmax_rows(scores, mask=mask)
-    return ad.matmul(att, h), att.values
+    h_src = ad.gather_rows(h, graph.src)
+    scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), graph.dst),
+                    ad.matmul(h_src, a_dst))
+    att = ad.segment_softmax(ad.leaky_relu(scores, alpha), graph.indptr)
+    return (ad.segment_sum(ad.scale_rows(h_src, att), graph.indptr),
+            att.values[:, 0])
 
 
 class GraphEncoder:
-    """Stacks config.layers rounds of the chosen variant over (X, A).
+    """Stacks config.layers rounds of the chosen variant over (X, graph).
 
     The readout for a subgraph is the head row of the final layer plus a
     residual copy of the head's input features, which keeps the no-neighbor
@@ -135,79 +158,45 @@ class GraphEncoder:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def encode(self, X: Tensor, A: np.ndarray, readout: list[int]) -> Tensor:
-        """Run the stack on one (possibly block-diagonal) adjacency and gather
-        the given rows, adding the residual from X."""
-        n = A.shape[0]
-        if X.shape[0] != n:
-            raise ShapeError(f"X has {X.shape[0]} rows but A is {n}x{n}")
+    def encode(self, X: Tensor, graph: GraphBatch, readout: list[int]) -> Tensor:
+        """Run the stack over one batch graph and gather the given rows,
+        adding the residual from X."""
+        if X.shape[0] != graph.num_nodes:
+            raise ShapeError(
+                f"X has {X.shape[0]} rows for a {graph.num_nodes}-node graph")
         cfg = self.config
         activation = ACTIVATIONS[cfg.activation]
         self.last_attention = []
 
-        if cfg.variant == "gcn":
-            A_hat = normalize_adjacency(A)
-            if n > 64:
-                A_hat = sp.csr_matrix(A_hat)
-            H = X
-            for layer in range(cfg.layers):
-                final = layer == cfg.layers - 1
-                H = gcn_layer(H, A_hat, self.params[f"l{layer}_w"],
-                              None if final else activation)
-        elif cfg.variant == "sage":
-            M = mean_neighbor_matrix(A)
-            if n > 64:
-                M = sp.csr_matrix(M)
-            H = X
-            for layer in range(cfg.layers):
-                final = layer == cfg.layers - 1
-                H = sage_layer(H, M, self.params[f"l{layer}_w"],
-                               None if final else activation)
-        else:
-            mask = (symmetrize(A) + np.eye(n)) > 0
-            H = X
-            for layer in range(cfg.layers):
-                final = layer == cfg.layers - 1
-                outs, atts = [], []
-                for h in range(cfg.heads):
-                    p = f"l{layer}_h{h}"
-                    out, att = gat_head(H, mask, self.params[f"{p}_w"],
-                                        self.params[f"{p}_asrc"],
-                                        self.params[f"{p}_adst"])
-                    outs.append(out)
-                    atts.append(att)
-                self.last_attention.append(np.mean(atts, axis=0))
-                if final:
-                    H = outs[0]
-                    for out in outs[1:]:
-                        H = ad.add(H, out)
-                    H = ad.scale(H, 1.0 / cfg.heads)
-                else:
-                    H = activation(ad.concat_cols(outs))
+        H = X
+        for layer in range(cfg.layers):
+            final = layer == cfg.layers - 1
+            act = None if final else activation
+            if cfg.variant == "gcn":
+                H = gcn_layer(H, graph.gcn_operator, self.params[f"l{layer}_w"], act)
+            elif cfg.variant == "sage":
+                H = sage_layer(H, graph.mean_operator, self.params[f"l{layer}_w"], act)
+            else:
+                heads = [gat_head(H, graph, *(self.params[f"l{layer}_h{h}_{k}"]
+                                              for k in ("w", "asrc", "adst")))
+                         for h in range(cfg.heads)]
+                self.last_attention.append(np.mean([a for _, a in heads], axis=0))
+                outs = [out for out, _ in heads]
+                # hidden layers concatenate their heads, the final one averages
+                H = (ad.scale(reduce(ad.add, outs), 1.0 / cfg.heads) if final
+                     else activation(ad.concat_cols(outs)))
 
         return ad.add(ad.gather_rows(H, readout), ad.gather_rows(X, readout))
 
-    def encode_neighborhood(self, subgraph: NeighborhoodSubgraph, X: Tensor) -> Tensor:
-        """e_hr for one subgraph whose X row 0 is the head encoding."""
-        if X.shape[0] != subgraph.num_nodes:
-            raise ShapeError(
-                f"X has {X.shape[0]} rows for a {subgraph.num_nodes}-node subgraph")
-        out = self.encode(X, subgraph.A, [0])
-        return ad.reshape(out, (self.config.dim,))
 
-
-def combine_adjacency(A_list: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
-    """Block-diagonal stack of subgraph adjacencies plus each block's row
-    offset (the position of that subgraph's head in the stacked X)."""
-    if not A_list:
-        raise ShapeError("cannot combine zero adjacency matrices")
-    sizes = [a.shape[0] for a in A_list]
-    total = sum(sizes)
-    combined = np.zeros((total, total))
-    offsets = []
-    pos = 0
-    for a, size in zip(A_list, sizes):
-        combined[pos:pos + size, pos:pos + size] = a
-        offsets.append(pos)
-        pos += size
-    return combined, offsets
+def combine_adjacency(subgraphs: list[NeighborhoodSubgraph]
+                      ) -> tuple[np.ndarray, list[int]]:
+    """Stack the subgraphs' arrows into one (m, 2) array over consecutive
+    node rows, plus each subgraph's first row (the position of its head in
+    the stacked X)."""
+    if not subgraphs:
+        raise ShapeError("cannot combine zero subgraphs")
+    offsets = np.cumsum([0] + [sub.num_nodes for sub in subgraphs[:-1]])
+    arrows = np.concatenate([sub.arrows + offset
+                             for sub, offset in zip(subgraphs, offsets)])
+    return arrows, offsets.tolist()

@@ -55,14 +55,15 @@ class EntityRecord:
 class NeighborhoodSubgraph:
     """Induced subgraph around a head entity.
 
-    ``nodes`` lists original entity ids with the head at index 0. ``A`` is a
-    dense 0/1 matrix where A[i, j] = 1 iff some train triple links
-    nodes[i] -> nodes[j] (original direction; synthesized inverse relations
-    add no arrows). ``edges`` keeps the per-relation detail behind A.
+    ``nodes`` lists original entity ids with the head at index 0. ``arrows``
+    is an (m, 2) int array holding each (i, j) once iff some train triple
+    links nodes[i] -> nodes[j] (original direction; synthesized inverse
+    relations add no arrows), sorted by i then j. ``edges`` keeps the
+    per-relation detail behind the arrows.
     """
 
     nodes: list[int]
-    A: np.ndarray
+    arrows: np.ndarray
     hop_of: np.ndarray
     truncated: bool
     edges: list[tuple[int, int, int]] = field(default_factory=list)
@@ -70,10 +71,6 @@ class NeighborhoodSubgraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.A.sum())
 
 
 @dataclass
@@ -303,7 +300,7 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
 
     Inverse edges enter the adjacency lists and the filter index so that
     (?, r, t) queries become tail prediction (t, r_inv, ?). Split triple lists
-    stay in original form, and neighborhood matrices keep original arrows.
+    stay in original form, and neighborhoods keep original arrows.
     """
     if kg.inverses_added:
         return kg
@@ -353,7 +350,7 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
     """Breadth-first neighborhood of ``head`` up to ``k`` hops.
 
     Discovery treats train edges as undirected (incoming plus outgoing); the
-    returned A keeps original directions. When a hop frontier exceeds
+    returned arrows keep original directions. When a hop frontier exceeds
     ``cap_per_hop``, a seeded uniform subsample is kept and the subgraph is
     marked truncated.
     """
@@ -387,8 +384,6 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
             break
 
     index_of = {e: i for i, e in enumerate(order)}
-    n = len(order)
-    A = np.zeros((n, n))
     edges: list[tuple[int, int, int]] = []
     for i, e in enumerate(order):
         for r, t in kg.out_adj[e]:
@@ -397,8 +392,9 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
             j = index_of.get(t)
             if j is None:
                 continue
-            A[i, j] = 1.0
             edges.append((i, j, r))
+    arrows = np.array(sorted({(i, j) for i, j, _ in edges}),
+                      dtype=np.int64).reshape(-1, 2)
     hops = np.array([hop_of[e] for e in order], dtype=np.int64)
-    return NeighborhoodSubgraph(nodes=order, A=A, hop_of=hops,
+    return NeighborhoodSubgraph(nodes=order, arrows=arrows, hop_of=hops,
                                 truncated=truncated, edges=edges)

@@ -3,8 +3,8 @@ optional edge-reconstruction head on the side.
 
 A batch of (head, relation) queries is encoded in one pass: head texts go
 through the head tower, neighbor entities through the tail tower, the rows are
-permuted into block-diagonal layout (one block per query subgraph, head row
-first), and the graph encoder runs once over the combined adjacency.
+permuted so each query subgraph owns a consecutive run (head row first), and
+the graph encoder runs once over one edge index of all the subgraphs' arrows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_dict
-from .gnn import GraphEncoder, GraphEncoderConfig, combine_adjacency
+from .gnn import GraphBatch, GraphEncoder, GraphEncoderConfig, combine_adjacency
 from .kg import KnowledgeGraph, NeighborhoodSubgraph, khop_neighborhood
 from .seeding import derive_rng, derive_seed
 from .text import TextEncoder, TextEncoderConfig, Tokenizer, bag_matrix
@@ -33,9 +33,10 @@ class QueryBatch:
     """One encoded batch of (head, relation) queries."""
 
     e_hr: Tensor                 # b x d query vectors
-    X: Tensor                    # stacked node features, block-diagonal order
+    X: Tensor                    # stacked node features, one run per subgraph
     offsets: list[int]           # row offset of each subgraph's head in X
     subgraphs: list[NeighborhoodSubgraph]
+    graph: GraphBatch            # the subgraphs' arrows over X's rows
 
 
 class KgcModel:
@@ -162,21 +163,18 @@ class KgcModel:
             stacked = ad.concat_rows([H, N])
         else:
             stacked = H
+        arrows, offsets = combine_adjacency(subs)
         # rows arrive as [heads..., neighbors...]; one gather puts each
         # subgraph's rows together with its head first
-        b = len(queries)
         perm: list[int] = []
-        base = b
-        for i, sub in enumerate(subs):
-            perm.append(i)
-            extra = sub.num_nodes - 1
-            perm.extend(range(base, base + extra))
-            base += extra
+        for i, (sub, offset) in enumerate(zip(subs, offsets)):
+            first = len(queries) + offset - i  # after all heads and earlier neighbors
+            perm += [i, *range(first, first + sub.num_nodes - 1)]
         X = ad.gather_rows(stacked, perm)
-
-        A, offsets = combine_adjacency([sub.A for sub in subs])
-        e_hr = self.gnn.encode(X, A, offsets)
-        return QueryBatch(e_hr=e_hr, X=X, offsets=offsets, subgraphs=subs)
+        graph = GraphBatch(arrows, X.shape[0])
+        e_hr = self.gnn.encode(X, graph, offsets)
+        return QueryBatch(e_hr=e_hr, X=X, offsets=offsets, subgraphs=subs,
+                          graph=graph)
 
     def encode_query(self, kg: KnowledgeGraph, head: int, relation: int,
                      seed: int) -> QueryBatch:

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, ShapeError, Tensor
 from .config import ConfigError, RunConfig
+from .gnn import GraphBatch
 from .kg import (
     KnowledgeGraph,
     Triple,
@@ -102,21 +103,19 @@ def batch_edge_loss(model: KgcModel, batch: QueryBatch,
                     masks: list[EdgeMask], noise_seed: int) -> Tensor:
     """Edge-reconstruction loss over a batch's subgraphs, averaged per query.
 
-    All subgraphs share one encoder pass over the visible (masked) combined
-    adjacency. Subgraphs with no edges contribute 0.
+    All subgraphs share one encoder pass over the batch's arrows minus the
+    masked positives. Subgraphs with no edges contribute 0.
     """
     if model.vgae is None:
         raise ValueError("model was built without an edge decoder")
     sizes = [sub.num_nodes for sub in batch.subgraphs]
-    total = sum(sizes)
-    visible = np.zeros((total, total))
-    for sub, mask, offset, size in zip(batch.subgraphs, masks,
-                                       batch.offsets, sizes):
-        block = sub.A.copy()
-        for i, j in mask.positives:
-            block[i, j] = 0.0
-        visible[offset:offset + size, offset:offset + size] = block
-    state = model.vgae.encode(batch.X, visible)
+    n = batch.graph.num_nodes
+    hidden = [(i + offset) * n + j + offset
+              for mask, offset in zip(masks, batch.offsets)
+              for i, j in mask.positives]
+    arrows = batch.graph.arrows
+    visible = arrows[~np.isin(arrows @ np.array([n, 1]), hidden)]
+    state = model.vgae.encode(batch.X, GraphBatch(visible, n))
     z = reparameterize(state, noise_seed)
 
     terms: list[Tensor] = []
@@ -186,7 +185,7 @@ class Trainer:
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
 
         if model.vgae is not None:
-            masks = [mask_edges(sub.A, cfg.mask_ratio,
+            masks = [mask_edges(sub.arrows, sub.num_nodes, cfg.mask_ratio,
                                 derive_seed(cfg.seed,
                                             f"mask:{epoch}:{batch_index}:{k}"))[1]
                      for k, sub in enumerate(batch.subgraphs)]

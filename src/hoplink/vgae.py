@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .gnn import gcn_layer, normalize_adjacency
+from .gnn import GraphBatch, gcn_layer
 
 Pair = tuple[int, int]
 
@@ -28,7 +28,7 @@ class EdgeMask:
         return not self.positives
 
     def shift(self, offset: int) -> "EdgeMask":
-        """Same mask with node indices moved into a block-diagonal batch."""
+        """Same mask with node indices moved to a subgraph's rows in a batch."""
         return EdgeMask(
             positives=[(i + offset, j + offset) for i, j in self.positives],
             negatives=[(i + offset, j + offset) for i, j in self.negatives],
@@ -41,35 +41,39 @@ class VgaeState:
     log_sigma: Tensor
 
 
-def mask_edges(A: np.ndarray, ratio: float, seed: int) -> tuple[np.ndarray, EdgeMask]:
-    """Remove ceil(ratio * |edges|) directed edges, seeded; sample an equal
-    count of non-edge pairs as negatives. An edgeless graph yields an empty
-    mask, signalling that this sample contributes no edge loss."""
+def mask_edges(arrows: np.ndarray, num_nodes: int, ratio: float,
+               seed: int) -> tuple[np.ndarray, EdgeMask]:
+    """Remove ceil(ratio * |arrows|) directed arrows, seeded; sample an equal
+    count of non-arrow pairs (i != j) as negatives. ``arrows`` is sorted by i
+    then j and positives and negatives are drawn by rank in row-major cell
+    order. Returns the visible arrows and the mask. An arrowless graph yields
+    an empty mask, signalling that this sample contributes no edge loss."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
-    A = np.asarray(A, dtype=np.float64)
-    edges = np.argwhere(A > 0)
-    if len(edges) == 0:
-        return A.copy(), EdgeMask([], [], ratio, seed)
+    arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
+    if len(arrows) == 0:
+        return arrows.copy(), EdgeMask([], [], ratio, seed)
     rng = np.random.default_rng(seed)
-    n_mask = math.ceil(ratio * len(edges))
-    picked = rng.choice(len(edges), size=n_mask, replace=False)
-    positives = [tuple(map(int, edges[i])) for i in sorted(picked)]
+    n_mask = math.ceil(ratio * len(arrows))
+    picked = np.sort(rng.choice(len(arrows), size=n_mask, replace=False))
+    positives = [(int(i), int(j)) for i, j in arrows[picked]]
+    visible = np.delete(arrows, picked, axis=0)
 
-    A_visible = A.copy()
-    for i, j in positives:
-        A_visible[i, j] = 0.0
-
-    n = A.shape[0]
-    non_edges = np.argwhere((A == 0) & ~np.eye(n, dtype=bool))
-    if len(non_edges) == 0:
+    # the k-th free cell c (not an arrow, not diagonal) has exactly k free
+    # cells before it, so c = k + #(taken cells <= c)
+    n = num_nodes
+    taken = np.union1d(arrows[:, 0] * n + arrows[:, 1], np.arange(n) * (n + 1))
+    n_free = n * n - len(taken)
+    if n_free == 0:
         negatives: list[Pair] = []
     else:
         # tiny near-complete graphs may not offer enough distinct non-edges
-        replace = len(non_edges) < n_mask
-        idx = rng.choice(len(non_edges), size=n_mask, replace=replace)
-        negatives = [tuple(map(int, non_edges[i])) for i in sorted(idx)]
-    return A_visible, EdgeMask(positives, negatives, ratio, seed)
+        replace = n_free < n_mask
+        ranks = np.sort(rng.choice(n_free, size=n_mask, replace=replace))
+        cells = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
+                                        side="right")
+        negatives = [(int(c // n), int(c % n)) for c in cells]
+    return visible, EdgeMask(positives, negatives, ratio, seed)
 
 
 class Vgae:
@@ -89,8 +93,8 @@ class Vgae:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def encode(self, X: Tensor, A_visible: np.ndarray) -> VgaeState:
-        A_hat = normalize_adjacency(A_visible)
+    def encode(self, X: Tensor, visible: GraphBatch) -> VgaeState:
+        A_hat = visible.gcn_operator
         hidden = gcn_layer(X, A_hat, self.params["shared"], ad.relu)
         mu = gcn_layer(hidden, A_hat, self.params["mu"])
         log_sigma = ad.clamp(gcn_layer(hidden, A_hat, self.params["log_sigma"]),

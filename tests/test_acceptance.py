@@ -23,7 +23,7 @@ from hoplink.autodiff import Tensor, finite_diff_check
 from hoplink.cli import main
 from hoplink.config import RunConfig
 from hoplink.evaluation import RankingMetrics, evaluate
-from hoplink.gnn import GraphEncoder, GraphEncoderConfig
+from hoplink.gnn import GraphBatch, GraphEncoder, GraphEncoderConfig
 from hoplink.kg import (KnowledgeGraph, add_inverse_relations,
                         khop_neighborhood, queries_both_directions)
 from hoplink.model import KgcModel, eval_neighborhood_seed
@@ -123,6 +123,7 @@ def primitive_cases() -> list[tuple[str, object, np.ndarray]]:
     pos = np.abs(m34) + 0.5
     c43 = ad.constant(rng.normal(size=(4, 3)))
     c34 = ad.constant(rng.normal(size=(3, 4)))
+    c31 = ad.constant([[0.6], [-1.3], [2.1]])
     bag = sp.csr_matrix((np.ones(4), ([0, 0, 1, 2], [0, 2, 1, 2])),
                         shape=(3, 3))
     s = np.array([1.7])
@@ -189,6 +190,23 @@ def primitive_cases() -> list[tuple[str, object, np.ndarray]]:
              ad.gather_rows(x, [0, 2, 2, 1]),
              ad.constant(np.arange(16.).reshape(4, 4)))),
          m34),
+        ("scale_rows(x)",
+         lambda x: ad.sum_all(ad.hadamard(
+             ad.scale_rows(x, c31), c34)),
+         m34),
+        ("scale_rows(w)",
+         lambda x: ad.sum_all(ad.hadamard(ad.scale_rows(c34, x), c34)),
+         rng.normal(size=(3, 1))),
+        ("segment_sum",
+         lambda x: ad.sum_all(ad.hadamard(
+             ad.segment_sum(x, [0, 2, 3]),
+             ad.constant(np.arange(8.).reshape(2, 4)))),
+         m34),
+        ("segment_softmax",
+         lambda x: ad.sum_all(ad.hadamard(
+             ad.segment_softmax(x, [0, 1, 4, 6]),
+             ad.constant(np.arange(6.).reshape(6, 1)))),
+         rng.normal(size=(6, 1))),
         ("l2_normalize_rows",
          lambda x: ad.sum_all(ad.hadamard(ad.l2_normalize_rows(x), c34)),
          pos),
@@ -206,6 +224,7 @@ def test_criterion_2_gradient_correctness():
         worst[name] = err
 
     A = small_graph()
+    graph = GraphBatch(np.argwhere(A > 0), len(A))
     rng = np.random.default_rng(31)
     X0 = rng.normal(size=(5, 4)) * 0.7
     for variant in ("gcn", "sage", "gat"):
@@ -214,7 +233,7 @@ def test_criterion_2_gradient_correctness():
             np.random.default_rng(12))
 
         def f_enc(x, enc=enc):
-            return ad.sum_all(enc.encode(x, A, [0, 3]))
+            return ad.sum_all(enc.encode(x, graph, [0, 3]))
 
         err = finite_diff_check(f_enc, ad.parameter(X0.copy()))
         assert err < 1e-4, f"{variant} encoder: max relative error {err:.2e}"
@@ -230,11 +249,11 @@ def test_criterion_2_gradient_correctness():
     worst["info_nce"] = err
 
     vgae = Vgae(4, np.random.default_rng(8), latent_dim=3)
-    A_visible, mask = mask_edges(A, 0.3, seed=5)
+    visible, mask = mask_edges(graph.arrows, len(A), 0.3, seed=5)
     assert not mask.empty
 
     def f_vgae(x):
-        state = vgae.encode(x, A_visible)
+        state = vgae.encode(x, GraphBatch(visible, len(A)))
         z = reparameterize(state, seed=11)
         return edge_loss(state, z, mask)
 
@@ -270,7 +289,7 @@ def combined_gradient_error() -> float:
         batch = model.encode_queries(kg, pairs, seeds)
         gold = model.encode_entities(kg, golds)
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
-        masks = [mask_edges(sub.A, 0.3, seed=60 + i)[1]
+        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=60 + i)[1]
                  for i, sub in enumerate(batch.subgraphs)]
         from hoplink.training import batch_edge_loss
         edge_term = batch_edge_loss(model, batch, masks, noise_seed=77)

@@ -137,29 +137,12 @@ class TestSoftmax:
         out = ad.softmax_rows(Tensor([[math.log(2.0), 0.0]]))
         np.testing.assert_allclose(out.values, [[2 / 3, 1 / 3]], atol=1e-12)
 
-    def test_mask_zeroes_entries(self):
-        out = ad.softmax_rows(Tensor([[5.0, 1.0, 1.0]]), mask=np.array([[False, True, True]]))
-        np.testing.assert_allclose(out.values, [[0.0, 0.5, 0.5]])
-
-    def test_fully_masked_row(self):
-        with pytest.raises(DomainError, match="fully masked"):
-            ad.softmax_rows(Tensor([[1.0, 2.0]]), mask=np.array([[False, False]]))
-
     def test_gradient(self):
         rng = np.random.default_rng(5)
         x = parameter(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=(3, 4)))
         assert finite_diff_check(
             lambda t: ad.sum_all(ad.hadamard(ad.softmax_rows(t), w)), x) < 1e-5
-
-    def test_masked_gradient(self):
-        rng = np.random.default_rng(6)
-        x = parameter(rng.normal(size=(3, 4)))
-        w = Tensor(rng.normal(size=(3, 4)))
-        mask = rng.random((3, 4)) > 0.3
-        mask[:, 0] = True
-        assert finite_diff_check(
-            lambda t: ad.sum_all(ad.hadamard(ad.softmax_rows(t, mask), w)), x) < 1e-5
 
     def test_log_softmax_gradient(self):
         rng = np.random.default_rng(9)
@@ -178,6 +161,50 @@ class TestSoftmax:
         shifted[0] += shift
         y2 = ad.softmax_rows(Tensor(shifted)).values
         np.testing.assert_allclose(y, y2, atol=1e-9)
+
+
+class TestSegmentPrimitives:
+    def test_segment_softmax_normalizes_each_run(self):
+        x = np.array([[5.0], [1.0], [1.0], [0.3], [-2.0]])
+        out = ad.segment_softmax(Tensor(x), [0, 1, 3, 5]).values
+        np.testing.assert_allclose(out[:3], [[1.0], [0.5], [0.5]])
+        np.testing.assert_allclose(
+            out[3:], ad.softmax_rows(Tensor(x[3:].T)).values.T, atol=1e-15)
+
+    def test_segment_softmax_gradient(self):
+        rng = np.random.default_rng(6)
+        x = parameter(rng.normal(size=(7, 1)))
+        w = Tensor(rng.normal(size=(7, 1)))
+        assert finite_diff_check(lambda t: ad.sum_all(ad.hadamard(
+            ad.segment_softmax(t, [0, 3, 4, 7]), w)), x) < 1e-5
+
+    def test_empty_run_rejected(self):
+        # like a fully masked softmax row, an empty run has nothing to weigh
+        with pytest.raises(ShapeError, match="strictly"):
+            ad.segment_softmax(Tensor([[1.0], [2.0]]), [0, 1, 1, 2])
+        with pytest.raises(ShapeError, match="strictly"):
+            ad.segment_sum(Tensor([[1.0, 2.0]]), [0, 0, 1])
+
+    def test_segment_sum_gradient_repeats_per_run(self):
+        x = parameter(np.zeros((4, 2)))
+        with Tape():
+            out = ad.segment_sum(x, [0, 3, 4])
+            backward(ad.sum_all(ad.hadamard(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
+        np.testing.assert_array_equal(x.grad, [[1, 2], [1, 2], [1, 2], [3, 4]])
+
+    def test_bad_indptr_rejected(self):
+        x = Tensor(np.zeros((3, 1)))
+        for indptr in ([0, 2], [1, 3], [0, 2, 1, 3], [0]):
+            with pytest.raises(ShapeError):
+                ad.segment_sum(x, indptr)
+        with pytest.raises(ShapeError):
+            ad.segment_softmax(Tensor(np.zeros((3, 2))), [0, 3])
+
+    def test_scale_rows(self):
+        out = ad.scale_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[2.0], [-1.0]]))
+        np.testing.assert_array_equal(out.values, [[2.0, 4.0], [-3.0, -4.0]])
+        with pytest.raises(ShapeError):
+            ad.scale_rows(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
 
 
 class TestReductionsAndShaping:

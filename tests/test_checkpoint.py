@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,4 +82,41 @@ class TestCorruption:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {}, {}, sample_tensors())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + (1000).to_bytes(8, "little") + b"{}")
+        with pytest.raises(CheckpointError, match="past the end"):
+            load_checkpoint(path)
+
+    def test_short_file_after_magic(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + b"\x01")
+        with pytest.raises(CheckpointError, match="past the end"):
+            load_checkpoint(path)
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = b"\xff{not json"
+        path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(CheckpointError, match="not valid JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "config", "vocab"])
+    def test_missing_header_key(self, tmp_path, key):
+        header = {"format_version": FORMAT_VERSION, "config": {}, "vocab": {},
+                  "tensors": []}
+        del header[key]
+        blob = json.dumps(header).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
             load_checkpoint(path)

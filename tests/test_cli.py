@@ -170,6 +170,16 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut, message", [(True, "past the end"),
+                                              (False, "trailing bytes")])
+    def test_malformed_checkpoint_exits_one(self, trained_run, tmp_path,
+                                            capsys, cut, message):
+        data = trained_run["checkpoint"].read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[:40] if cut else data + b"\0")
+        assert main(["eval", "--checkpoint", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_unrecognized_argument_exits_one(self, trained_run):
         assert main(["eval", "--checkpoint", str(trained_run["checkpoint"]),
                      "--shiny"]) == 1

@@ -158,6 +158,14 @@ class TestEvaluate:
         assert first == second
         assert before == after
 
+    def test_reads_the_filter_index_without_rebuilding_it(self, dozen_kg):
+        model = make_model(dozen_kg)
+        index = dozen_kg.filter_index
+        snapshot = {k: set(v) for k, v in index.items()}
+        evaluate(model, dozen_kg, "test")
+        assert dozen_kg.filter_index is index
+        assert index == snapshot == build_filter_index(dozen_kg)
+
     def test_max_queries_truncates(self, dozen_kg):
         model = make_model(dozen_kg)
         assert evaluate(model, dozen_kg, "test", max_queries=2).count == 2

@@ -1,26 +1,40 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from hoplink import autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor
 from hoplink.gnn import (
+    GraphBatch,
     GraphEncoder,
     GraphEncoderConfig,
     combine_adjacency,
     gat_head,
     gcn_layer,
-    mean_neighbor_matrix,
-    normalize_adjacency,
     sage_layer,
 )
 from hoplink.kg import NeighborhoodSubgraph
+from hoplink.vgae import Vgae
 
 
 def make_subgraph(A):
     A = np.asarray(A, dtype=np.float64)
-    return NeighborhoodSubgraph(nodes=list(range(len(A))), A=A,
+    return NeighborhoodSubgraph(nodes=list(range(len(A))),
+                                arrows=np.argwhere(A > 0),
                                 hop_of=np.zeros(len(A), dtype=np.int64),
                                 truncated=False)
+
+
+def graph_of(A):
+    return GraphBatch(np.argwhere(np.asarray(A) > 0), len(A))
+
+
+def encode_one(enc, A, X):
+    """e_hr of one subgraph whose X row 0 is the head encoding."""
+    return ad.reshape(enc.encode(X, graph_of(A), [0]), (enc.config.dim,))
 
 
 def encoder(variant, dim=6, layers=2, heads=3, seed=0):
@@ -28,13 +42,143 @@ def encoder(variant, dim=6, layers=2, heads=3, seed=0):
     return GraphEncoder(cfg, np.random.default_rng(seed))
 
 
+# -- dense oracle: the n x n encoders the edge-index batch replaced -----------
+
+def dense_gcn_operator(A):
+    A_tilde = np.maximum(A, A.T) + np.eye(len(A))
+    d_inv_sqrt = 1.0 / np.sqrt(A_tilde.sum(axis=1))
+    return A_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+
+
+def dense_mean_operator(A):
+    A_sym = np.maximum(A, A.T)
+    deg = A_sym.sum(axis=1)
+    deg[deg == 0] = 1.0
+    return A_sym / deg[:, None]
+
+
+def dense_gat_head(X, A, W, a_src, a_dst, alpha=0.2):
+    n = X.shape[0]
+    h = ad.matmul(X, W)
+    scores = ad.leaky_relu(ad.add(
+        ad.matmul(ad.matmul(h, a_src), ad.constant(np.ones((1, n)))),
+        ad.matmul(ad.constant(np.ones((n, 1))),
+                  ad.transpose(ad.matmul(h, a_dst)))), alpha)
+    blocked = np.where(np.maximum(A, A.T) + np.eye(n) > 0, 0.0, -np.inf)
+    att = ad.softmax_rows(ad.add(scores, ad.constant(blocked)))
+    return ad.matmul(att, h), att.values
+
+
+def dense_encode(enc, X, A, readout):
+    cfg, p = enc.config, enc.params
+    act = ad.relu if cfg.activation == "relu" else ad.leaky_relu
+    H = X
+    for layer in range(cfg.layers):
+        last = layer == cfg.layers - 1
+        if cfg.variant == "gcn":
+            H = ad.matmul(ad.matmul(ad.constant(dense_gcn_operator(A)), H),
+                          p[f"l{layer}_w"])
+        elif cfg.variant == "sage":
+            mean = ad.matmul(ad.constant(dense_mean_operator(A)), H)
+            H = ad.matmul(ad.concat_cols([H, mean]), p[f"l{layer}_w"])
+        else:
+            outs = [dense_gat_head(H, A, p[f"l{layer}_h{h}_w"],
+                                   p[f"l{layer}_h{h}_asrc"],
+                                   p[f"l{layer}_h{h}_adst"])[0]
+                    for h in range(cfg.heads)]
+            H = outs[0]
+            for out in outs[1:]:
+                H = ad.add(H, out)
+            H = ad.scale(H, 1.0 / cfg.heads) if last else ad.concat_cols(outs)
+        H = H if last else act(H)
+    return ad.add(ad.gather_rows(H, readout), ad.gather_rows(X, readout))
+
+
+def dense_vgae_encode(vgae, X, A):
+    A_hat = ad.constant(dense_gcn_operator(A))
+    hidden = ad.relu(ad.matmul(ad.matmul(A_hat, X), vgae.params["shared"]))
+    mu = ad.matmul(ad.matmul(A_hat, hidden), vgae.params["mu"])
+    log_sigma = ad.matmul(ad.matmul(A_hat, hidden), vgae.params["log_sigma"])
+    return ad.add(mu, ad.clamp(log_sigma, -10.0, 10.0))
+
+
+def vgae_encode(vgae, X, graph):
+    state = vgae.encode(X, graph)
+    return ad.add(state.mu, state.log_sigma)
+
+
+def value_and_input_grad(f, X0, weights):
+    X = ad.parameter(X0.copy())
+    with ad.Tape():
+        out = f(X)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(weights))))
+    return out.values, X.grad
+
+
+# (node count, relation-labelled arrows (i, r, j)) per subgraph
+subgraph_strategy = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                       st.integers(0, n - 1)), max_size=3 * n)))
+
+
+class TestEdgeIndexMatchesDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(subs=st.lists(subgraph_strategy, min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    # self-loop triple, reciprocal arrows, two relations on one pair and an
+    # isolated node, all in one batch
+    @example(subs=[(3, [(0, 0, 0), (0, 1, 1), (1, 0, 0)]),
+                   (2, [(0, 0, 1), (0, 2, 1)]), (1, [])], seed=0)
+    def test_encoders_agree_in_values_and_input_gradients(self, subs, seed):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for n, triples in subs:
+            A = np.zeros((n, n))
+            for i, _, j in triples:
+                A[i, j] = 1.0
+            blocks.append(A)
+        A = block_diag(*blocks)
+        subgraphs = [make_subgraph(b) for b in blocks]
+        arrows, offsets = combine_adjacency(subgraphs)
+        graph = GraphBatch(arrows, len(A))
+        X0 = rng.normal(size=(len(A), 6))
+        weights = rng.normal(size=(len(offsets), 6))
+
+        for variant in ("gcn", "sage", "gat"):
+            enc = encoder(variant, seed=seed)
+            got = value_and_input_grad(
+                lambda X: enc.encode(X, graph, offsets), X0, weights)
+            want = value_and_input_grad(
+                lambda X: dense_encode(enc, X, A, offsets), X0, weights)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
+                                           err_msg=variant)
+
+        vgae = Vgae(6, np.random.default_rng(seed), latent_dim=3)
+        weights = rng.normal(size=(len(A), 3))
+        got = value_and_input_grad(
+            lambda X: vgae_encode(vgae, X, graph), X0, weights)
+        want = value_and_input_grad(
+            lambda X: dense_vgae_encode(vgae, X, A), X0, weights)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    def test_self_loop_arrow_weighs_twice_in_gcn(self):
+        op = GraphBatch(np.array([[0, 0], [0, 1]]), 2).gcn_operator.toarray()
+        np.testing.assert_allclose(op, dense_gcn_operator(
+            np.array([[1.0, 1.0], [0.0, 0.0]])))
+        assert op[0, 0] == pytest.approx(2.0 / 3.0)
+
+
 class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
-        np.testing.assert_array_equal(normalize_adjacency(np.zeros((1, 1))), [[1.0]])
+        np.testing.assert_array_equal(
+            graph_of(np.zeros((1, 1))).gcn_operator.toarray(), [[1.0]])
 
     def test_two_nodes_single_edge(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(normalize_adjacency(A),
+        np.testing.assert_allclose(graph_of(A).gcn_operator.toarray(),
                                    [[0.5, 0.5], [0.5, 0.5]])
 
     def test_symmetric_input_gives_symmetric_output(self):
@@ -42,13 +186,13 @@ class TestNormalizeAdjacency:
         A = (rng.random((6, 6)) > 0.6).astype(float)
         A = np.maximum(A, A.T)
         np.fill_diagonal(A, 0)
-        Ahat = normalize_adjacency(A)
+        Ahat = graph_of(A).gcn_operator.toarray()
         np.testing.assert_allclose(Ahat, Ahat.T)
         assert (Ahat >= 0).all()
 
-    def test_non_square_rejected(self):
+    def test_out_of_range_arrow_rejected(self):
         with pytest.raises(ShapeError):
-            normalize_adjacency(np.zeros((2, 3)))
+            GraphBatch(np.array([[0, 2]]), 2)
 
 
 class TestGcnLayer:
@@ -56,17 +200,17 @@ class TestGcnLayer:
         rng = np.random.default_rng(2)
         X = Tensor(rng.normal(size=(3, 4)))
         W = Tensor(rng.normal(size=(4, 4)))
-        out = gcn_layer(X, np.eye(3), W)
+        out = gcn_layer(X, sp.identity(3, format="csr"), W)
         np.testing.assert_allclose(out.values, X.values @ W.values)
 
     def test_two_node_hand_case(self):
-        A_hat = normalize_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        A_hat = graph_of(np.array([[0.0, 1.0], [0.0, 0.0]])).gcn_operator
         out = gcn_layer(Tensor(np.eye(2)), A_hat, Tensor(np.eye(2)))
         np.testing.assert_allclose(out.values, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_gradient_through_two_stacked_layers(self):
         rng = np.random.default_rng(3)
-        A_hat = normalize_adjacency(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], float))
+        A_hat = graph_of(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])).gcn_operator
         X = ad.parameter(rng.normal(size=(3, 4)))
         W0 = ad.parameter(rng.normal(size=(4, 4)))
         W1 = ad.parameter(rng.normal(size=(4, 4)))
@@ -79,17 +223,10 @@ class TestGcnLayer:
         assert ad.finite_diff_check(loss, W0) < 1e-5
 
 
-def gat_reference(X, A, W, a_src, a_dst, alpha=0.2):
-    n = len(X)
-    H = X @ W
-    scores = H @ a_src + (H @ a_dst).T
-    scores = np.where(scores > 0, scores, alpha * scores)
-    mask = (np.maximum(A, A.T) + np.eye(n)) > 0
-    shifted = np.where(mask, scores, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    weights = np.exp(shifted) * mask
-    att = weights / weights.sum(axis=1, keepdims=True)
-    return att @ H, att
+def dense_attention(graph, att):
+    out = np.zeros((graph.num_nodes, graph.num_nodes))
+    out[graph.dst, graph.src] = att
+    return out
 
 
 class TestGatHead:
@@ -97,35 +234,34 @@ class TestGatHead:
         rng = np.random.default_rng(4)
         X = Tensor(rng.normal(size=(1, 4)))
         W = Tensor(rng.normal(size=(4, 4)))
-        out, att = gat_head(X, np.array([[True]]), W,
+        out, att = gat_head(X, graph_of(np.zeros((1, 1))), W,
                             Tensor(rng.normal(size=(4, 1))),
                             Tensor(rng.normal(size=(4, 1))))
-        np.testing.assert_allclose(att, [[1.0]])
+        np.testing.assert_allclose(att, [1.0])
         np.testing.assert_allclose(out.values, X.values @ W.values)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], float)
-        mask = (np.maximum(A, A.T) + np.eye(3)) > 0
-        _, att = gat_head(Tensor(rng.normal(size=(3, 4))), mask,
+        graph = graph_of(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        _, att = gat_head(Tensor(rng.normal(size=(3, 4))), graph,
                           Tensor(rng.normal(size=(4, 4))),
                           Tensor(rng.normal(size=(4, 1))),
                           Tensor(rng.normal(size=(4, 1))))
-        np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(att[0, 2], 0.0)
+        dense = dense_attention(graph, att)
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_array_equal(dense[0, 2], 0.0)
 
     def test_matches_dense_reference_on_path_graph(self):
         rng = np.random.default_rng(6)
         A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], float)
-        X = rng.normal(size=(3, 5))
-        W = rng.normal(size=(5, 5))
-        a_src = rng.normal(size=(5, 1))
-        a_dst = rng.normal(size=(5, 1))
-        mask = (np.maximum(A, A.T) + np.eye(3)) > 0
-        out, att = gat_head(Tensor(X), mask, Tensor(W), Tensor(a_src), Tensor(a_dst))
-        ref_out, ref_att = gat_reference(X, A, W, a_src, a_dst)
-        np.testing.assert_allclose(out.values, ref_out, atol=1e-9)
-        np.testing.assert_allclose(att, ref_att, atol=1e-9)
+        X, W = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(5, 5)))
+        a_src = Tensor(rng.normal(size=(5, 1)))
+        a_dst = Tensor(rng.normal(size=(5, 1)))
+        graph = graph_of(A)
+        out, att = gat_head(X, graph, W, a_src, a_dst)
+        ref_out, ref_att = dense_gat_head(X, A, W, a_src, a_dst)
+        np.testing.assert_allclose(out.values, ref_out.values, atol=1e-9)
+        np.testing.assert_allclose(dense_attention(graph, att), ref_att, atol=1e-9)
 
 
 class TestSageLayer:
@@ -133,7 +269,7 @@ class TestSageLayer:
         rng = np.random.default_rng(7)
         X = Tensor(rng.normal(size=(1, 3)))
         W = Tensor(rng.normal(size=(6, 3)))
-        out = sage_layer(X, mean_neighbor_matrix(np.zeros((1, 1))), W, ad.relu)
+        out = sage_layer(X, graph_of(np.zeros((1, 1))).mean_operator, W, ad.relu)
         expected = np.maximum(
             np.concatenate([X.values, np.zeros((1, 3))], axis=1) @ W.values, 0)
         np.testing.assert_allclose(out.values, expected)
@@ -141,7 +277,7 @@ class TestSageLayer:
     def test_two_node_identity_blocks(self):
         X = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         W = Tensor(np.vstack([np.eye(2), np.eye(2)]))
-        M = mean_neighbor_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        M = graph_of(np.array([[0.0, 1.0], [0.0, 0.0]])).mean_operator
         out = sage_layer(X, M, W)
         # self features plus the single neighbor's features
         np.testing.assert_allclose(out.values, [[4.0, 6.0], [4.0, 6.0]])
@@ -149,13 +285,13 @@ class TestSageLayer:
     def test_equal_neighbor_doubles(self):
         X = Tensor(np.array([[1.0, 1.0], [1.0, 1.0]]))
         W = Tensor(np.vstack([np.eye(2), np.eye(2)]))
-        M = mean_neighbor_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        M = graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])).mean_operator
         out = sage_layer(X, M, W)
         np.testing.assert_allclose(out.values, [[2.0, 2.0], [2.0, 2.0]])
 
 
 def gcn_encode_reference(X, A, W0, W1):
-    A_hat = normalize_adjacency(A)
+    A_hat = dense_gcn_operator(A)
     hidden = np.maximum(A_hat @ X @ W0, 0)
     return A_hat @ hidden @ W1 + X
 
@@ -170,7 +306,7 @@ class TestEncodeNeighborhood:
     def test_head_only_gcn_is_residual_plus_linear(self):
         enc = encoder("gcn", dim=4)
         X = Tensor(np.random.default_rng(8).normal(size=(1, 4)))
-        out = enc.encode_neighborhood(make_subgraph(np.zeros((1, 1))), X)
+        out = encode_one(enc, np.zeros((1, 1)), X)
         w0, w1 = enc.params["l0_w"].values, enc.params["l1_w"].values
         expected = np.maximum(X.values @ w0, 0) @ w1 + X.values
         np.testing.assert_allclose(out.values, expected[0])
@@ -179,7 +315,7 @@ class TestEncodeNeighborhood:
         rng = np.random.default_rng(9)
         enc = encoder("gcn", dim=6)
         X = rng.normal(size=(5, 6))
-        out = enc.encode_neighborhood(make_subgraph(self.PATH5), Tensor(X))
+        out = encode_one(enc, self.PATH5, Tensor(X))
         ref = gcn_encode_reference(X, self.PATH5, enc.params["l0_w"].values,
                                    enc.params["l1_w"].values)
         np.testing.assert_allclose(out.values, ref[0], atol=1e-9)
@@ -192,29 +328,27 @@ class TestEncodeNeighborhood:
         A = (rng.random((n, n)) > 0.6).astype(float)
         np.fill_diagonal(A, 0)
         X = rng.normal(size=(n, 6))
-        base = enc.encode_neighborhood(make_subgraph(A), Tensor(X)).values
+        base = encode_one(enc, A, Tensor(X)).values
 
         perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
-        out = enc.encode_neighborhood(make_subgraph(A[np.ix_(perm, perm)]),
-                                      Tensor(X[perm])).values
+        out = encode_one(enc, A[np.ix_(perm, perm)], Tensor(X[perm])).values
         np.testing.assert_allclose(out, base, atol=1e-9)
 
     @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
     def test_output_shapes_interchangeable(self, variant):
         enc = encoder(variant, dim=6)
         X = Tensor(np.random.default_rng(11).normal(size=(5, 6)))
-        out = enc.encode_neighborhood(make_subgraph(self.PATH5), X)
+        out = encode_one(enc, self.PATH5, X)
         assert out.shape == (6,)
 
     @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
     def test_gradient_check(self, variant):
         rng = np.random.default_rng(12)
         enc = encoder(variant, dim=6)
-        sub = make_subgraph(self.PATH5)
         X = ad.parameter(rng.normal(size=(5, 6)))
 
         def loss(_):
-            return ad.sum_all(enc.encode_neighborhood(sub, X))
+            return ad.sum_all(encode_one(enc, self.PATH5, X))
 
         assert ad.finite_diff_check(loss, X) < 1e-5
         first_w = next(iter(enc.params.values()))
@@ -223,8 +357,7 @@ class TestEncodeNeighborhood:
     def test_row_count_mismatch_rejected(self):
         enc = encoder("gcn", dim=4)
         with pytest.raises(ShapeError):
-            enc.encode_neighborhood(make_subgraph(np.zeros((2, 2))),
-                                    Tensor(np.zeros((3, 4))))
+            encode_one(enc, np.zeros((2, 2)), Tensor(np.zeros((3, 4))))
 
     @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
     def test_block_diagonal_batch_equals_loop(self, variant):
@@ -237,19 +370,22 @@ class TestEncodeNeighborhood:
             np.fill_diagonal(A, 0)
             subs.append(A)
             feats.append(rng.normal(size=(n, 6)))
-        combined, offsets = combine_adjacency(subs)
-        batched = enc.encode(Tensor(np.vstack(feats)), combined, offsets).values
+        arrows, offsets = combine_adjacency([make_subgraph(A) for A in subs])
+        assert offsets == [0, 3, 8]
+        graph = GraphBatch(arrows, 12)
+        batched = enc.encode(Tensor(np.vstack(feats)), graph, offsets).values
         for row, (A, X) in enumerate(zip(subs, feats)):
-            single = enc.encode(Tensor(X), A, [0]).values
+            single = enc.encode(Tensor(X), graph_of(A), [0]).values
             np.testing.assert_allclose(batched[row], single[0],
                                        rtol=1e-12, atol=1e-12)
 
     def test_gat_attention_recorded_per_layer(self):
         enc = encoder("gat", dim=6, layers=2)
         X = Tensor(np.random.default_rng(14).normal(size=(5, 6)))
-        enc.encode_neighborhood(make_subgraph(self.PATH5), X)
+        encode_one(enc, self.PATH5, X)
         assert len(enc.last_attention) == 2
-        np.testing.assert_allclose(enc.last_attention[0].sum(axis=1), 1.0, atol=1e-9)
+        dense = dense_attention(graph_of(self.PATH5), enc.last_attention[0])
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestConfigValidation:
@@ -272,7 +408,7 @@ class TestConfigValidation:
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 2] = A[2, 3] = 1.0
         X = ad.constant(np.random.default_rng(1).normal(size=(4, 7)))
-        out = enc.encode(X, A, [0, 2])
+        out = enc.encode(X, graph_of(A), [0, 2])
         assert out.shape == (2, 7)
 
     def test_zero_layers_rejected(self):

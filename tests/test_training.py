@@ -186,7 +186,7 @@ class TestBatchEdgeLoss:
     def test_deterministic_and_finite(self, chain_kg):
         cfg = small_config()
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1), (4, 0)])
-        masks = [mask_edges(sub.A, 0.3, seed=9 + i)[1]
+        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=9 + i)[1]
                  for i, sub in enumerate(batch.subgraphs)]
         one = batch_edge_loss(model, batch, masks, noise_seed=3).item()
         two = batch_edge_loss(model, batch, masks, noise_seed=3).item()
@@ -197,7 +197,7 @@ class TestBatchEdgeLoss:
         cfg = small_config()
         with ad.Tape():
             model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-            masks = [mask_edges(sub.A, 0.3, seed=4 + i)[1]
+            masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=4 + i)[1]
                      for i, sub in enumerate(batch.subgraphs)]
             loss = batch_edge_loss(model, batch, masks, noise_seed=1)
             ad.backward(loss)
@@ -208,7 +208,7 @@ class TestBatchEdgeLoss:
     def test_all_empty_masks_mean_skip(self, chain_kg):
         cfg = small_config()
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-        empty = [mask_edges(np.zeros_like(sub.A), 0.3, seed=1)[1]
+        empty = [mask_edges(sub.arrows[:0], sub.num_nodes, 0.3, seed=1)[1]
                  for sub in batch.subgraphs]
         loss = batch_edge_loss(model, batch, empty, noise_seed=1)
         assert loss.skipped
@@ -217,7 +217,8 @@ class TestBatchEdgeLoss:
     def test_rejected_without_a_decoder(self, chain_kg):
         cfg = small_config(lambda_weight=1.0)
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-        masks = [mask_edges(sub.A, 0.3, seed=2)[1] for sub in batch.subgraphs]
+        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=2)[1]
+                 for sub in batch.subgraphs]
         with pytest.raises(ValueError, match="without an edge decoder"):
             batch_edge_loss(model, batch, masks, noise_seed=1)
 

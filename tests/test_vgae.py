@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoplink import autodiff as ad
 from hoplink.autodiff import AdamW, Tape, Tensor, backward
+from hoplink.gnn import GraphBatch
 from hoplink.vgae import (
     EdgeMask,
     Vgae,
@@ -23,6 +28,31 @@ def ring_graph(n=5):
     return A
 
 
+def arrows_of(A):
+    return np.argwhere(A > 0)
+
+
+def mask_dense(A, ratio, seed):
+    """The n x n masking that ``mask_edges`` replaced, kept as its oracle."""
+    edges = np.argwhere(A > 0)
+    if len(edges) == 0:
+        return A.copy(), [], []
+    rng = np.random.default_rng(seed)
+    n_mask = math.ceil(ratio * len(edges))
+    picked = rng.choice(len(edges), size=n_mask, replace=False)
+    positives = [tuple(map(int, edges[i])) for i in sorted(picked)]
+    A_visible = A.copy()
+    for i, j in positives:
+        A_visible[i, j] = 0.0
+    non_edges = np.argwhere((A == 0) & ~np.eye(len(A), dtype=bool))
+    negatives = []
+    if len(non_edges):
+        idx = rng.choice(len(non_edges), size=n_mask,
+                         replace=len(non_edges) < n_mask)
+        negatives = [tuple(map(int, non_edges[i])) for i in sorted(idx)]
+    return A_visible, positives, negatives
+
+
 class TestMaskEdges:
     def test_counts_at_ratio(self):
         A = np.zeros((6, 6))
@@ -30,42 +60,42 @@ class TestMaskEdges:
                  (5, 0), (0, 2), (1, 3), (2, 4), (3, 5)]
         for i, j in pairs:
             A[i, j] = 1.0
-        A_vis, mask = mask_edges(A, 0.2, seed=0)
+        visible, mask = mask_edges(arrows_of(A), 6, 0.2, seed=0)
         assert len(mask.positives) == 2
         assert len(mask.negatives) == 2
-        assert A_vis.sum() == 8
+        assert len(visible) == 8
 
     def test_single_edge_never_unmasked(self):
         A = np.zeros((3, 3))
         A[0, 1] = 1.0
-        _, mask = mask_edges(A, 0.01, seed=0)
+        _, mask = mask_edges(arrows_of(A), 3, 0.01, seed=0)
         assert mask.positives == [(0, 1)]
 
     def test_masked_pairs_were_edges_and_negatives_were_not(self):
         rng = np.random.default_rng(3)
         A = (rng.random((10, 10)) > 0.7).astype(float)
         np.fill_diagonal(A, 0)
-        A_vis, mask = mask_edges(A, 0.3, seed=7)
+        visible, mask = mask_edges(arrows_of(A), 10, 0.3, seed=7)
         for i, j in mask.positives:
-            assert A[i, j] == 1.0 and A_vis[i, j] == 0.0
+            assert A[i, j] == 1.0 and [i, j] not in visible.tolist()
         for i, j in mask.negatives:
             assert A[i, j] == 0.0 and i != j
         assert len(mask.negatives) == len(mask.positives)
 
     def test_same_seed_same_mask(self):
         A = ring_graph(8)
-        _, m1 = mask_edges(A, 0.4, seed=11)
-        _, m2 = mask_edges(A, 0.4, seed=11)
+        _, m1 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
+        _, m2 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
         assert (m1.positives, m1.negatives) == (m2.positives, m2.negatives)
 
     def test_edgeless_graph_gives_skip_mask(self):
-        A_vis, mask = mask_edges(np.zeros((4, 4)), 0.15, seed=0)
+        visible, mask = mask_edges(np.zeros((0, 2), dtype=int), 4, 0.15, seed=0)
         assert mask.empty
-        assert A_vis.sum() == 0
+        assert len(visible) == 0
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mask_edges(ring_graph(), 0.0, seed=0)
+            mask_edges(arrows_of(ring_graph()), 5, 0.0, seed=0)
 
     def test_shift_offsets_pairs(self):
         mask = EdgeMask([(0, 1)], [(2, 0)], 0.15, 0)
@@ -73,20 +103,33 @@ class TestMaskEdges:
         assert shifted.positives == [(10, 11)]
         assert shifted.negatives == [(12, 10)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 7), fill=st.floats(0.0, 1.0),
+           ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**16))
+    def test_matches_dense_argwhere_masking(self, n, fill, ratio, seed):
+        # fill near 1 leaves too few non-edges and forces sampling with
+        # replacement; the diagonal may carry self-loop arrows
+        A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
+        visible, mask = mask_edges(arrows_of(A), n, ratio, seed)
+        A_visible, positives, negatives = mask_dense(A, ratio, seed)
+        assert (mask.positives, mask.negatives) == (positives, negatives)
+        np.testing.assert_array_equal(visible, arrows_of(A_visible).reshape(-1, 2))
+
 
 class TestEncode:
     def test_zero_parameters_give_zero_state(self):
         model = Vgae(4, np.random.default_rng(0), latent_dim=2)
         for p in model.parameters():
             p.values[:] = 0.0
-        state = model.encode(Tensor(np.ones((3, 4))), ring_graph(3))
+        state = model.encode(Tensor(np.ones((3, 4))),
+                             GraphBatch(arrows_of(ring_graph(3)), 3))
         np.testing.assert_array_equal(state.mu.values, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.log_sigma.values, np.zeros((3, 2)))
 
     def test_output_shapes(self):
         model = Vgae(6, np.random.default_rng(0))
         state = model.encode(Tensor(np.random.default_rng(1).normal(size=(5, 6))),
-                             ring_graph(5))
+                             GraphBatch(arrows_of(ring_graph(5)), 5))
         assert state.mu.shape == (5, 3)
         assert state.log_sigma.shape == (5, 3)
 
@@ -94,11 +137,12 @@ class TestEncode:
         rng = np.random.default_rng(2)
         model = Vgae(4, np.random.default_rng(3), latent_dim=2)
         A = ring_graph(4)
-        A_vis, mask = mask_edges(A, 0.3, seed=5)
+        visible, mask = mask_edges(arrows_of(A), 4, 0.3, seed=5)
+        graph = GraphBatch(visible, 4)
         X = ad.parameter(rng.normal(size=(4, 4)))
 
         def loss(_):
-            state = model.encode(X, A_vis)
+            state = model.encode(X, graph)
             Z = reparameterize(state, seed=9)
             return edge_loss(state, Z, mask)
 
@@ -211,8 +255,9 @@ class TestToyTraining:
                 for j in block:
                     if i != j:
                         A[i, j] = 1.0
-        A_vis, mask = mask_edges(A, 0.3, seed=1)
+        visible, mask = mask_edges(arrows_of(A), n, 0.3, seed=1)
         assert len(mask.positives) == 8
+        graph = GraphBatch(visible, n)
 
         X = ad.constant(np.random.default_rng(0).normal(size=(n, 8)))
         model = Vgae(8, np.random.default_rng(3), latent_dim=4)
@@ -223,7 +268,7 @@ class TestToyTraining:
         losses = []
         for step in range(200):
             with Tape():
-                state = model.encode(X, A_vis)
+                state = model.encode(X, graph)
                 Z = reparameterize(state, seed=step)
                 loss = edge_loss(state, Z, mask)
                 opt.zero_grad()
@@ -233,5 +278,5 @@ class TestToyTraining:
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
         with ad.no_grad():
-            state = model.encode(X, A_vis)
+            state = model.encode(X, graph)
         assert reconstruction_accuracy(state.mu.values, mask) >= 0.9
