@@ -221,11 +221,6 @@ def transpose(x: Tensor) -> Tensor:
     return _apply(x.values.T.copy(), (x,), lambda g: (g.T,))
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    orig = x.values.shape
-    return _apply(x.values.reshape(shape).copy(), (x,), lambda g: (g.reshape(orig),))
-
-
 # --------------------------------------------------------------------------
 # Primitives: elementwise
 # --------------------------------------------------------------------------
@@ -309,16 +304,6 @@ def softplus(x: Tensor) -> Tensor:
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.values >= lo) & (x.values <= hi)
     return _apply(np.clip(x.values, lo, hi), (x,), lambda g: (g * inside,))
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with an explicit generator; rate 0 is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _apply(x.values * mask, (x,), lambda g: (g * mask,))
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +589,3 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
     fan_in, fan_out = shape[0], shape[-1]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return parameter(rng.uniform(-bound, bound, size=shape))
-
-
-def normal_init(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.1) -> Tensor:
-    return parameter(rng.normal(0.0, std, size=shape))

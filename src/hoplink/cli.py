@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .checkpoint import CheckpointError
 from .config import (
     ConfigError,
@@ -25,13 +26,12 @@ from .config import (
     parse_config_file,
     write_config_snapshot,
 )
-from .evaluation import RankingMetrics, evaluate
+from .evaluation import RankingMetrics, evaluate, query_scores
 from .kg import (
     DatasetError,
     KnowledgeGraph,
     ParseError,
     add_inverse_relations,
-    build_filter_index,
     load_dataset_dir,
     validate_counts,
 )
@@ -341,21 +341,16 @@ def cmd_explain(args) -> int:
     relation = resolve_name(args.relation, relation_table, "relation")
 
     seed = derive_seed(config.seed, f"explain:{head}:{relation}")
-    with_scores = []
-    from . import autodiff as ad
     with ad.no_grad():
         batch = model.encode_queries(kg, [(head, relation)], [seed])
-        vec = batch.e_hr.values[0]
-    norm = np.linalg.norm(vec)
-    vec = vec / norm if norm > 1e-12 else np.zeros_like(vec)
     tail_rows, _ = model.tail_matrix(kg)
-    scores = tail_rows @ vec
+    scores = query_scores(batch.e_hr.values, tail_rows)[0]
     order = np.lexsort((np.arange(len(scores)), -scores))
     top = [{"entity": kg.entities[int(e)].name, "score": float(scores[e]),
             "rank": rank + 1}
            for rank, e in enumerate(order[:args.top_n])]
 
-    known = build_filter_index(kg).get((head, relation), set())
+    known = kg.filter_index.get((head, relation), set())
     if known:
         best_gold = max(known, key=lambda e: (scores[e], -e))
         gold = {"entity": kg.entities[best_gold].name,

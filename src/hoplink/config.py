@@ -39,7 +39,6 @@ class RunConfig:
     epochs: int = 30
     lr: float = 0.01
     weight_decay: float = 0.0001
-    eval_chunk: int = 4096
     resample_neighborhoods: bool = True
 
     def validate(self) -> "RunConfig":

@@ -8,12 +8,14 @@ is excluded, and ties with the gold score count against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Collection, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 # build_filter_index stays importable here: perfbench's tracer wraps it by name
-from .kg import KnowledgeGraph, Triple, build_filter_index, queries_both_directions  # noqa: F401
+from .kg import KnowledgeGraph, build_filter_index, queries_both_directions  # noqa: F401
 from .model import KgcModel, eval_neighborhood_seed
 
 
@@ -42,68 +44,66 @@ class RankingMetrics:
             count=len(ranks))
 
 
-def filtered_rank(scores: np.ndarray, gold: int,
-                  known_tails: set[int]) -> int:
-    """Pessimistic rank of ``gold`` within ``scores``.
+def filtered_rank(scores: np.ndarray, golds: Sequence[int],
+                  known_tails: Sequence[Collection[int]]) -> np.ndarray:
+    """Pessimistic rank of each row's gold within its row of ``scores``.
 
-    Other known-true tails are removed from the candidate pool first; among
-    the remaining candidates, any score >= the gold's pushes the gold down.
+    Row i's other known-true tails ``known_tails[i]`` are removed from its
+    candidate pool first; every remaining candidate other than the gold that
+    scores >= the gold pushes the gold down one place.
     """
-    keep = np.ones(scores.shape[0], dtype=bool)
-    for t in known_tails:
-        if t != gold:
-            keep[t] = False
-    pool = scores[keep]
-    gold_score = scores[gold]
-    higher = int(np.sum(pool > gold_score))
-    tied = int(np.sum(pool == gold_score)) - 1  # the gold itself
-    return 1 + higher + max(0, tied)
+    rows = np.arange(len(golds))
+    counts = [len(tails) for tails in known_tails]
+    excluded = np.zeros(scores.shape, dtype=bool)
+    excluded[np.repeat(rows, counts),
+             np.fromiter(chain.from_iterable(known_tails), dtype=np.int64,
+                         count=sum(counts))] = True
+    excluded[rows, golds] = True  # the gold is never its own rival
+    gold_scores = scores[rows, golds]
+    return 1 + np.sum((scores >= gold_scores[:, None]) & ~excluded, axis=1)
 
 
-def query_scores(model: KgcModel, kg: KnowledgeGraph, head: int,
-                 relation: int, tail_rows: np.ndarray, seed: int) -> np.ndarray:
-    """Cosine scores of one query against every entity's tail encoding."""
-    with ad.no_grad():
-        batch = model.encode_queries(kg, [(head, relation)], [seed])
-        vec = batch.e_hr.values[0]
-    norm = np.linalg.norm(vec)
-    if norm > 1e-12:
-        vec = vec / norm
-    else:
-        vec = np.zeros_like(vec)
-    return tail_rows @ vec
-
-
-def rank_query(model: KgcModel, kg: KnowledgeGraph, query: Triple,
-               tail_rows: np.ndarray, filter_index, seed: int) -> int:
-    """Filtered rank for one query; unseen heads/relations cannot be scored
-    and take the worst possible rank."""
-    if kg.query_is_unseen(query.head, query.relation):
-        return kg.num_entities
-    scores = query_scores(model, kg, query.head, query.relation,
-                          tail_rows, seed)
-    known = filter_index.get((query.head, query.relation), {query.tail})
-    return filtered_rank(scores, query.tail, known)
+def query_scores(e_hr: np.ndarray, tail_rows: np.ndarray) -> np.ndarray:
+    """(b x E) cosines of a batch of query vectors against every entity's
+    unit tail row; a query row of norm ~0 scores 0 everywhere."""
+    norms = np.linalg.norm(e_hr, axis=1, keepdims=True)
+    scored = norms > 1e-12
+    unit = np.where(scored, e_hr / np.where(scored, norms, 1.0), 0.0)
+    return unit @ tail_rows.T
 
 
 def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
              max_queries: int | None = None) -> RankingMetrics:
     """Filtered MRR and Hits@{1,3,10} over forward and inverse queries.
 
-    Runs without gradients and mutates nothing: it reads ``kg.filter_index``,
-    which ``add_inverse_relations`` keeps current. Neighborhood seeds depend
-    only on the run seed, the split, and the query index.
+    Seen queries are encoded and ranked in chunks of ``config.batch_size``,
+    one ``encode_queries`` pass per chunk, the batch shape of training. The
+    neighborhood seed of query i depends only on the run seed, the split and
+    i, its index in the full query list, so chunking moves no rank. Unseen
+    heads/relations cannot be scored and take the worst rank. Runs without
+    gradients and mutates nothing: it reads ``kg.filter_index``, which
+    ``add_inverse_relations`` keeps current.
     """
     queries = queries_both_directions(kg, split)
     if max_queries is not None:
         queries = queries[:max_queries]
     if not queries:
         return RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
-    filter_index = kg.filter_index
     tail_rows, _ = model.tail_matrix(kg)
-    ranks = [
-        rank_query(model, kg, query, tail_rows, filter_index,
-                   eval_neighborhood_seed(model.config.seed, split, i))
-        for i, query in enumerate(queries)
-    ]
-    return RankingMetrics.from_ranks(ranks)
+    ranks = np.full(len(queries), kg.num_entities, dtype=np.int64)
+    seen = [i for i, q in enumerate(queries)
+            if not kg.query_is_unseen(q.head, q.relation)]
+    size = model.config.batch_size
+    for start in range(0, len(seen), size):
+        index = seen[start:start + size]
+        chunk = [queries[i] for i in index]
+        seeds = [eval_neighborhood_seed(model.config.seed, split, i)
+                 for i in index]
+        with ad.no_grad():
+            batch = model.encode_queries(
+                kg, [(q.head, q.relation) for q in chunk], seeds)
+        scores = query_scores(batch.e_hr.values, tail_rows)
+        ranks[index] = filtered_rank(
+            scores, [q.tail for q in chunk],
+            [kg.filter_index.get((q.head, q.relation), ()) for q in chunk])
+    return RankingMetrics.from_ranks(ranks.tolist())

@@ -299,8 +299,10 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     """Synthesize an inverse relation per base relation; second call is a no-op.
 
     Inverse edges enter the adjacency lists and the filter index so that
-    (?, r, t) queries become tail prediction (t, r_inv, ?). Split triple lists
-    stay in original form, and neighborhoods keep original arrows.
+    (?, r, t) queries become tail prediction (t, r_inv, ?). The index that
+    ``KnowledgeGraph.build`` made gains the inverse keys in place, leaving it
+    equal to a fresh ``build_filter_index``. Split triple lists stay in
+    original form, and neighborhoods keep original arrows.
     """
     if kg.inverses_added:
         return kg
@@ -315,8 +317,11 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     for adj in (kg.out_adj, kg.in_adj):
         for entries in adj:
             entries.sort()
+    for triples in kg.splits.values():
+        for tr in triples:
+            kg.filter_index.setdefault(
+                (tr.tail, tr.relation + offset), set()).add(tr.head)
     kg.inverses_added = True
-    build_filter_index(kg)
     return kg
 
 

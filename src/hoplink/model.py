@@ -125,13 +125,8 @@ class KgcModel:
         Returns (E x d matrix, zero-row flags). Rows with no text or a vector
         of norm ~0 stay zero, so their cosine score against any query is 0.
         """
-        chunk = max(1, self.config.eval_chunk)
-        pieces = []
         with ad.no_grad():
-            for start in range(0, kg.num_entities, chunk):
-                ids = list(range(start, min(start + chunk, kg.num_entities)))
-                pieces.append(self.encode_entities(kg, ids).values)
-        mat = np.vstack(pieces)
+            mat = self.encode_entities(kg, list(range(kg.num_entities))).values
         norms = np.linalg.norm(mat, axis=1)
         zero = norms <= 1e-12
         safe = np.where(zero, 1.0, norms)
@@ -175,10 +170,6 @@ class KgcModel:
         e_hr = self.gnn.encode(X, graph, offsets)
         return QueryBatch(e_hr=e_hr, X=X, offsets=offsets, subgraphs=subs,
                           graph=graph)
-
-    def encode_query(self, kg: KnowledgeGraph, head: int, relation: int,
-                     seed: int) -> QueryBatch:
-        return self.encode_queries(kg, [(head, relation)], [seed])
 
     # -- state ------------------------------------------------------------------
 

@@ -189,9 +189,6 @@ class TextEncoder:
             flags.append(empty)
         return self._encode(ids, np.array(flags), "tail")
 
-    # neighbors ride the tail tower: same text, no relation segment
-    encode_neighbors = encode_tails
-
     def encode_from_bag(self, bag: sp.csr_matrix, empty_rows: np.ndarray,
                         tower: str) -> Tensor:
         """Fast path for mean_pool mode with a precomputed bag matrix."""
@@ -201,24 +198,6 @@ class TextEncoder:
         out = ad.matmul(pooled, self.params[f"{tower}_proj"])
         out.empty_rows = empty_rows
         return out
-
-    # -- single-item conveniences -------------------------------------------
-
-    def encode_head(self, name: str, desc: str, relation_phrase: str) -> Tensor:
-        batch = self.encode_heads([(name, desc, relation_phrase)])
-        return self._single(batch)
-
-    def encode_tail(self, name: str, desc: str) -> Tensor:
-        batch = self.encode_tails([(name, desc)])
-        return self._single(batch)
-
-    encode_neighbor = encode_tail
-
-    @staticmethod
-    def _single(batch: Tensor) -> Tensor:
-        vec = ad.reshape(batch, (batch.shape[1],))
-        vec.empty = bool(batch.empty_rows[0])
-        return vec
 
     # -- internals -----------------------------------------------------------
 

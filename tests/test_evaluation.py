@@ -9,7 +9,7 @@ from hoplink.evaluation import (
     RankingMetrics,
     evaluate,
     filtered_rank,
-    rank_query,
+    query_scores,
 )
 from hoplink.kg import (
     KnowledgeGraph,
@@ -26,28 +26,33 @@ from conftest import dozen_graph
 
 
 def make_model(kg, **overrides) -> KgcModel:
-    base = dict(dim=12, heads=2, k=2, seed=9, eval_chunk=16)
+    base = dict(dim=12, heads=2, k=2, seed=9)
     base.update(overrides)
     return KgcModel(RunConfig(**base), build_vocab(kg))
+
+
+def rank_one(scores, gold, known_tails):
+    """filtered_rank of a single query, as a one-row batch."""
+    return filtered_rank(np.asarray(scores)[None, :], [gold], [known_tails])[0]
 
 
 class TestFilteredRank:
     def test_filtering_removes_a_better_known_tail(self):
         # gold scores 0.9; the only better candidate is itself a known tail
         scores = np.array([0.95, 0.9, 0.8, 0.7])
-        assert filtered_rank(scores, gold=1, known_tails={0, 1}) == 1
+        assert rank_one(scores, gold=1, known_tails={0, 1}) == 1
 
     def test_unfiltered_rank_counts_better_scores(self):
         scores = np.array([0.95, 0.9, 0.8, 0.7])
-        assert filtered_rank(scores, gold=1, known_tails={1}) == 2
+        assert rank_one(scores, gold=1, known_tails={1}) == 2
 
     def test_gold_loses_every_tie(self):
         scores = np.array([0.5, 0.9, 0.9])
-        assert filtered_rank(scores, gold=1, known_tails={1}) == 2
+        assert rank_one(scores, gold=1, known_tails={1}) == 2
 
     def test_all_equal_scores_rank_last(self):
         scores = np.full(6, 0.125)
-        assert filtered_rank(scores, gold=2, known_tails={2}) == 6
+        assert rank_one(scores, gold=2, known_tails={2}) == 6
 
     def test_filtering_other_golds_never_hurts(self):
         rng = np.random.default_rng(0)
@@ -55,9 +60,39 @@ class TestFilteredRank:
             scores = rng.normal(size=12)
             gold = int(rng.integers(12))
             others = set(map(int, rng.choice(12, size=4, replace=False)))
-            plain = filtered_rank(scores, gold, {gold})
-            filtered = filtered_rank(scores, gold, others | {gold})
+            plain = rank_one(scores, gold, {gold})
+            filtered = rank_one(scores, gold, others | {gold})
             assert filtered <= plain
+
+    def test_rows_rank_independently(self):
+        rng = np.random.default_rng(1)
+        scores = rng.normal(size=(7, 12))
+        scores[3, :] = 0.5  # a row of ties, like a zero-norm query's
+        golds = list(map(int, rng.integers(12, size=7)))
+        known = [set(map(int, rng.choice(12, size=int(rng.integers(0, 5)),
+                                         replace=False))) for _ in range(7)]
+        known[2] = ()  # a query with no filter entry at all
+        batched = filtered_rank(scores, golds, known)
+        assert batched.tolist() == [rank_one(row, g, k) for row, g, k
+                                    in zip(scores, golds, known)]
+        assert batched[3] == 12 - len(set(known[3]) - {golds[3]})
+
+
+class TestQueryScores:
+    def test_rows_are_cosines_and_a_zero_row_scores_zero(self):
+        rng = np.random.default_rng(2)
+        tails = rng.normal(size=(5, 4))
+        tails /= np.linalg.norm(tails, axis=1, keepdims=True)
+        tails[1] = 0.0  # a textless entity
+        queries = rng.normal(size=(3, 4))
+        queries[1] = 1e-14  # norm below 1e-12: scored as a zero query
+        scores = query_scores(queries, tails)
+        assert scores.shape == (3, 5)
+        np.testing.assert_array_equal(scores[1], np.zeros(5))
+        np.testing.assert_array_equal(scores[:, 1], np.zeros(3))
+        for i in (0, 2):
+            q = queries[i] / np.linalg.norm(queries[i])
+            np.testing.assert_allclose(scores[i], tails @ q, atol=1e-15)
 
 
 class TestRankingMetrics:
@@ -92,7 +127,8 @@ def brute_force_ranks(model, kg, split):
     tails = []
     for rec in kg.entities:
         with ad.no_grad():
-            tails.append(model.text.encode_tail(rec.name, rec.description).values)
+            tails.append(model.text.encode_tails(
+                [(rec.name, rec.description)]).values[0])
     known = {}
     for triples in kg.splits.values():
         for tr in triples:
@@ -190,9 +226,79 @@ class TestEvaluate:
         add_inverse_relations(kg)
         model = make_model(kg, k=1)
         ghost = kg.entity_ids["ghost"]
-        tail_rows, _ = model.tail_matrix(kg)
-        index = build_filter_index(kg)
-        rank = rank_query(model, kg, Triple(ghost, 0, kg.entity_ids["a"]),
-                          tail_rows, index,
-                          eval_neighborhood_seed(9, "valid", 0))
-        assert rank == kg.num_entities
+        assert queries_both_directions(kg, "valid")[0] == Triple(
+            ghost, 0, kg.entity_ids["a"])
+        metrics = evaluate(model, kg, "valid", max_queries=1)
+        assert metrics.count == 1
+        assert metrics.mrr == 1.0 / kg.num_entities
+
+
+def record_encode_batches(monkeypatch) -> list[int]:
+    """Patch KgcModel.encode_queries to log each call's query count."""
+    sizes: list[int] = []
+    encode = KgcModel.encode_queries
+
+    def counting(self, kg, queries, seeds):
+        sizes.append(len(queries))
+        return encode(self, kg, queries, seeds)
+
+    monkeypatch.setattr(KgcModel, "encode_queries", counting)
+    return sizes
+
+
+class TestBatchedEvaluate:
+    """The chunked path against the brute-force oracle: partial last chunks,
+    unseen queries inside a chunk, textless ties, every encoder."""
+
+    @pytest.mark.parametrize("batch_size", [2, 3])
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_chunks_match_brute_force(self, dozen_kg, split, batch_size):
+        # a cap of 1 per hop makes every neighborhood a seeded sample, so a
+        # seed taken from the wrong query index moves ranks
+        model = make_model(dozen_kg, batch_size=batch_size, cap_per_hop=1)
+        expected = RankingMetrics.from_ranks(
+            brute_force_ranks(model, dozen_kg, split))
+        assert evaluate(model, dozen_kg, split) == expected
+
+    @pytest.mark.parametrize("encoder", ["gcn", "sage"])
+    def test_other_encoders_match_in_chunks(self, dozen_kg, encoder):
+        model = make_model(dozen_kg, encoder=encoder, batch_size=3)
+        expected = RankingMetrics.from_ranks(
+            brute_force_ranks(model, dozen_kg, "train"))
+        assert evaluate(model, dozen_kg, "train") == expected
+
+    def test_unseen_query_mid_chunk_and_textless_ties(self, monkeypatch):
+        entity_text = {"a": ("anchor", "first stone"), "b": ("birch", "tree"),
+                       "c": ("cedar", "tall tree"), "mute": ("", ""),
+                       "ghost": ("ghost", "unseen at train time")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransductiveWarning)
+            kg = KnowledgeGraph.build(
+                {"train": [("a", "r", "b"), ("b", "r", "c"),
+                           ("c", "s", "mute"), ("mute", "r", "a")],
+                 "valid": [("a", "s", "c"), ("ghost", "r", "b"),
+                           ("b", "s", "mute")], "test": []}, entity_text)
+        add_inverse_relations(kg)
+        model = make_model(kg, k=1, batch_size=5)
+        queries = queries_both_directions(kg, "valid")
+        unseen = [i for i, q in enumerate(queries)
+                  if kg.query_is_unseen(q.head, q.relation)]
+        assert unseen == [2]  # between the seen rows of the one chunk
+        _, zero = model.tail_matrix(kg)
+        assert zero[kg.entity_ids["mute"]]
+        ranks = brute_force_ranks(model, kg, "valid")
+        assert ranks[2] == kg.num_entities
+        sizes = record_encode_batches(monkeypatch)
+        assert evaluate(model, kg, "valid") == RankingMetrics.from_ranks(ranks)
+        assert sizes == [5]  # the seen queries only
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 64])
+    def test_one_encode_pass_per_chunk_of_seen_queries(
+            self, dozen_kg, monkeypatch, batch_size):
+        model = make_model(dozen_kg, batch_size=batch_size)
+        sizes = record_encode_batches(monkeypatch)
+        evaluate(model, dozen_kg, "train")
+        seen = 40  # 20 train triples, both directions, none unseen
+        assert len(sizes) == -(-seen // batch_size)
+        assert sum(sizes) == seen
+        assert max(sizes) <= batch_size

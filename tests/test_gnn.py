@@ -34,7 +34,7 @@ def graph_of(A):
 
 def encode_one(enc, A, X):
     """e_hr of one subgraph whose X row 0 is the head encoding."""
-    return ad.reshape(enc.encode(X, graph_of(A), [0]), (enc.config.dim,))
+    return ad.mean_rows(enc.encode(X, graph_of(A), [0]))
 
 
 def encoder(variant, dim=6, layers=2, heads=3, seed=0):

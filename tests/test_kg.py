@@ -113,6 +113,21 @@ class TestInverseRelations:
         assert (r + 1, a) in kg.out_adj[b]
         assert kg.relation_labels[r + 1] == "inverse of r"
 
+    def test_extends_the_built_filter_index_in_place(self, monkeypatch):
+        kg = toy_kg(CHAIN, valid=[("a", "r", "c")], test=[("d", "r", "a")])
+        index = kg.filter_index
+        forward = {key: set(tails) for key, tails in index.items()}
+
+        def rebuild(_kg):
+            raise AssertionError("add_inverse_relations rebuilt the index")
+
+        monkeypatch.setattr("hoplink.kg.build_filter_index", rebuild)
+        add_inverse_relations(kg)
+        monkeypatch.undo()
+        assert kg.filter_index is index
+        assert all(index[key] == tails for key, tails in forward.items())
+        assert index == build_filter_index(kg)
+
     def test_idempotent(self):
         kg = toy_kg(CHAIN)
         add_inverse_relations(kg)

@@ -6,7 +6,12 @@ import pytest
 
 import hoplink.autodiff as ad
 from hoplink.config import RunConfig
-from hoplink.kg import KnowledgeGraph, TransductiveWarning, add_inverse_relations
+from hoplink.kg import (
+    KnowledgeGraph,
+    TransductiveWarning,
+    add_inverse_relations,
+    queries_both_directions,
+)
 from hoplink.model import (
     LOG_MAX_INV_TAU,
     KgcModel,
@@ -16,11 +21,11 @@ from hoplink.model import (
 )
 from hoplink.text import build_vocab
 
-from conftest import chain_graph
+from conftest import chain_graph, dozen_graph
 
 
 def make_model(kg, **overrides) -> KgcModel:
-    base = dict(dim=12, heads=2, k=2, seed=5, eval_chunk=16)
+    base = dict(dim=12, heads=2, k=2, seed=5)
     base.update(overrides)
     config = RunConfig(**base)
     tokenizer = build_vocab(kg)
@@ -86,6 +91,24 @@ class TestQueryEncoding:
             np.testing.assert_allclose(batch.e_hr.values[i],
                                        single.e_hr.values[0], atol=1e-12)
 
+    @pytest.mark.parametrize("encoder", ["gat", "gcn", "sage"])
+    def test_eval_sized_batch_rows_match_single_queries(self, encoder):
+        # evaluation encodes batch_size queries at once and must rank as if
+        # each were encoded alone; the rows agree to rounding, not bitwise
+        kg = dozen_graph()
+        model = make_model(kg, encoder=encoder)
+        queries = queries_both_directions(kg, "train")
+        pairs = [(q.head, q.relation) for q in queries]
+        seeds = [eval_neighborhood_seed(5, "train", i)
+                 for i in range(len(queries))]
+        with ad.no_grad():
+            batch = model.encode_queries(kg, pairs, seeds).e_hr.values
+            single = np.vstack([
+                model.encode_queries(kg, [pair], [seed]).e_hr.values
+                for pair, seed in zip(pairs, seeds)])
+        assert batch.shape == (40, 12)
+        assert np.max(np.abs(batch - single)) <= 1e-12
+
     def test_block_layout_heads_first(self, chain_kg):
         model = make_model(chain_kg)
         pairs = [(0, 0), (3, 1)]
@@ -146,7 +169,7 @@ class TestTailMatrix:
             assert norm == pytest.approx(0.0 if flag else 1.0, abs=1e-9)
 
     def test_matches_direct_entity_encoding(self, chain_kg):
-        model = make_model(chain_kg, eval_chunk=3)  # force several chunks
+        model = make_model(chain_kg)
         rows, _ = model.tail_matrix(chain_kg)
         with ad.no_grad():
             direct = model.encode_entities(

@@ -109,35 +109,30 @@ class TestBagMatrix:
 class TestMeanPoolEncoder:
     def test_head_equals_token_mean_at_init(self):
         tok, enc = small_encoder(["apple", "rel"])
-        out = enc.encode_head("apple", "", "rel")
+        out = enc.encode_heads([("apple", "", "rel")])
         emb = enc.params["embeddings"].values
         expected = (emb[tok.token_to_id["apple"]] + emb[SEP]
                     + emb[tok.token_to_id["rel"]]) / 3
-        np.testing.assert_allclose(out.values, expected)
-        assert not out.empty
+        np.testing.assert_allclose(out.values[0], expected)
+        assert not out.empty_rows[0]
 
     def test_deterministic(self):
         _, enc = small_encoder(["apple", "fruit", "rel"])
-        a = enc.encode_head("apple", "fruit", "rel").values
-        b = enc.encode_head("apple", "fruit", "rel").values
+        a = enc.encode_heads([("apple", "fruit", "rel")]).values[0]
+        b = enc.encode_heads([("apple", "fruit", "rel")]).values[0]
         np.testing.assert_array_equal(a, b)
 
     def test_relation_phrase_changes_output(self):
         _, enc = small_encoder(["apple", "red", "blue"])
-        a = enc.encode_head("apple", "", "red").values
-        b = enc.encode_head("apple", "", "blue").values
+        a = enc.encode_heads([("apple", "", "red")]).values[0]
+        b = enc.encode_heads([("apple", "", "blue")]).values[0]
         assert not np.allclose(a, b)
 
     def test_descriptions_distinguish_same_name(self):
         _, enc = small_encoder(["apple", "red", "blue"])
-        a = enc.encode_tail("apple", "red").values
-        b = enc.encode_tail("apple", "blue").values
+        a = enc.encode_tails([("apple", "red")]).values[0]
+        b = enc.encode_tails([("apple", "blue")]).values[0]
         assert not np.allclose(a, b)
-
-    def test_neighbor_rides_tail_tower(self):
-        _, enc = small_encoder(["apple", "red"])
-        np.testing.assert_array_equal(enc.encode_neighbor("apple", "red").values,
-                                      enc.encode_tail("apple", "red").values)
 
     def test_batch_shape_and_dim(self):
         _, enc = small_encoder(["apple", "red"], dim=8)
@@ -146,7 +141,7 @@ class TestMeanPoolEncoder:
 
     def test_all_unk_description_is_finite(self):
         _, enc = small_encoder(["apple"])
-        out = enc.encode_tail("apple", "xyzzy qwerty")
+        out = enc.encode_tails([("apple", "xyzzy qwerty")])
         assert np.isfinite(out.values).all()
 
     def test_empty_tail_text_gives_flagged_zero_row(self):

@@ -171,7 +171,7 @@ class TestCombinedLoss:
 
 def small_config(**overrides) -> RunConfig:
     base = dict(dim=12, heads=2, k=2, epochs=2, batch_size=8,
-                lambda_weight=0.7, seed=5, eval_chunk=16)
+                lambda_weight=0.7, seed=5)
     base.update(overrides)
     return RunConfig(**base)
 
