@@ -138,12 +138,20 @@ def config_to_dict(config: RunConfig) -> dict:
     return {key: getattr(config, f.name) for key, f in _FIELD_BY_KEY.items()}
 
 
+# exact value types a field type accepts from a checkpoint, so a bool is no int
+_ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 def config_from_dict(data: dict) -> RunConfig:
     config = RunConfig()
     for key, value in data.items():
         if key not in _FIELD_BY_KEY:
             raise _unknown_key_error(key)
-        setattr(config, _FIELD_BY_KEY[key].name, value)
+        kind = _FIELD_BY_KEY[key].type
+        if type(value) not in _ACCEPTED[kind]:
+            raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind})")
+        setattr(config, _FIELD_BY_KEY[key].name,
+                float(value) if kind == "float" else value)
     return config
 
 

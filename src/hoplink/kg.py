@@ -4,6 +4,10 @@ Entity and relation ids are dense integers assigned in first-appearance order
 (train split first, then valid, then test), so identical files always produce
 identical id maps. Adjacency lists are built from the train split only; valid
 and test triples never leak into neighborhoods.
+
+``KnowledgeGraph.build`` also makes one read-only CSR ``NeighborIndex`` of the
+train triples (each entity's neighbors and out-edges as one slice of a flat
+array), from which ``khop_neighborhood`` samples every query's subgraph.
 """
 
 from __future__ import annotations
@@ -73,6 +77,64 @@ class NeighborhoodSubgraph:
         return len(self.nodes)
 
 
+@dataclass(frozen=True)
+class NeighborIndex:
+    """CSR (compressed sparse row) rows per entity: row e of (``indptr``,
+    ``indices``) holds e's undirected train neighbors, sorted and unique (e
+    itself for a self-loop); row e of (``out_indptr``, ``out_relations``,
+    ``out_tails``) holds e's distinct train out-edges sorted by (relation,
+    tail). Inverse relations add no neighbor and no base-relation arrow, so
+    ``add_inverse_relations`` leaves the index as it is."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    out_indptr: np.ndarray
+    out_relations: np.ndarray
+    out_tails: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of ints by sort and drop repeats (numpy 2's is slower)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _csr(keys: np.ndarray, width: int, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, columns) of the distinct cells ``row * width + column``."""
+    keys = _sorted_unique(keys)
+    return np.searchsorted(keys // width, np.arange(num_rows + 1)), keys % width
+
+
+def _edge_rows(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, num_entities: int,
+               num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, relations, ends) of the distinct edges per ``src`` entity,
+    each row sorted by (relation, end)."""
+    n, width = num_entities, num_relations * num_entities
+    indptr, columns = _csr(src * width + rel * n + dst, width, n)
+    return (indptr, *np.divmod(columns, n))
+
+
+def _as_lists(indptr: np.ndarray, relations: np.ndarray,
+              ends: np.ndarray) -> list[list[tuple[int, int]]]:
+    rel, end, ptr = relations.tolist(), ends.tolist(), indptr.tolist()
+    return [list(zip(rel[a:b], end[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the given CSR rows, concatenated, and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    return slots, counts
+
+
 @dataclass
 class KnowledgeGraph:
     entity_ids: dict[str, int]
@@ -84,6 +146,7 @@ class KnowledgeGraph:
     splits: dict[str, list[Triple]]
     out_adj: list[list[tuple[int, int]]]
     in_adj: list[list[tuple[int, int]]]
+    neighbor_index: NeighborIndex
     unseen_entities: frozenset[int]
     unseen_relations: frozenset[int]
     inverses_added: bool = False
@@ -106,11 +169,6 @@ class KnowledgeGraph:
         """True when the query touches an entity/relation absent from train."""
         return (head in self.unseen_entities
                 or self.base_relation(relation) in self.unseen_relations)
-
-    def undirected_neighbors(self, entity: int) -> set[int]:
-        found = {t for _, t in self.out_adj[entity]}
-        found.update(h for _, h in self.in_adj[entity])
-        return found
 
     def degree(self, entity: int) -> int:
         return len(self.out_adj[entity]) + len(self.in_adj[entity])
@@ -160,21 +218,16 @@ class KnowledgeGraph:
             name, desc = entity_text[label]
             entities.append(EntityRecord(id=eid, name=name, description=desc))
 
-        out_sets: dict[int, set[tuple[int, int]]] = {}
-        in_sets: dict[int, set[tuple[int, int]]] = {}
-        for tr in splits["train"]:
-            out_sets.setdefault(tr.head, set()).add((tr.relation, tr.tail))
-            in_sets.setdefault(tr.tail, set()).add((tr.relation, tr.head))
-        out_adj = [sorted(out_sets.get(e, ())) for e in range(len(entity_labels))]
-        in_adj = [sorted(in_sets.get(e, ())) for e in range(len(entity_labels))]
+        h, r, t = (np.fromiter((getattr(tr, part) for tr in splits["train"]), np.int64,
+                               len(splits["train"])) for part in ("head", "relation", "tail"))
+        n, num_rel = len(entity_labels), len(relation_labels)
+        out_rows = _edge_rows(h, r, t, n, num_rel)
+        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n), *out_rows)
+        out_adj, in_adj = _as_lists(*out_rows), _as_lists(*_edge_rows(t, r, h, n, num_rel))
 
-        train_entities = {tr.head for tr in splits["train"]}
-        train_entities.update(tr.tail for tr in splits["train"])
-        train_relations = {tr.relation for tr in splits["train"]}
-        unseen_entities = frozenset(
-            e for e in range(len(entity_labels)) if e not in train_entities)
-        unseen_relations = frozenset(
-            r for r in range(len(relation_labels)) if r not in train_relations)
+        # an entity is in a train triple iff it has a neighbor (maybe itself)
+        unseen_entities = frozenset(np.flatnonzero(np.diff(index.indptr) == 0).tolist())
+        unseen_relations = frozenset(range(num_rel)) - frozenset(r.tolist())
         if unseen_entities or unseen_relations:
             warnings.warn(
                 f"{len(unseen_entities)} entities and {len(unseen_relations)} "
@@ -187,6 +240,7 @@ class KnowledgeGraph:
                  relation_labels=relation_labels,
                  num_base_relations=len(relation_labels), splits=splits,
                  out_adj=out_adj, in_adj=in_adj,
+                 neighbor_index=index,
                  unseen_entities=unseen_entities,
                  unseen_relations=unseen_relations)
         build_filter_index(kg)
@@ -365,41 +419,40 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     if cap_per_hop < 1:
         raise ValueError(f"cap_per_hop must be >= 1, got {cap_per_hop}")
-    rng = np.random.default_rng(seed)
-
-    hop_of: dict[int, int] = {head: 0}
-    order = [head]
-    frontier = [head]
+    index = kg.neighbor_index
+    rng = None  # made at the first truncation: no draw happens before it
+    # position of each entity in the subgraph, -1 while undiscovered
+    position = np.full(kg.num_entities, -1, dtype=np.int64)
+    position[head] = 0
+    hops = [np.array([head], dtype=np.int64)]
     truncated = False
-    for hop in range(1, k + 1):
-        found: set[int] = set()
-        for node in frontier:
-            found.update(kg.undirected_neighbors(node))
-        found.difference_update(hop_of)
-        candidates = sorted(found)
+    for _ in range(k):
+        frontier = hops[-1]
+        if len(frontier) == 1:
+            found = index.indices[index.indptr[frontier[0]]:index.indptr[frontier[0] + 1]]
+        else:
+            found = _sorted_unique(index.indices[_row_slots(index.indptr, frontier)[0]])
+        candidates = found[position[found] < 0]
         if len(candidates) > cap_per_hop:
+            rng = rng or np.random.default_rng(seed)
             keep = rng.choice(len(candidates), size=cap_per_hop, replace=False)
-            candidates = sorted(candidates[i] for i in keep)
+            candidates = np.sort(candidates[keep])
             truncated = True
-        for node in candidates:
-            hop_of[node] = hop
-            order.append(node)
-        frontier = candidates
-        if not frontier:
+        position[candidates] = np.arange(len(candidates)) + sum(map(len, hops))
+        hops.append(candidates)
+        if not len(candidates):
             break
 
-    index_of = {e: i for i, e in enumerate(order)}
-    edges: list[tuple[int, int, int]] = []
-    for i, e in enumerate(order):
-        for r, t in kg.out_adj[e]:
-            if r >= kg.num_base_relations:
-                continue
-            j = index_of.get(t)
-            if j is None:
-                continue
-            edges.append((i, j, r))
-    arrows = np.array(sorted({(i, j) for i, j, _ in edges}),
-                      dtype=np.int64).reshape(-1, 2)
-    hops = np.array([hop_of[e] for e in order], dtype=np.int64)
-    return NeighborhoodSubgraph(nodes=order, arrows=arrows, hop_of=hops,
-                                truncated=truncated, edges=edges)
+    nodes = np.concatenate(hops)
+    m = len(nodes)
+    slots, counts = _row_slots(index.out_indptr, nodes)
+    j = position[index.out_tails[slots]]
+    linked = j >= 0
+    i = np.repeat(np.arange(m), counts)[linked]
+    j = j[linked]
+    r = index.out_relations[slots[linked]]
+    edges = list(zip(i.tolist(), j.tolist(), r.tolist()))
+    arrows = np.stack(np.divmod(_sorted_unique(i * m + j), m), axis=1)
+    hop_of = np.repeat(np.arange(len(hops)), [len(hop) for hop in hops])
+    return NeighborhoodSubgraph(nodes=nodes.tolist(), arrows=arrows,
+                                hop_of=hop_of, truncated=truncated, edges=edges)

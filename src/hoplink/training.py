@@ -104,15 +104,16 @@ def batch_edge_loss(model: KgcModel, batch: QueryBatch,
     """Edge-reconstruction loss over a batch's subgraphs, averaged per query.
 
     All subgraphs share one encoder pass over the batch's arrows minus the
-    masked positives. Subgraphs with no edges contribute 0.
+    masked positives, hidden in both directions because ``GraphBatch`` links
+    an arrow's nodes both ways. Subgraphs with no edges contribute 0.
     """
     if model.vgae is None:
         raise ValueError("model was built without an edge decoder")
     sizes = [sub.num_nodes for sub in batch.subgraphs]
     n = batch.graph.num_nodes
-    hidden = [(i + offset) * n + j + offset
-              for mask, offset in zip(masks, batch.offsets)
-              for i, j in mask.positives]
+    hidden = [key for mask, offset in zip(masks, batch.offsets)
+              for i, j in mask.positives
+              for key in ((i + offset) * n + j + offset, (j + offset) * n + i + offset)]
     arrows = batch.graph.arrows
     visible = arrows[~np.isin(arrows @ np.array([n, 1]), hidden)]
     state = model.vgae.encode(batch.X, GraphBatch(visible, n))

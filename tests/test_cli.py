@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoplink.cli as cli
+from hoplink.checkpoint import load_checkpoint, save_checkpoint
 from hoplink.cli import main
 from hoplink.text import tokenize
 
@@ -179,6 +180,14 @@ class TestEval:
         bad.write_bytes(data[:40] if cut else data + b"\0")
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_wrong_typed_config_value_exits_one(self, trained_run, tmp_path,
+                                                capsys):
+        config, vocab, tensors = load_checkpoint(trained_run["checkpoint"])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, {**config, "k": "1"}, vocab, tensors)
+        assert main(["eval", "--checkpoint", str(bad)]) == 1
+        assert "'k'" in capsys.readouterr().err
 
     def test_unrecognized_argument_exits_one(self, trained_run):
         assert main(["eval", "--checkpoint", str(trained_run["checkpoint"]),

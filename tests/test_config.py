@@ -126,3 +126,20 @@ class TestSnapshot:
     def test_dict_with_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"mystery": 1})
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "2"), ("k", 2.0), ("k", True), ("seed", None), ("dim", [64]),
+        ("tau", "0.05"), ("tau", False), ("learn_tau", 1), ("learn_tau", "true"),
+        ("encoder", 3), ("encoder", None)])
+    def test_dict_value_of_the_wrong_type_rejected(self, key, value):
+        kind = {"k": "int", "seed": "int", "dim": "int", "tau": "float",
+                "learn_tau": "bool", "encoder": "str"}[key]
+        with pytest.raises(ConfigError, match=f"'{key}'.*expected {kind}"):
+            config_from_dict({key: value})
+
+    def test_dict_int_for_a_float_field_stored_as_float(self):
+        config = config_from_dict({"lambda": 1, "lr": 0.5, "k": 3,
+                                   "learn_tau": False, "encoder": "gcn"})
+        assert config.lambda_weight == 1.0 and type(config.lambda_weight) is float
+        assert type(config.lr) is float and type(config.k) is int
+        assert config.learn_tau is False and config.encoder == "gcn"

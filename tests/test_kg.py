@@ -3,12 +3,15 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoplink.kg import (
     DatasetError,
     KnowledgeGraph,
     ParseError,
     TransductiveWarning,
+    NeighborhoodSubgraph,
     Triple,
     add_inverse_relations,
     build_filter_index,
@@ -82,6 +85,20 @@ class TestLoading:
         assert kg.relation_ids["s"] in kg.unseen_relations
         assert kg.query_is_unseen(kg.entity_ids["c"], kg.relation_ids["r"])
         assert not kg.query_is_unseen(kg.entity_ids["a"], kg.relation_ids["r"])
+
+    def test_unseen_sets_match_the_train_split(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, rels = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+            split = [[(f"e{rng.integers(0, n)}", f"r{rng.integers(0, rels)}",
+                       f"e{rng.integers(0, n)}") for _ in range(size)]
+                     for size in rng.integers([1, 0, 0], [2 * n, n, n])]
+            kg = toy_kg(*split)
+            train = kg.splits["train"]
+            ends = {tr.head for tr in train} | {tr.tail for tr in train}
+            assert kg.unseen_entities == set(range(kg.num_entities)) - ends
+            assert kg.unseen_relations == (set(range(kg.num_relations))
+                                           - {tr.relation for tr in train})
 
     def test_manifest_mismatch_lists_each_diff(self):
         kg = toy_kg(CHAIN)
@@ -290,5 +307,132 @@ class TestKhopNeighborhood:
             kg = toy_kg(rows)
             head = int(rng.integers(0, kg.num_entities))
             sub = khop_neighborhood(kg, head, k=1, cap_per_hop=10_000)
-            expected = kg.undirected_neighbors(head) - {head}
-            assert set(sub.nodes) - {head} == expected
+            expected = {tr.tail for tr in kg.splits["train"] if tr.head == head}
+            expected.update(tr.head for tr in kg.splits["train"] if tr.tail == head)
+            assert set(sub.nodes) - {head} == expected - {head}
+
+
+def set_based_khop(kg, head, k, cap_per_hop, seed):
+    """Reference sampler: the set-based BFS that the CSR sampler replaced
+    (neighbor sets per frontier node, one scan of each node's sorted
+    out-edges), with its adjacency built from the train triples here, as an
+    oracle for every output field."""
+    out_adj, in_adj = defaultdict(set), defaultdict(set)
+    for tr in kg.splits["train"]:
+        out_adj[tr.head].add((tr.relation, tr.tail))
+        in_adj[tr.tail].add((tr.relation, tr.head))
+    rng = np.random.default_rng(seed)
+    hop_of = {head: 0}
+    order = [head]
+    frontier = [head]
+    truncated = False
+    for hop in range(1, k + 1):
+        found = set()
+        for node in frontier:
+            found.update(t for _, t in out_adj[node])
+            found.update(h for _, h in in_adj[node])
+        found.difference_update(hop_of)
+        candidates = sorted(found)
+        if len(candidates) > cap_per_hop:
+            keep = rng.choice(len(candidates), size=cap_per_hop, replace=False)
+            candidates = sorted(candidates[i] for i in keep)
+            truncated = True
+        for node in candidates:
+            hop_of[node] = hop
+            order.append(node)
+        frontier = candidates
+        if not frontier:
+            break
+
+    index_of = {e: i for i, e in enumerate(order)}
+    edges = []
+    for i, e in enumerate(order):
+        for r, t in sorted(out_adj[e]):
+            j = index_of.get(t)
+            if j is None:
+                continue
+            edges.append((i, j, r))
+    arrows = np.array(sorted({(i, j) for i, j, _ in edges}),
+                      dtype=np.int64).reshape(-1, 2)
+    hops = np.array([hop_of[e] for e in order], dtype=np.int64)
+    return NeighborhoodSubgraph(nodes=order, arrows=arrows, hop_of=hops,
+                                truncated=truncated, edges=edges)
+
+
+def assert_same_subgraph(got, want):
+    assert got.nodes == want.nodes
+    assert all(type(e) is int for e in got.nodes)
+    assert got.hop_of.dtype == np.int64
+    np.testing.assert_array_equal(got.hop_of, want.hop_of)
+    assert got.truncated == want.truncated
+    assert got.arrows.dtype == np.int64
+    assert got.arrows.shape == want.arrows.shape
+    assert got.arrows.tolist() == want.arrows.tolist()
+    assert got.edges == want.edges
+
+
+id_rows = st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1)),
+    min_size=1, max_size=4 * n))
+
+
+class TestCsrSamplerMatchesSetOracle:
+    """The CSR sampler must reproduce the set-based sampler field by field,
+    including which nodes a truncating hop keeps (the same RNG draws)."""
+
+    @staticmethod
+    def graph(rows, inverse):
+        # "lone" appears only in valid, so it is a head with no train edges
+        kg = toy_kg([(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows],
+                    valid=[("lone", "r0", f"e{rows[0][0]}")])
+        if inverse:
+            add_inverse_relations(kg)
+        return kg
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=id_rows, pick=st.integers(0, 99), k=st.integers(1, 3),
+           cap=st.integers(1, 4), seed=st.integers(0, 2**16),
+           inverse=st.booleans())
+    @example(rows=[(0, 0, 0), (0, 0, 1), (1, 1, 1)], pick=0, k=2, cap=1,
+             seed=0, inverse=False)                          # self-loops
+    @example(rows=[(0, 0, 1), (1, 0, 0), (1, 0, 2), (2, 1, 1)], pick=1, k=2,
+             cap=1, seed=3, inverse=True)                    # reciprocal pairs
+    @example(rows=[(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2), (0, 0, 3)],
+             pick=0, k=3, cap=1, seed=1, inverse=False)      # one pair, 3 relations
+    @example(rows=[(0, 0, 1), (0, 0, 1), (0, 0, 2), (2, 1, 0)], pick=0, k=1,
+             cap=1, seed=2, inverse=True)                    # duplicate triple
+    def test_every_field_matches(self, rows, pick, k, cap, seed, inverse):
+        kg = self.graph(rows, inverse)
+        for head in (pick % kg.num_entities, kg.entity_ids["lone"]):
+            assert_same_subgraph(khop_neighborhood(kg, head, k, cap, seed),
+                                 set_based_khop(kg, head, k, cap, seed))
+
+    def test_truncating_hops_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        truncated = defaultdict(int)
+        for trial in range(60):
+            n = int(rng.integers(10, 60))
+            rows = [(int(h), int(r), int(t)) for h, r, t in zip(
+                rng.integers(0, n, 3 * n), rng.integers(0, 3, 3 * n),
+                rng.integers(0, n, 3 * n))]
+            kg = self.graph(rows, inverse=bool(trial % 2))
+            for k in (1, 2, 3):
+                head = int(rng.integers(0, kg.num_entities))
+                got = khop_neighborhood(kg, head, k, cap_per_hop=3, seed=trial)
+                assert_same_subgraph(got, set_based_khop(kg, head, k, 3, trial))
+                truncated[k] += got.truncated
+        assert all(truncated[k] >= 20 for k in (1, 2, 3)), dict(truncated)
+
+    def test_index_ignores_inverse_relations(self):
+        kg = self.graph([(0, 0, 1), (1, 1, 2), (2, 0, 2)], inverse=False)
+        index = kg.neighbor_index
+        add_inverse_relations(kg)
+        assert kg.neighbor_index is index
+        with pytest.raises(ValueError, match="read-only"):
+            index.indices[0] = 0
+        e = kg.entity_ids
+        row = slice(index.out_indptr[e["e2"]], index.out_indptr[e["e2"] + 1])
+        assert index.out_relations[row].tolist() == [kg.relation_ids["r0"]]
+        assert index.out_tails[row].tolist() == [e["e2"]]
+        row = slice(index.indptr[e["e1"]], index.indptr[e["e1"] + 1])
+        assert index.indices[row].tolist() == sorted([e["e0"], e["e2"]])

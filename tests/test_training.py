@@ -7,6 +7,7 @@ import pytest
 import hoplink.autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor, finite_diff_check
 from hoplink.config import ConfigError, RunConfig
+from hoplink.kg import KnowledgeGraph
 from hoplink.model import KgcModel
 from hoplink.training import (
     DegenerateBatchError,
@@ -213,6 +214,33 @@ class TestBatchEdgeLoss:
         loss = batch_edge_loss(model, batch, empty, noise_seed=1)
         assert loss.skipped
         assert loss.item() == 0.0
+
+    def test_masked_pair_hidden_in_both_directions(self, monkeypatch):
+        # every train triple has its reciprocal, so every arrow does too
+        texts = {f"e{i}": (f"entity {i}", f"thing {i}") for i in range(5)}
+        train = [(f"e{a}", "r", f"e{b}") for a, b in
+                 [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]]
+        kg = KnowledgeGraph.build(
+            {"train": train + [(t, r, h) for h, r, t in train]}, texts)
+        model, batch = self.make_batch(kg, small_config(k=1), [(0, 0), (2, 0)])
+        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=6 + i)[1]
+                 for i, sub in enumerate(batch.subgraphs)]
+        seen = []
+        encode = model.vgae.encode
+        monkeypatch.setattr(model.vgae, "encode",
+                            lambda X, graph: seen.append(graph) or encode(X, graph))
+        batch_edge_loss(model, batch, masks, noise_seed=1)
+        op = seen[0].gcn_operator.toarray()
+        pairs = [(i + off, j + off) for mask, off in zip(masks, batch.offsets)
+                 for i, j in mask.positives]
+        arrows = {tuple(a) for a in batch.graph.arrows.tolist()}
+        assert pairs and all((j, i) in arrows for i, j in pairs)
+        for i, j in pairs:
+            assert op[i, j] == op[j, i] == 0.0
+        hidden = {frozenset(p) for p in pairs}
+        for i, j in arrows:
+            if frozenset((i, j)) not in hidden:
+                assert op[i, j] > 0.0
 
     def test_rejected_without_a_decoder(self, chain_kg):
         cfg = small_config(lambda_weight=1.0)
