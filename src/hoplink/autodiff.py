@@ -416,12 +416,12 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather_rows index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
-    shape = x.values.shape
 
     def rule(g: Array):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
+        # one sparse (n x m) scatter sums the rows of repeated indices
+        scatter = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
+                                shape=(n, idx.size))
+        return (np.asarray(scatter @ g),)
 
     return _apply(x.values[idx], (x,), rule)
 

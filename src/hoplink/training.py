@@ -70,10 +70,7 @@ def info_nce_loss(queries: Tensor, tails: Tensor,
         scaled = ad.scale(sims, float(inv_tau))
     log_probs = ad.log_softmax_rows(scaled)
     # pick out -log p[i, i] for kept rows only, averaged over kept rows
-    weights = np.zeros((b, b))
-    for i in range(b):
-        if not skipped[i]:
-            weights[i, i] = -1.0 / kept
+    weights = np.diag(np.where(skipped, 0.0, -1.0 / kept))
     loss = ad.sum_all(ad.hadamard(log_probs, ad.constant(weights)))
     loss.skipped_rows = skipped
     return loss
@@ -109,32 +106,16 @@ def batch_edge_loss(model: KgcModel, batch: QueryBatch,
     """
     if model.vgae is None:
         raise ValueError("model was built without an edge decoder")
-    sizes = [sub.num_nodes for sub in batch.subgraphs]
     n = batch.graph.num_nodes
-    hidden = [key for mask, offset in zip(masks, batch.offsets)
-              for i, j in mask.positives
-              for key in ((i + offset) * n + j + offset, (j + offset) * n + i + offset)]
+    held = np.concatenate([mask.positives + offset
+                           for mask, offset in zip(masks, batch.offsets)])
+    hidden = np.concatenate([held @ np.array([n, 1]), held @ np.array([1, n])])
     arrows = batch.graph.arrows
     visible = arrows[~np.isin(arrows @ np.array([n, 1]), hidden)]
     state = model.vgae.encode(batch.X, GraphBatch(visible, n))
     z = reparameterize(state, noise_seed)
-
-    terms: list[Tensor] = []
-    for mask, offset, size in zip(masks, batch.offsets, sizes):
-        if mask.empty:
-            continue
-        rows = list(range(offset, offset + size))
-        term = edge_loss(state, z, mask.shift(offset), rows=rows)
-        if not getattr(term, "skipped", False):
-            terms.append(term)
-    if not terms:
-        out = ad.scale(ad.sum_all(state.mu), 0.0)
-        out.skipped = True
-        return out
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = ad.add(acc, term)
-    return ad.scale(acc, 1.0 / len(batch.subgraphs))
+    return edge_loss(state, z, masks,
+                     [sub.num_nodes for sub in batch.subgraphs])
 
 
 class Trainer:

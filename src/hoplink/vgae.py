@@ -10,29 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .gnn import GraphBatch, gcn_layer
-
-Pair = tuple[int, int]
 
 
 @dataclass
 class EdgeMask:
-    positives: list[Pair]
-    negatives: list[Pair]
+    positives: np.ndarray    # (k, 2) int64 held-out arrows (i, j)
+    negatives: np.ndarray    # (k', 2) int64 sampled non-edges
     ratio: float
     seed: int
 
     @property
     def empty(self) -> bool:
-        return not self.positives
-
-    def shift(self, offset: int) -> "EdgeMask":
-        """Same mask with node indices moved to a subgraph's rows in a batch."""
-        return EdgeMask(
-            positives=[(i + offset, j + offset) for i, j in self.positives],
-            negatives=[(i + offset, j + offset) for i, j in self.negatives],
-            ratio=self.ratio, seed=self.seed)
+        return len(self.positives) == 0
 
 
 @dataclass
@@ -44,35 +35,39 @@ class VgaeState:
 def mask_edges(arrows: np.ndarray, num_nodes: int, ratio: float,
                seed: int) -> tuple[np.ndarray, EdgeMask]:
     """Remove ceil(ratio * |arrows|) directed arrows, seeded; sample an equal
-    count of non-arrow pairs (i != j) as negatives. ``arrows`` is sorted by i
-    then j and positives and negatives are drawn by rank in row-major cell
-    order. Returns the visible arrows and the mask. An arrowless graph yields
-    an empty mask, signalling that this sample contributes no edge loss."""
+    count of non-edges as negatives: pairs (i != j) with neither (i, j) nor
+    (j, i) an arrow, since the encoder links an arrow's nodes both ways and
+    the decoder scores (j, i) as (i, j). ``arrows`` is sorted by i then j and
+    positives and negatives are drawn by rank in row-major cell order.
+    Returns the visible arrows and the mask. An arrowless graph yields an
+    empty mask, signalling that this sample contributes no edge loss."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
     arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
     if len(arrows) == 0:
-        return arrows.copy(), EdgeMask([], [], ratio, seed)
+        return arrows.copy(), EdgeMask(arrows.copy(), arrows.copy(), ratio, seed)
     rng = np.random.default_rng(seed)
     n_mask = math.ceil(ratio * len(arrows))
     picked = np.sort(rng.choice(len(arrows), size=n_mask, replace=False))
-    positives = [(int(i), int(j)) for i, j in arrows[picked]]
+    positives = arrows[picked]
     visible = np.delete(arrows, picked, axis=0)
 
-    # the k-th free cell c (not an arrow, not diagonal) has exactly k free
+    # the k-th free cell c (not taken, not diagonal) has exactly k free
     # cells before it, so c = k + #(taken cells <= c)
     n = num_nodes
-    taken = np.union1d(arrows[:, 0] * n + arrows[:, 1], np.arange(n) * (n + 1))
+    src, dst = arrows[:, 0], arrows[:, 1]
+    taken = np.unique(np.concatenate([src * n + dst, dst * n + src,
+                                      np.arange(n) * (n + 1)]))
     n_free = n * n - len(taken)
     if n_free == 0:
-        negatives: list[Pair] = []
+        negatives = np.zeros((0, 2), dtype=np.int64)
     else:
         # tiny near-complete graphs may not offer enough distinct non-edges
         replace = n_free < n_mask
         ranks = np.sort(rng.choice(n_free, size=n_mask, replace=replace))
         cells = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
                                         side="right")
-        negatives = [(int(c // n), int(c % n)) for c in cells]
+        negatives = np.stack([cells // n, cells % n], axis=1)
     return visible, EdgeMask(positives, negatives, ratio, seed)
 
 
@@ -117,54 +112,63 @@ def decode_edge(Z: Tensor, i: int, j: int) -> Tensor:
     return ad.sigmoid(ad.sum_all(ad.hadamard(zi, zj)))
 
 
-def _pair_scores(Z: Tensor, pairs: list[Pair]) -> Tensor:
-    left = ad.gather_rows(Z, [i for i, _ in pairs])
-    right = ad.gather_rows(Z, [j for _, j in pairs])
-    return ad.row_sums(ad.hadamard(left, right))
-
-
-def kl_to_standard_normal(state: VgaeState,
-                          rows: list[int] | None = None) -> Tensor:
-    """Sum over nodes and latent dims of KL(N(mu, sigma^2) || N(0, I))."""
-    mu, log_sigma = state.mu, state.log_sigma
-    if rows is not None:
-        mu = ad.gather_rows(mu, rows)
-        log_sigma = ad.gather_rows(log_sigma, rows)
+def _kl_cells(state: VgaeState) -> Tensor:
+    """sigma^2 + mu^2 - 2 log sigma per node and latent dim; the cell's
+    KL(N(mu, sigma^2) || N(0, 1)) is half of it minus 0.5."""
+    log_sigma = state.log_sigma
     sigma_sq = ad.exp(ad.scale(log_sigma, 2.0))
-    inner = ad.sub(ad.add(sigma_sq, ad.hadamard(mu, mu)),
-                   ad.scale(log_sigma, 2.0))
-    total = ad.scale(ad.sum_all(inner), 0.5)
-    count = mu.values.size
-    return ad.add(total, ad.constant(-0.5 * count))
+    return ad.sub(ad.add(sigma_sq, ad.hadamard(state.mu, state.mu)),
+                  ad.scale(log_sigma, 2.0))
 
 
-def edge_loss(state: VgaeState, Z: Tensor, mask: EdgeMask,
-              rows: list[int] | None = None,
-              beta: float | None = None) -> Tensor:
-    """Mean binary cross-entropy over masked positives and sampled negatives,
-    plus beta * KL (beta defaults to 1/n over the sample's rows). An empty
-    mask returns a zero tensor carrying skipped=True."""
-    if mask.empty:
-        out = ad.constant(np.zeros(()))
-        out.skipped = True
-        return out
-    terms = []
-    if mask.positives:
-        # -log sigmoid(s) = softplus(-s)
-        terms.append(ad.sum_all(ad.softplus(ad.scale(
-            _pair_scores(Z, mask.positives), -1.0))))
-    if mask.negatives:
-        terms.append(ad.sum_all(ad.softplus(_pair_scores(Z, mask.negatives))))
-    bce = terms[0]
-    for t in terms[1:]:
-        bce = ad.add(bce, t)
-    bce = ad.scale(bce, 1.0 / (len(mask.positives) + len(mask.negatives)))
+def kl_to_standard_normal(state: VgaeState) -> Tensor:
+    """Sum over nodes and latent dims of KL(N(mu, sigma^2) || N(0, I))."""
+    total = ad.scale(ad.sum_all(_kl_cells(state)), 0.5)
+    return ad.add(total, ad.constant(-0.5 * state.mu.values.size))
 
-    n = len(rows) if rows is not None else state.mu.shape[0]
-    if beta is None:
-        beta = 1.0 / n
-    loss = ad.add(bce, ad.scale(kl_to_standard_normal(state, rows), beta))
-    loss.skipped = False
+
+def edge_loss(state: VgaeState, Z: Tensor, masks: list[EdgeMask],
+              sizes: list[int]) -> Tensor:
+    """Edge-reconstruction loss of subgraphs stacked row-wise, averaged over
+    the subgraphs: subgraph k fills the next ``sizes[k]`` rows and
+    ``masks[k]`` indexes them from 0.
+
+    A subgraph with a non-empty mask adds the mean binary cross-entropy over
+    its masked positives and sampled negatives plus KL / n over its n rows;
+    one with an empty mask adds 0. All pairs are scored in one pass and the
+    KL is one row-weighted sum. The result carries skipped=True when every
+    mask is empty."""
+    if not masks or len(masks) != len(sizes) or sum(sizes) != Z.shape[0]:
+        raise ShapeError(f"{len(masks)} masks over subgraph sizes {sizes} "
+                         f"do not tile {Z.shape[0]} rows")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    n_pos = np.array([len(m.positives) for m in masks])
+    n_neg = np.array([len(m.negatives) for m in masks])
+    used = n_pos > 0
+    share = 1.0 / len(masks)
+    per_pair = np.where(used, share / np.maximum(n_pos + n_neg, 1), 0.0)
+
+    counts = np.concatenate([n_pos, n_neg])
+    pairs = np.concatenate([m.positives for m in masks]
+                           + [m.negatives for m in masks])
+    pairs = pairs + np.repeat(np.concatenate([starts, starts]), counts)[:, None]
+    # -log sigmoid(s) = softplus(-s); -log(1 - sigmoid(s)) = softplus(s)
+    sign = np.repeat([-1.0, 1.0], [n_pos.sum(), n_neg.sum()])[:, None]
+    weight = np.repeat(np.concatenate([per_pair, per_pair]), counts)[:, None]
+    scores = ad.row_sums(ad.hadamard(ad.gather_rows(Z, pairs[:, 0]),
+                                     ad.gather_rows(Z, pairs[:, 1])))
+    bce = ad.sum_all(ad.hadamard(
+        ad.softplus(ad.hadamard(scores, ad.constant(sign))),
+        ad.constant(weight)))
+
+    row_beta = np.repeat(np.where(used, share / sizes, 0.0), sizes)[:, None]
+    kl = ad.sum_all(ad.scale_rows(_kl_cells(state),
+                                  ad.constant(0.5 * row_beta)))
+    latent = state.mu.shape[1]
+    loss = ad.add(ad.add(bce, kl),
+                  ad.constant(-0.5 * latent * used.sum() * share))
+    loss.skipped = not used.any()
     return loss
 
 

@@ -247,7 +247,7 @@ def test_criterion_2_gradient_correctness():
     def f_vgae(x):
         state = vgae.encode(x, GraphBatch(visible, len(A)))
         z = reparameterize(state, seed=11)
-        return edge_loss(state, z, mask)
+        return edge_loss(state, z, [mask], [len(A)])
 
     err = finite_diff_check(f_vgae, ad.parameter(X0.copy()))
     assert err < 1e-4, f"edge loss: max relative error {err:.2e}"

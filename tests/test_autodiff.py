@@ -224,6 +224,22 @@ class TestReductionsAndShaping:
         g = grad_of(lambda t: ad.sum_all(ad.gather_rows(t, [0, 0, 2])), x)
         np.testing.assert_array_equal(g, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 3),
+           idx=st.lists(st.integers(0, 5), max_size=12),
+           seed=st.integers(0, 2 ** 16))
+    def test_gather_gradient_matches_add_at_oracle(self, n, d, idx, seed):
+        # repeated, unsorted and empty index lists; rows never gathered get 0
+        idx = [i % n for i in idx]
+        rng = np.random.default_rng(seed)
+        x = parameter(rng.normal(size=(n, d)))
+        upstream = rng.normal(size=(len(idx), d))
+        g = grad_of(lambda t: ad.sum_all(ad.hadamard(
+            ad.gather_rows(t, idx), ad.constant(upstream))), x)
+        expected = np.zeros((n, d))
+        np.add.at(expected, np.asarray(idx, dtype=np.int64), upstream)
+        np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
+
     def test_concat_cols_empty(self):
         with pytest.raises(ShapeError):
             ad.concat_cols([])

@@ -31,7 +31,8 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
     names = {span[0] for span in tracer.spans}
     for name in ("kg.khop_neighborhood", "kg.build_filter_index", "gnn.encode",
                  "gnn.combine_adjacency", "vgae.mask_edges",
-                 "evaluation.query_scores"):
+                 "vgae.edge_loss", "training.batch_edge_loss",
+                 "autodiff.backward", "evaluation.query_scores"):
         assert name in names, name
     metrics = tracer.layer_metrics(1, {})
     assert metrics["kg.subgraph_nodes.mean"] > 0

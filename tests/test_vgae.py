@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoplink import autodiff as ad
@@ -32,24 +32,29 @@ def arrows_of(A):
     return np.argwhere(A > 0)
 
 
+def pairs(*ps):
+    return np.array(ps, dtype=np.int64).reshape(-1, 2)
+
+
 def mask_dense(A, ratio, seed):
-    """The n x n masking that ``mask_edges`` replaced, kept as its oracle."""
+    """The n x n masking that ``mask_edges`` replaced, kept as its oracle.
+    A non-edge is an off-diagonal cell with A + A^T == 0."""
     edges = np.argwhere(A > 0)
     if len(edges) == 0:
-        return A.copy(), [], []
+        return A.copy(), pairs(), pairs()
     rng = np.random.default_rng(seed)
     n_mask = math.ceil(ratio * len(edges))
     picked = rng.choice(len(edges), size=n_mask, replace=False)
-    positives = [tuple(map(int, edges[i])) for i in sorted(picked)]
+    positives = edges[np.sort(picked)]
     A_visible = A.copy()
     for i, j in positives:
         A_visible[i, j] = 0.0
-    non_edges = np.argwhere((A == 0) & ~np.eye(len(A), dtype=bool))
-    negatives = []
+    non_edges = np.argwhere((A + A.T == 0) & ~np.eye(len(A), dtype=bool))
+    negatives = pairs()
     if len(non_edges):
         idx = rng.choice(len(non_edges), size=n_mask,
                          replace=len(non_edges) < n_mask)
-        negatives = [tuple(map(int, non_edges[i])) for i in sorted(idx)]
+        negatives = non_edges[np.sort(idx)]
     return A_visible, positives, negatives
 
 
@@ -69,7 +74,7 @@ class TestMaskEdges:
         A = np.zeros((3, 3))
         A[0, 1] = 1.0
         _, mask = mask_edges(arrows_of(A), 3, 0.01, seed=0)
-        assert mask.positives == [(0, 1)]
+        assert mask.positives.tolist() == [[0, 1]]
 
     def test_masked_pairs_were_edges_and_negatives_were_not(self):
         rng = np.random.default_rng(3)
@@ -82,11 +87,23 @@ class TestMaskEdges:
             assert A[i, j] == 0.0 and i != j
         assert len(mask.negatives) == len(mask.positives)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 7), fill=st.floats(0.0, 0.9),
+           seed=st.integers(0, 2**16))
+    def test_no_negative_is_a_reversed_arrow(self, n, fill, seed):
+        # the encoder links an arrow's nodes both ways and the decoder scores
+        # (j, i) as (i, j), so neither direction of an arrow is a non-edge
+        A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
+        _, mask = mask_edges(arrows_of(A), n, 0.3, seed)
+        for i, j in mask.negatives:
+            assert A[i, j] == 0.0 and A[j, i] == 0.0
+
     def test_same_seed_same_mask(self):
         A = ring_graph(8)
         _, m1 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
         _, m2 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
-        assert (m1.positives, m1.negatives) == (m2.positives, m2.negatives)
+        np.testing.assert_array_equal(m1.positives, m2.positives)
+        np.testing.assert_array_equal(m1.negatives, m2.negatives)
 
     def test_edgeless_graph_gives_skip_mask(self):
         visible, mask = mask_edges(np.zeros((0, 2), dtype=int), 4, 0.15, seed=0)
@@ -97,12 +114,6 @@ class TestMaskEdges:
         with pytest.raises(ValueError):
             mask_edges(arrows_of(ring_graph()), 5, 0.0, seed=0)
 
-    def test_shift_offsets_pairs(self):
-        mask = EdgeMask([(0, 1)], [(2, 0)], 0.15, 0)
-        shifted = mask.shift(10)
-        assert shifted.positives == [(10, 11)]
-        assert shifted.negatives == [(12, 10)]
-
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 7), fill=st.floats(0.0, 1.0),
            ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**16))
@@ -112,7 +123,8 @@ class TestMaskEdges:
         A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
         visible, mask = mask_edges(arrows_of(A), n, ratio, seed)
         A_visible, positives, negatives = mask_dense(A, ratio, seed)
-        assert (mask.positives, mask.negatives) == (positives, negatives)
+        np.testing.assert_array_equal(mask.positives, positives)
+        np.testing.assert_array_equal(mask.negatives, negatives)
         np.testing.assert_array_equal(visible, arrows_of(A_visible).reshape(-1, 2))
 
 
@@ -144,7 +156,7 @@ class TestEncode:
         def loss(_):
             state = model.encode(X, graph)
             Z = reparameterize(state, seed=9)
-            return edge_loss(state, Z, mask)
+            return edge_loss(state, Z, [mask], [4])
 
         assert ad.finite_diff_check(loss, X, eps=1e-5) < 1e-4
         assert ad.finite_diff_check(loss, model.params["mu"], eps=1e-5) < 1e-4
@@ -217,21 +229,22 @@ class TestEdgeLoss:
     def test_perfect_predictions_drive_bce_to_zero(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z = Tensor([[30.0, 0.0], [30.0, 0.0], [-30.0, 0.0]])
-        mask = EdgeMask([(0, 1)], [(0, 2)], 0.15, 0)
-        assert edge_loss(state, Z, mask, beta=0.0).item() < 1e-9
+        mask = EdgeMask(pairs((0, 1)), pairs((0, 2)), 0.15, 0)
+        assert edge_loss(state, Z, [mask], [3]).item() < 1e-9
 
     def test_three_node_hand_case(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z_values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        mask = EdgeMask([(0, 2)], [(0, 1)], 0.15, 0)
-        got = edge_loss(state, Tensor(Z_values), mask, beta=0.0)
+        mask = EdgeMask(pairs((0, 2)), pairs((0, 1)), 0.15, 0)
+        got = edge_loss(state, Tensor(Z_values), [mask], [3])
         sigmoid = lambda s: 1.0 / (1.0 + np.exp(-s))
         expected = (-np.log(sigmoid(1.0)) - np.log(1.0 - sigmoid(0.0))) / 2.0
         np.testing.assert_allclose(got.item(), expected, atol=1e-9)
 
     def test_empty_mask_skips(self):
         state = VgaeState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
-        loss = edge_loss(state, Tensor(np.zeros((2, 2))), EdgeMask([], [], 0.15, 0))
+        loss = edge_loss(state, Tensor(np.zeros((2, 2))),
+                         [EdgeMask(pairs(), pairs(), 0.15, 0)], [2])
         assert loss.skipped
         assert loss.item() == 0.0
 
@@ -242,8 +255,117 @@ class TestEdgeLoss:
             state = VgaeState(Tensor(rng.normal(size=(n, 2))),
                               Tensor(rng.normal(size=(n, 2))))
             Z = Tensor(rng.normal(size=(n, 2)))
-            mask = EdgeMask([(0, 1)], [(1, 0)], 0.15, 0)
-            assert edge_loss(state, Z, mask).item() >= 0.0
+            mask = EdgeMask(pairs((0, 1)), pairs((1, 0)), 0.15, 0)
+            assert edge_loss(state, Z, [mask], [n]).item() >= 0.0
+
+
+def per_subgraph_edge_loss(state, Z, masks, sizes):
+    """The per-subgraph loop that the batched ``edge_loss`` replaced, kept as
+    its oracle: for each non-empty mask, mean BCE over its pairs plus the KL
+    of its rows divided by their count; the sum over the batch size."""
+    def scores(pairs_):
+        left = ad.gather_rows(Z, [i for i, _ in pairs_])
+        right = ad.gather_rows(Z, [j for _, j in pairs_])
+        return ad.row_sums(ad.hadamard(left, right))
+
+    terms = []
+    offset = 0
+    for mask, size in zip(masks, sizes):
+        if not mask.empty:
+            pos = [(i + offset, j + offset) for i, j in mask.positives]
+            neg = [(i + offset, j + offset) for i, j in mask.negatives]
+            bce = ad.sum_all(ad.softplus(ad.scale(scores(pos), -1.0)))
+            if neg:
+                bce = ad.add(bce, ad.sum_all(ad.softplus(scores(neg))))
+            bce = ad.scale(bce, 1.0 / (len(pos) + len(neg)))
+            rows = list(range(offset, offset + size))
+            mu = ad.gather_rows(state.mu, rows)
+            log_sigma = ad.gather_rows(state.log_sigma, rows)
+            inner = ad.sub(ad.add(ad.exp(ad.scale(log_sigma, 2.0)),
+                                  ad.hadamard(mu, mu)),
+                           ad.scale(log_sigma, 2.0))
+            kl = ad.add(ad.scale(ad.sum_all(inner), 0.5),
+                        ad.constant(-0.5 * mu.values.size))
+            terms.append(ad.add(bce, ad.scale(kl, 1.0 / size)))
+        offset += size
+    if not terms:
+        out = ad.constant(np.zeros(()))
+        out.skipped = True
+        return out
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = ad.add(acc, term)
+    out = ad.scale(acc, 1.0 / len(masks))
+    out.skipped = False
+    return out
+
+
+# 5 nodes, every arrow but 0 -> 1 and 1 -> 0: 18 arrows, 6 masked at ratio
+# 0.3, and only 2 free cells, so negatives are drawn with replacement
+NEAR_COMPLETE = (5, [i != j and {i, j} != {0, 1}
+                     for i in range(5) for j in range(5)])
+SUBGRAPH = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+
+
+class TestBatchedEdgeLossMatchesPerSubgraphOracle:
+    def losses(self, subgraphs, ratio, seed):
+        masks = [mask_edges(arrows_of(np.reshape(cells, (n, n))), n, ratio,
+                            seed + k)[1]
+                 for k, (n, cells) in enumerate(subgraphs)]
+        sizes = [n for n, _ in subgraphs]
+        rng = np.random.default_rng(seed)
+        leaves = [ad.parameter(rng.normal(size=(sum(sizes), 3)))
+                  for _ in range(3)]
+        results = []
+        for loss_fn in (edge_loss, per_subgraph_edge_loss):
+            for leaf in leaves:
+                leaf.grad = None
+            with Tape():
+                loss = loss_fn(VgaeState(leaves[0], leaves[1]), leaves[2],
+                               masks, sizes)
+                backward(loss)
+            grads = [np.zeros_like(leaf.values) if leaf.grad is None
+                     else leaf.grad for leaf in leaves]
+            results.append((loss.item(), loss.skipped, grads))
+        return masks, results
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgraphs=st.lists(SUBGRAPH, min_size=2, max_size=5),
+           ratio=st.floats(0.05, 0.95), seed=st.integers(0, 2**16))
+    @example(subgraphs=[(3, [False, True, False, False, False, True,
+                             True, False, False]),
+                        (3, [False] * 9), (2, [False] * 4),
+                        (4, [i % 3 == 1 for i in range(16)])],
+             ratio=0.3, seed=1)
+    @example(subgraphs=[(1, [True]), (1, [False]), (2, [False, True,
+                                                          False, False])],
+             ratio=0.5, seed=2)
+    @example(subgraphs=[NEAR_COMPLETE, (3, [False] * 9), NEAR_COMPLETE],
+             ratio=0.3, seed=3)
+    def test_values_and_gradients_within_1e_12(self, subgraphs, ratio, seed):
+        _, ((got, got_skip, got_grads),
+            (want, want_skip, want_grads)) = self.losses(subgraphs, ratio, seed)
+        assert got_skip == want_skip
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    def test_near_complete_subgraph_samples_with_replacement(self):
+        masks, ((got, _, _), (want, _, _)) = self.losses(
+            [NEAR_COMPLETE, NEAR_COMPLETE], 0.3, seed=4)
+        for mask in masks:
+            assert len(mask.positives) == len(mask.negatives) == 6
+            assert {tuple(p) for p in mask.negatives.tolist()} <= {(0, 1), (1, 0)}
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_all_empty_batch_is_skipped(self):
+        _, ((got, got_skip, got_grads), (want, want_skip, _)) = self.losses(
+            [(2, [False] * 4), (1, [False]), (3, [False] * 9)], 0.3, seed=5)
+        assert got_skip and want_skip
+        assert got == want == 0.0
+        for g in got_grads:
+            np.testing.assert_array_equal(g, 0.0)
 
 
 class TestToyTraining:
@@ -270,7 +392,7 @@ class TestToyTraining:
             with Tape():
                 state = model.encode(X, graph)
                 Z = reparameterize(state, seed=step)
-                loss = edge_loss(state, Z, mask)
+                loss = edge_loss(state, Z, [mask], [n])
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
