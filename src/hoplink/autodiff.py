@@ -3,8 +3,9 @@
 Ops execute eagerly on numpy and record themselves on a thread-local tape
 (a Wengert list). ``backward`` replays the tape in reverse, accumulating
 gradients at fan-out points. Everything is double precision so gradient
-checks stay sharp; graph structure enters as constant sparse operators or as
-the index runs of the segment primitives.
+checks stay sharp; graph structure enters as constant sparse matrices, whose
+entries ``sparse_matmul`` can take from a tensor, and as the index runs of
+``segment_softmax``.
 
 Each thread has an ambient default tape; scoped work (one training batch,
 one finite-difference probe) should run under ``with Tape():`` so records
@@ -201,20 +202,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(av @ bv, (a, b), rule)
 
 
-def sparse_const_matmul(bag: sp.spmatrix, x: Tensor) -> Tensor:
-    """Multiply a constant sparse matrix by a dense tensor.
+def sparse_matmul(a: sp.spmatrix, x: Tensor, values: Optional[Tensor] = None) -> Tensor:
+    """``a @ x`` for a constant sparse matrix ``a``.
 
-    The sparse side carries structure only (e.g. token-count pooling rows)
-    and is never differentiated; gradients flow to ``x`` alone.
+    Given ``values``, an (nnz, 1) tensor in ``a``'s CSR entry order, its
+    entries replace ``a``'s, so ``a`` carries only the sparsity pattern and
+    entry e's gradient is g[row(e)] . x[col(e)]. Otherwise gradients flow to
+    ``x`` alone.
     """
-    csr = bag.tocsr()
+    csr = a.tocsr()
     if x.values.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {csr.shape} @ {x.shape}")
+    if values is not None:
+        if values.shape != (csr.nnz, 1):
+            raise ShapeError(f"sparse_matmul values must be ({csr.nnz}, 1), got {values.shape}")
+        csr = sp.csr_matrix((values.values[:, 0], csr.indices, csr.indptr), shape=csr.shape)
+    xv = x.values
 
     def rule(g: Array):
-        return (np.asarray(csr.T @ g),)
+        dx = np.asarray(csr.T @ g)
+        if values is None:
+            return (dx,)
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        return dx, np.einsum("ij,ij->i", g[rows], xv[csr.indices])[:, None]
 
-    return _apply(np.asarray(csr @ x.values), (x,), rule)
+    return _apply(np.asarray(csr @ xv), (x,) if values is None else (x, values), rule)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -272,14 +284,6 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
     slope = np.where(x.values > 0, 1.0, alpha)
     return _apply(x.values * slope, (x,), lambda g: (g * slope,))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # stable in both tails
-    y = np.where(x.values >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.values))),
-                 np.exp(-np.abs(x.values)) / (1.0 + np.exp(-np.abs(x.values))))
-    return _apply(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -426,40 +430,18 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _apply(x.values[idx], (x,), rule)
 
 
-def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply row i of an (m, d) matrix by w[i] of an (m, 1) column."""
-    if x.values.ndim != 2 or w.shape != (x.shape[0], 1):
-        raise ShapeError(f"scale_rows needs (m, d) and (m, 1), got {x.shape} and {w.shape}")
-    xv, wv = x.values, w.values
-    return _apply(xv * wv, (x, w),
-                  lambda g: (g * wv, (g * xv).sum(axis=1, keepdims=True)))
-
-
-def _runs(x: Tensor, indptr, what: str) -> tuple[Array, Array]:
-    """Start and length of each run; run k is rows indptr[k] to
-    indptr[k + 1] - 1, as in a CSR matrix, and must not be empty."""
-    ptr = np.asarray(indptr, dtype=np.int64)
-    counts = np.diff(ptr)
-    if (x.values.ndim != 2 or ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0
-            or ptr[-1] != x.shape[0] or counts.min() < 1):
-        raise ShapeError(f"{what}: indptr must rise strictly from 0 to {x.shape[0]} rows")
-    return ptr[:-1], counts
-
-
-def segment_sum(x: Tensor, indptr) -> Tensor:
-    """Row sums over contiguous runs: (m, d) -> (len(indptr) - 1, d). A
-    scatter-add over sorted indices thus needs no ``np.add.at``."""
-    starts, counts = _runs(x, indptr, "segment_sum")
-    return _apply(np.add.reduceat(x.values, starts, axis=0), (x,),
-                  lambda g: (np.repeat(g, counts, axis=0),))
-
-
 def segment_softmax(x: Tensor, indptr) -> Tensor:
     """Softmax within each contiguous run of an (m, 1) column, stabilized
-    by the run's maximum."""
-    starts, counts = _runs(x, indptr, "segment_softmax")
-    if x.shape[1] != 1:
+    by the run's maximum. Run k is rows indptr[k] to indptr[k + 1] - 1, as
+    in a CSR matrix, and must not be empty."""
+    ptr = np.asarray(indptr, dtype=np.int64)
+    counts = np.diff(ptr)
+    if x.values.ndim != 2 or x.shape[1] != 1:
         raise ShapeError(f"segment_softmax expects an (m, 1) column, got {x.shape}")
+    if (ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0 or ptr[-1] != x.shape[0]
+            or counts.min() < 1):
+        raise ShapeError(f"segment_softmax: indptr must rise strictly from 0 to {x.shape[0]} rows")
+    starts = ptr[:-1]
     e = np.exp(x.values - np.repeat(np.maximum.reduceat(x.values, starts),
                                     counts, axis=0))
     y = e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)

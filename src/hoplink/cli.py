@@ -329,6 +329,8 @@ def connecting_edge(sub, node_index: int, kg: KnowledgeGraph):
 
 
 def cmd_explain(args) -> int:
+    if args.top_n < 1:
+        raise CliError(f"--top-n must be >= 1, got {args.top_n}")
     if not Path(args.checkpoint).exists():
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     model = load_model(args.checkpoint)

@@ -7,6 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .gnn import GraphEncoderConfig
+from .text import TextEncoderConfig
+
 
 class ConfigError(Exception):
     pass
@@ -54,7 +57,25 @@ class RunConfig:
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(
                 f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
+        if self.dim < 1 or self.cap_per_hop < 1:
+            raise ConfigError(f"dim and cap_per_hop must be >= 1, got "
+                              f"{self.dim} and {self.cap_per_hop}")
+        try:
+            self.text_encoder_config()
+            self.graph_encoder_config()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         return self
+
+    def text_encoder_config(self) -> TextEncoderConfig:
+        return TextEncoderConfig(dim=self.dim, mode=self.text_mode,
+                                 layers=self.text_layers, heads=self.text_heads,
+                                 ff_width=self.text_ff)
+
+    def graph_encoder_config(self) -> GraphEncoderConfig:
+        return GraphEncoderConfig(variant=self.encoder, layers=self.layers,
+                                  dim=self.dim, heads=self.heads,
+                                  activation=self.activation)
 
     @property
     def resolved_latent_dim(self) -> int:

@@ -2,9 +2,10 @@
 
 All variants map an n x d feature matrix to n x d, so they are drop-in
 interchangeable. They read one ``GraphBatch`` of the batch's symmetrized
-arrows: GCN and SAGE multiply by a sparse operator, GAT normalizes per-edge
-scores over each node's incoming edges. Edge direction is preserved upstream
-for edge reconstruction. Layers carry no bias terms.
+arrows and aggregate through one sparse product, ``ad.sparse_matmul``: GCN
+and SAGE by a fixed operator, GAT by the edge pattern filled with per-edge
+scores softmax-normalized over each node's incoming edges. Edge direction is
+preserved upstream for edge reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ class GraphBatch:
                              shape=(self.num_nodes, self.num_nodes))
 
     @cached_property
+    def pattern(self) -> sp.csr_matrix:
+        """The edges as a CSR matrix whose entry e is edge e; GAT supplies
+        the entries."""
+        n = self.num_nodes
+        return sp.csr_matrix((np.ones(len(self.src)), self.src, self.indptr),
+                             shape=(n, n))
+
+    @cached_property
     def gcn_operator(self) -> sp.csr_matrix:
         """D^(-1/2) (max(A, A^T) + I) D^(-1/2); isolated nodes keep their
         self-loop."""
@@ -105,12 +114,12 @@ class GraphBatch:
 
 
 def gcn_layer(X: Tensor, A_hat: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
-    out = ad.matmul(ad.sparse_const_matmul(A_hat, X), W)
+    out = ad.matmul(ad.sparse_matmul(A_hat, X), W)
     return activation(out) if activation is not None else out
 
 
 def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
-    out = ad.matmul(ad.concat_cols([X, ad.sparse_const_matmul(M, X)]), W)
+    out = ad.matmul(ad.concat_cols([X, ad.sparse_matmul(M, X)]), W)
     return activation(out) if activation is not None else out
 
 
@@ -120,12 +129,10 @@ def gat_head(X: Tensor, graph: GraphBatch, W: Tensor, a_src: Tensor,
     softmax-normalized over i's incoming edges. Returns (the attention-
     weighted sums of XW, per-edge attention in ``graph`` edge order)."""
     h = ad.matmul(X, W)
-    h_src = ad.gather_rows(h, graph.src)
     scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), graph.dst),
-                    ad.matmul(h_src, a_dst))
+                    ad.gather_rows(ad.matmul(h, a_dst), graph.src))
     att = ad.segment_softmax(ad.leaky_relu(scores, alpha), graph.indptr)
-    return (ad.segment_sum(ad.scale_rows(h_src, att), graph.indptr),
-            att.values[:, 0])
+    return ad.sparse_matmul(graph.pattern, h, att), att.values[:, 0]
 
 
 class GraphEncoder:

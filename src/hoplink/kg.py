@@ -2,12 +2,13 @@
 
 Entity and relation ids are dense integers assigned in first-appearance order
 (train split first, then valid, then test), so identical files always produce
-identical id maps. Adjacency lists are built from the train split only; valid
-and test triples never leak into neighborhoods.
+identical id maps.
 
-``KnowledgeGraph.build`` also makes one read-only CSR ``NeighborIndex`` of the
-train triples (each entity's neighbors and out-edges as one slice of a flat
-array), from which ``khop_neighborhood`` samples every query's subgraph.
+``KnowledgeGraph.build`` makes the graph's one adjacency: a read-only CSR
+``NeighborIndex`` of the train triples (each entity's neighbors and out-edges
+as one slice of a flat array), from which ``khop_neighborhood`` samples every
+query's subgraph and ``degree`` counts edges. Valid and test triples never
+leak into it.
 """
 
 from __future__ import annotations
@@ -111,21 +112,6 @@ def _csr(keys: np.ndarray, width: int, num_rows: int) -> tuple[np.ndarray, np.nd
     return np.searchsorted(keys // width, np.arange(num_rows + 1)), keys % width
 
 
-def _edge_rows(src: np.ndarray, rel: np.ndarray, dst: np.ndarray, num_entities: int,
-               num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, relations, ends) of the distinct edges per ``src`` entity,
-    each row sorted by (relation, end)."""
-    n, width = num_entities, num_relations * num_entities
-    indptr, columns = _csr(src * width + rel * n + dst, width, n)
-    return (indptr, *np.divmod(columns, n))
-
-
-def _as_lists(indptr: np.ndarray, relations: np.ndarray,
-              ends: np.ndarray) -> list[list[tuple[int, int]]]:
-    rel, end, ptr = relations.tolist(), ends.tolist(), indptr.tolist()
-    return [list(zip(rel[a:b], end[a:b])) for a, b in zip(ptr, ptr[1:])]
-
-
 def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the given CSR rows, concatenated, and each row's length."""
     starts = indptr[rows]
@@ -144,8 +130,6 @@ class KnowledgeGraph:
     relation_labels: list[str]
     num_base_relations: int
     splits: dict[str, list[Triple]]
-    out_adj: list[list[tuple[int, int]]]
-    in_adj: list[list[tuple[int, int]]]
     neighbor_index: NeighborIndex
     unseen_entities: frozenset[int]
     unseen_relations: frozenset[int]
@@ -171,7 +155,10 @@ class KnowledgeGraph:
                 or self.base_relation(relation) in self.unseen_relations)
 
     def degree(self, entity: int) -> int:
-        return len(self.out_adj[entity]) + len(self.in_adj[entity])
+        """Distinct train out-edges plus distinct train in-edges."""
+        index = self.neighbor_index
+        return int(index.out_indptr[entity + 1] - index.out_indptr[entity]
+                   + np.count_nonzero(index.out_tails == entity))
 
     @classmethod
     def build(cls, split_triples: Mapping[str, Sequence[LabelTriple]],
@@ -221,9 +208,10 @@ class KnowledgeGraph:
         h, r, t = (np.fromiter((getattr(tr, part) for tr in splits["train"]), np.int64,
                                len(splits["train"])) for part in ("head", "relation", "tail"))
         n, num_rel = len(entity_labels), len(relation_labels)
-        out_rows = _edge_rows(h, r, t, n, num_rel)
-        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n), *out_rows)
-        out_adj, in_adj = _as_lists(*out_rows), _as_lists(*_edge_rows(t, r, h, n, num_rel))
+        # out-edge keys sort each row by (relation, tail)
+        out_indptr, out_cells = _csr(h * (num_rel * n) + r * n + t, num_rel * n, n)
+        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n),
+                              out_indptr, *np.divmod(out_cells, n))
 
         # an entity is in a train triple iff it has a neighbor (maybe itself)
         unseen_entities = frozenset(np.flatnonzero(np.diff(index.indptr) == 0).tolist())
@@ -239,7 +227,6 @@ class KnowledgeGraph:
                  entities=entities, relation_ids=relation_ids,
                  relation_labels=relation_labels,
                  num_base_relations=len(relation_labels), splits=splits,
-                 out_adj=out_adj, in_adj=in_adj,
                  neighbor_index=index,
                  unseen_entities=unseen_entities,
                  unseen_relations=unseen_relations)
@@ -352,8 +339,8 @@ def validate_counts(kg: KnowledgeGraph,
 def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     """Synthesize an inverse relation per base relation; second call is a no-op.
 
-    Inverse edges enter the adjacency lists and the filter index so that
-    (?, r, t) queries become tail prediction (t, r_inv, ?). The index that
+    Inverse keys enter the filter index so that (?, r, t) queries become
+    tail prediction (t, r_inv, ?). The index that
     ``KnowledgeGraph.build`` made gains the inverse keys in place, leaving it
     equal to a fresh ``build_filter_index``. Split triple lists stay in
     original form, and neighborhoods keep original arrows.
@@ -365,12 +352,6 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
         inv = f"inverse of {label}"
         kg.relation_ids[inv] = len(kg.relation_labels)
         kg.relation_labels.append(inv)
-    for tr in kg.splits["train"]:
-        kg.out_adj[tr.tail].append((tr.relation + offset, tr.head))
-        kg.in_adj[tr.head].append((tr.relation + offset, tr.tail))
-    for adj in (kg.out_adj, kg.in_adj):
-        for entries in adj:
-            entries.sort()
     for triples in kg.splits.values():
         for tr in triples:
             kg.filter_index.setdefault(

@@ -18,10 +18,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_dict
-from .gnn import GraphBatch, GraphEncoder, GraphEncoderConfig, combine_adjacency
+from .gnn import GraphBatch, GraphEncoder, combine_adjacency
 from .kg import KnowledgeGraph, NeighborhoodSubgraph, khop_neighborhood
 from .seeding import derive_rng, derive_seed
-from .text import TextEncoder, TextEncoderConfig, Tokenizer, bag_matrix
+from .text import TextEncoder, Tokenizer, bag_matrix
 from .vgae import Vgae
 
 MAX_INV_TAU = 1000.0  # tau is kept inside [0.001, 1]
@@ -44,17 +44,10 @@ class KgcModel:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer
-        text_cfg = TextEncoderConfig(dim=config.dim, mode=config.text_mode,
-                                     layers=config.text_layers,
-                                     heads=config.text_heads,
-                                     ff_width=config.text_ff)
-        gnn_cfg = GraphEncoderConfig(variant=config.encoder,
-                                     layers=config.layers, dim=config.dim,
-                                     heads=config.heads,
-                                     activation=config.activation)
-        self.text = TextEncoder(tokenizer, text_cfg,
+        self.text = TextEncoder(tokenizer, config.text_encoder_config(),
                                 derive_rng(config.seed, "init:text"))
-        self.gnn = GraphEncoder(gnn_cfg, derive_rng(config.seed, "init:gnn"))
+        self.gnn = GraphEncoder(config.graph_encoder_config(),
+                                derive_rng(config.seed, "init:gnn"))
         # lambda = 1 means the edge loss has zero weight, so the decoder is
         # never built and contributes no parameters or arithmetic
         self.vgae: Vgae | None = None

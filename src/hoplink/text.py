@@ -92,18 +92,6 @@ def save_vocab(tokenizer: Tokenizer, path) -> None:
         fh.writelines(lines)
 
 
-def load_vocab(path, max_len: int = 64) -> Tokenizer:
-    token_to_id: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tok, tid = line.split("\t")
-            token_to_id[tok] = int(tid)
-    return Tokenizer(token_to_id=token_to_id, max_len=max_len)
-
-
 def bag_matrix(ids_list: Sequence[Sequence[int]],
                vocab_size: int) -> tuple[sp.csr_matrix, np.ndarray]:
     """Count-normalized bag rows; an empty sequence yields a zero row."""
@@ -135,7 +123,8 @@ class TextEncoderConfig:
     def __post_init__(self):
         if self.mode not in ("mean_pool", "transformer_lite"):
             raise ValueError(f"unknown text encoder mode {self.mode!r}")
-        if self.mode == "transformer_lite" and self.dim % self.heads != 0:
+        if self.mode == "transformer_lite" and (
+                self.heads < 1 or self.dim % self.heads != 0):
             raise ValueError(
                 f"dim {self.dim} not divisible by head count {self.heads}")
 
@@ -194,7 +183,7 @@ class TextEncoder:
         """Fast path for mean_pool mode with a precomputed bag matrix."""
         if self.config.mode != "mean_pool":
             raise ValueError("bag encoding only applies to mean_pool mode")
-        pooled = ad.sparse_const_matmul(bag, self.params["embeddings"])
+        pooled = ad.sparse_matmul(bag, self.params["embeddings"])
         out = ad.matmul(pooled, self.params[f"{tower}_proj"])
         out.empty_rows = empty_rows
         return out

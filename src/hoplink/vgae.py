@@ -105,13 +105,6 @@ def reparameterize(state: VgaeState, seed: int) -> Tensor:
                   ad.hadamard(ad.exp(state.log_sigma), ad.constant(eps)))
 
 
-def decode_edge(Z: Tensor, i: int, j: int) -> Tensor:
-    """P(edge i-j) = sigmoid(z_i . z_j)."""
-    zi = ad.gather_rows(Z, [i])
-    zj = ad.gather_rows(Z, [j])
-    return ad.sigmoid(ad.sum_all(ad.hadamard(zi, zj)))
-
-
 def _kl_cells(state: VgaeState) -> Tensor:
     """sigma^2 + mu^2 - 2 log sigma per node and latent dim; the cell's
     KL(N(mu, sigma^2) || N(0, 1)) is half of it minus 0.5."""
@@ -163,22 +156,11 @@ def edge_loss(state: VgaeState, Z: Tensor, masks: list[EdgeMask],
         ad.constant(weight)))
 
     row_beta = np.repeat(np.where(used, share / sizes, 0.0), sizes)[:, None]
-    kl = ad.sum_all(ad.scale_rows(_kl_cells(state),
-                                  ad.constant(0.5 * row_beta)))
+    kl = ad.sum_all(ad.hadamard(_kl_cells(state), ad.constant(
+        np.broadcast_to(0.5 * row_beta, state.mu.shape))))
     latent = state.mu.shape[1]
     loss = ad.add(ad.add(bce, kl),
                   ad.constant(-0.5 * latent * used.sum() * share))
     loss.skipped = not used.any()
     return loss
 
-
-def reconstruction_accuracy(Z_values: np.ndarray, mask: EdgeMask) -> float:
-    """Fraction of held-out pairs classified correctly at threshold 0.5."""
-    if mask.empty:
-        return float("nan")
-    correct = 0
-    for i, j in mask.positives:
-        correct += Z_values[i] @ Z_values[j] > 0
-    for i, j in mask.negatives:
-        correct += Z_values[i] @ Z_values[j] <= 0
-    return correct / (len(mask.positives) + len(mask.negatives))

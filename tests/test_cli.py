@@ -142,6 +142,20 @@ class TestTrain:
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "ghost.cfg")]) == 1
 
+    @pytest.mark.parametrize("override", [
+        ["--cap_per_hop", "0"], ["--heads", "0"], ["--dim", "0"],
+        ["--layers", "0"],
+        ["--dim", "16", "--text_mode", "transformer_lite", "--text_heads", "3"]],
+        ids=["cap_per_hop", "heads", "dim", "layers", "text_heads"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_of_range_value_exits_one_before_any_output(
+            self, dataset_dir, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path / "run.cfg", dataset_dir, tmp_path / "o")
+        axis = ["--axis", "hops"] if command == "ablate" else []
+        assert main([command, "--config", str(cfg), *axis, *override]) == 1
+        assert "runtime failure" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEval:
     def test_prints_metrics_and_writes_reports(self, trained_run, capsys):
@@ -319,6 +333,14 @@ class TestExplain:
         err = capsys.readouterr().err
         assert "unknown entity" in err
         assert "item05" in err
+
+    @pytest.mark.parametrize("top_n", ["0", "-45"])
+    def test_top_n_below_one_exits_one(self, trained_run, capsys, top_n):
+        code = main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                     "--head", "item05", "--relation", "cue2",
+                     "--top-n", top_n])
+        assert code == 1
+        assert "--top-n" in capsys.readouterr().err
 
     def test_unknown_relation_suggests_neighbors(self, trained_run, capsys):
         code = main(["explain", "--checkpoint",

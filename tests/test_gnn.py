@@ -107,12 +107,15 @@ def vgae_encode(vgae, X, graph):
     return ad.add(state.mu, state.log_sigma)
 
 
-def value_and_input_grad(f, X0, weights):
+def value_and_grads(f, X0, weights, params):
+    """f(X)'s values, then the gradients of X and of each parameter."""
     X = ad.parameter(X0.copy())
+    for p in params:
+        p.grad = None
     with ad.Tape():
         out = f(X)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(weights))))
-    return out.values, X.grad
+    return [out.values, X.grad] + [p.grad for p in params]
 
 
 # (node count, relation-labelled arrows (i, r, j)) per subgraph
@@ -147,20 +150,24 @@ class TestEdgeIndexMatchesDenseOracle:
 
         for variant in ("gcn", "sage", "gat"):
             enc = encoder(variant, seed=seed)
-            got = value_and_input_grad(
-                lambda X: enc.encode(X, graph, offsets), X0, weights)
-            want = value_and_input_grad(
-                lambda X: dense_encode(enc, X, A, offsets), X0, weights)
+            got = value_and_grads(
+                lambda X: enc.encode(X, graph, offsets), X0, weights,
+                enc.parameters())
+            want = value_and_grads(
+                lambda X: dense_encode(enc, X, A, offsets), X0, weights,
+                enc.parameters())
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
                                            err_msg=variant)
 
         vgae = Vgae(6, np.random.default_rng(seed), latent_dim=3)
         weights = rng.normal(size=(len(A), 3))
-        got = value_and_input_grad(
-            lambda X: vgae_encode(vgae, X, graph), X0, weights)
-        want = value_and_input_grad(
-            lambda X: dense_vgae_encode(vgae, X, A), X0, weights)
+        got = value_and_grads(
+            lambda X: vgae_encode(vgae, X, graph), X0, weights,
+            vgae.parameters())
+        want = value_and_grads(
+            lambda X: dense_vgae_encode(vgae, X, A), X0, weights,
+            vgae.parameters())
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 

@@ -114,9 +114,21 @@ class TestLoading:
 
     def test_adjacency_excludes_valid_and_test(self):
         kg = toy_kg([("a", "r", "b")], valid=[("a", "r", "c")], test=[("c", "r", "b")])
-        pairs = {(h, t) for h in range(kg.num_entities) for _, t in kg.out_adj[h]}
+        index = kg.neighbor_index
+        heads = np.repeat(np.arange(kg.num_entities), np.diff(index.out_indptr))
+        pairs = set(zip(heads.tolist(), index.out_tails.tolist()))
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
         assert pairs == {(a, b)}
+        assert kg.degree(kg.entity_ids["c"]) == 0
+
+    def test_degree_counts_distinct_train_edges_both_ways(self):
+        kg = toy_kg([("a", "r", "b"), ("a", "r", "b"), ("a", "s", "b"),
+                     ("c", "r", "a"), ("c", "r", "c")], valid=[("a", "r", "c")])
+        a, b, c = (kg.entity_ids[e] for e in "abc")
+        expected = {a: 3, b: 2, c: 3}  # a self-loop is one edge out, one in
+        assert {e: kg.degree(e) for e in (a, b, c)} == expected
+        add_inverse_relations(kg)
+        assert {e: kg.degree(e) for e in (a, b, c)} == expected
 
 
 class TestInverseRelations:
@@ -127,7 +139,6 @@ class TestInverseRelations:
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
         r = kg.relation_ids["r"]
         assert kg.filter_index[(b, r + 1)] == {a}
-        assert (r + 1, a) in kg.out_adj[b]
         assert kg.relation_labels[r + 1] == "inverse of r"
 
     def test_extends_the_built_filter_index_in_place(self, monkeypatch):
@@ -149,10 +160,12 @@ class TestInverseRelations:
         kg = toy_kg(CHAIN)
         add_inverse_relations(kg)
         labels = list(kg.relation_labels)
-        adj = [list(x) for x in kg.out_adj]
+        index = kg.neighbor_index
+        filters = {key: set(tails) for key, tails in kg.filter_index.items()}
         add_inverse_relations(kg)
         assert kg.relation_labels == labels
-        assert [list(x) for x in kg.out_adj] == adj
+        assert kg.neighbor_index is index
+        assert kg.filter_index == filters
 
     def test_queries_both_directions(self):
         kg = toy_kg([("a", "r", "b"), ("b", "r", "c")])

@@ -12,7 +12,6 @@ from hoplink.text import (
     Tokenizer,
     bag_matrix,
     build_vocab,
-    load_vocab,
     save_vocab,
     tokenize,
 )
@@ -95,7 +94,9 @@ class TestBuildVocab:
         kg = make_kg({"a": ("zebra apple", ""), "b": ("mango", "")})
         tok = build_vocab(kg)
         save_vocab(tok, tmp_path / "vocab.txt")
-        assert load_vocab(tmp_path / "vocab.txt").token_to_id == tok.token_to_id
+        lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        parsed = {word: int(tid) for word, tid in (line.split("\t") for line in lines)}
+        assert parsed == tok.token_to_id
 
 
 class TestBagMatrix:
