@@ -303,7 +303,9 @@ def neighbor_order(model: KgcModel, batch, kg: KnowledgeGraph) -> list[int]:
     sub = batch.subgraphs[0]
     indices = list(range(1, sub.num_nodes))
     if model.config.encoder == "gat" and model.gnn.last_attention:
-        into_head = batch.graph.dst == 0
+        # the final layer's attention covers the edges into readout rows,
+        # head row 0's first
+        into_head = slice(batch.graph.indptr[1])
         att = dict(zip(batch.graph.src[into_head].tolist(),
                        model.gnn.last_attention[-1][into_head].tolist()))
         return sorted(indices, key=lambda i: (-att.get(i, 0.0), i))

@@ -60,6 +60,11 @@ class RunConfig:
         if self.dim < 1 or self.cap_per_hop < 1:
             raise ConfigError(f"dim and cap_per_hop must be >= 1, got "
                               f"{self.dim} and {self.cap_per_hop}")
+        if self.lr <= 0 or self.weight_decay < 0:
+            raise ConfigError(f"lr must be positive and weight_decay >= 0, "
+                              f"got {self.lr} and {self.weight_decay}")
+        if self.max_len < 1:
+            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         try:
             self.text_encoder_config()
             self.graph_encoder_config()

@@ -4,8 +4,10 @@ All variants map an n x d feature matrix to n x d, so they are drop-in
 interchangeable. They read one ``GraphBatch`` of the batch's symmetrized
 arrows and aggregate through one sparse product, ``ad.sparse_matmul``: GCN
 and SAGE by a fixed operator, GAT by the edge pattern filled with per-edge
-scores softmax-normalized over each node's incoming edges. Edge direction is
-preserved upstream for edge reconstruction. Layers carry no bias terms.
+scores softmax-normalized over each node's incoming edges. The final layer
+computes only the readout rows: ``GraphBatch.rows`` restricts the edges to
+those into the rows each query reads. Edge direction is preserved upstream
+for edge reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
@@ -112,22 +114,59 @@ class GraphBatch:
         deg = np.bincount(self.dst[keep], minlength=self.num_nodes)
         return self._csr(1.0 / np.maximum(deg, 1)[self.dst], keep)
 
+    def rows(self, readout) -> GraphRows:
+        """The edges into the given rows (any order, repeats allowed)."""
+        idx = np.asarray(readout, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ShapeError("readout must be a non-empty flat sequence of rows")
+        if idx.min() < 0 or idx.max() >= self.num_nodes:
+            raise IndexError(f"readout row out of range for {self.num_nodes} "
+                             f"nodes: {idx[(idx < 0) | (idx >= self.num_nodes)][0]}")
+        return GraphRows(self, idx)
+
+
+class GraphRows:
+    """A GraphBatch restricted to the edges into ``rows``, which is all a
+    layer needs to compute only those rows.
+
+    Row k's incoming edges fill positions indptr[k] to indptr[k + 1] - 1 of
+    ``src``/``dst`` (global node ids), in ``graph`` edge order; ``pattern``
+    is the (len(rows) x n) row slice of ``graph.pattern``.
+    """
+
+    def __init__(self, graph: GraphBatch, rows: np.ndarray):
+        self.rows = rows
+        counts = np.diff(graph.indptr)[rows]
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        edges = (np.arange(self.indptr[-1])
+                 + np.repeat(graph.indptr[rows] - self.indptr[:-1], counts))
+        self.dst, self.src = graph.dst[edges], graph.src[edges]
+        self.pattern = sp.csr_matrix(
+            (np.ones(edges.size), self.src, self.indptr),
+            shape=(rows.size, graph.num_nodes))
+
 
 def gcn_layer(X: Tensor, A_hat: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
     out = ad.matmul(ad.sparse_matmul(A_hat, X), W)
     return activation(out) if activation is not None else out
 
 
-def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
-    out = ad.matmul(ad.concat_cols([X, ad.sparse_matmul(M, X)]), W)
+def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None,
+               rows=None) -> Tensor:
+    """[x_i ++ mean of i's neighbors] W for every node i, or for ``rows``
+    only, in which case M holds just those rows of the mean operator."""
+    own = X if rows is None else ad.gather_rows(X, rows)
+    out = ad.matmul(ad.concat_cols([own, ad.sparse_matmul(M, X)]), W)
     return activation(out) if activation is not None else out
 
 
-def gat_head(X: Tensor, graph: GraphBatch, W: Tensor, a_src: Tensor,
-             a_dst: Tensor, alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
+def gat_head(X: Tensor, graph: GraphBatch | GraphRows, W: Tensor,
+             a_src: Tensor, a_dst: Tensor,
+             alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
     """One attention head: edge j -> i scores leaky_relu(a^T [Wx_i ++ Wx_j]),
     softmax-normalized over i's incoming edges. Returns (the attention-
-    weighted sums of XW, per-edge attention in ``graph`` edge order)."""
+    weighted sums of XW, one row per ``graph`` row, and per-edge attention
+    in ``graph`` edge order)."""
     h = ad.matmul(X, W)
     scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), graph.dst),
                     ad.gather_rows(ad.matmul(h, a_dst), graph.src))
@@ -140,7 +179,11 @@ class GraphEncoder:
 
     The readout for a subgraph is the head row of the final layer plus a
     residual copy of the head's input features, which keeps the no-neighbor
-    case from collapsing.
+    case from collapsing. Only readout rows are read from the final layer,
+    so it computes only those: hidden layers run over every node, the final
+    one over the edges into readout rows (``GraphBatch.rows``).
+    ``last_attention`` holds each GAT layer's head-mean attention, the final
+    entry over those edges alone.
     """
 
     def __init__(self, config: GraphEncoderConfig, rng: np.random.Generator):
@@ -166,26 +209,32 @@ class GraphEncoder:
         return list(self.params.values())
 
     def encode(self, X: Tensor, graph: GraphBatch, readout: list[int]) -> Tensor:
-        """Run the stack over one batch graph and gather the given rows,
-        adding the residual from X."""
+        """Run the stack over one batch graph and return the given rows of
+        its final layer, adding the residual from X."""
         if X.shape[0] != graph.num_nodes:
             raise ShapeError(
                 f"X has {X.shape[0]} rows for a {graph.num_nodes}-node graph")
         cfg = self.config
         activation = ACTIVATIONS[cfg.activation]
         self.last_attention = []
+        out_rows = graph.rows(readout)
+        readout = out_rows.rows
 
         H = X
         for layer in range(cfg.layers):
             final = layer == cfg.layers - 1
             act = None if final else activation
             if cfg.variant == "gcn":
-                H = gcn_layer(H, graph.gcn_operator, self.params[f"l{layer}_w"], act)
+                op = graph.gcn_operator[readout] if final else graph.gcn_operator
+                H = gcn_layer(H, op, self.params[f"l{layer}_w"], act)
             elif cfg.variant == "sage":
-                H = sage_layer(H, graph.mean_operator, self.params[f"l{layer}_w"], act)
+                op = graph.mean_operator[readout] if final else graph.mean_operator
+                H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
+                               readout if final else None)
             else:
-                heads = [gat_head(H, graph, *(self.params[f"l{layer}_h{h}_{k}"]
-                                              for k in ("w", "asrc", "adst")))
+                heads = [gat_head(H, out_rows if final else graph,
+                                  *(self.params[f"l{layer}_h{h}_{k}"]
+                                    for k in ("w", "asrc", "adst")))
                          for h in range(cfg.heads)]
                 self.last_attention.append(np.mean([a for _, a in heads], axis=0))
                 outs = [out for out, _ in heads]
@@ -193,7 +242,7 @@ class GraphEncoder:
                 H = (ad.scale(reduce(ad.add, outs), 1.0 / cfg.heads) if final
                      else activation(ad.concat_cols(outs)))
 
-        return ad.add(ad.gather_rows(H, readout), ad.gather_rows(X, readout))
+        return ad.add(H, ad.gather_rows(X, readout))
 
 
 def combine_adjacency(subgraphs: list[NeighborhoodSubgraph]

@@ -123,6 +123,9 @@ class TextEncoderConfig:
     def __post_init__(self):
         if self.mode not in ("mean_pool", "transformer_lite"):
             raise ValueError(f"unknown text encoder mode {self.mode!r}")
+        if self.layers < 1 or self.ff_width < 1:
+            raise ValueError(f"text layers and ff width must be >= 1, got "
+                             f"{self.layers} and {self.ff_width}")
         if self.mode == "transformer_lite" and (
                 self.heads < 1 or self.dim % self.heads != 0):
             raise ValueError(

@@ -145,8 +145,11 @@ class TestTrain:
     @pytest.mark.parametrize("override", [
         ["--cap_per_hop", "0"], ["--heads", "0"], ["--dim", "0"],
         ["--layers", "0"],
-        ["--dim", "16", "--text_mode", "transformer_lite", "--text_heads", "3"]],
-        ids=["cap_per_hop", "heads", "dim", "layers", "text_heads"])
+        ["--dim", "16", "--text_mode", "transformer_lite", "--text_heads", "3"],
+        ["--lr", "-1"], ["--weight_decay", "-1"], ["--max_len", "0"],
+        ["--text_layers", "0"], ["--text_ff", "0"]],
+        ids=["cap_per_hop", "heads", "dim", "layers", "text_heads", "lr",
+             "weight_decay", "max_len", "text_layers", "text_ff"])
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_out_of_range_value_exits_one_before_any_output(
             self, dataset_dir, tmp_path, capsys, command, override):

@@ -86,7 +86,9 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("lambda_weight", 1.5), ("lambda_weight", -0.2), ("tau", 0.0),
         ("tau", -1.0), ("k", 0), ("batch_size", 1), ("epochs", -1),
-        ("mask_ratio", 0.0), ("mask_ratio", 1.0),
+        ("mask_ratio", 0.0), ("mask_ratio", 1.0), ("lr", 0.0), ("lr", -1.0),
+        ("weight_decay", -1.0), ("max_len", 0), ("text_layers", 0),
+        ("text_ff", 0),
     ])
     def test_out_of_range_values(self, field, value):
         config = RunConfig(**{field: value})

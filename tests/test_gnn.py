@@ -16,8 +16,14 @@ from hoplink.gnn import (
     gcn_layer,
     sage_layer,
 )
+from hoplink.cli import neighbor_order
+from hoplink.config import RunConfig
 from hoplink.kg import NeighborhoodSubgraph
+from hoplink.model import KgcModel
+from hoplink.text import build_vocab
 from hoplink.vgae import Vgae
+
+from conftest import dozen_graph
 
 
 def make_subgraph(A):
@@ -69,7 +75,9 @@ def dense_gat_head(X, A, W, a_src, a_dst, alpha=0.2):
     return ad.matmul(att, h), att.values
 
 
-def dense_encode(enc, X, A, readout):
+def dense_encode(enc, X, A, readout, attention=None):
+    """The encoder over dense n x n operators; a GAT run appends each
+    layer's head-mean attention matrix to ``attention`` when given."""
     cfg, p = enc.config, enc.params
     act = ad.relu if cfg.activation == "relu" else ad.leaky_relu
     H = X
@@ -82,10 +90,13 @@ def dense_encode(enc, X, A, readout):
             mean = ad.matmul(ad.constant(dense_mean_operator(A)), H)
             H = ad.matmul(ad.concat_cols([H, mean]), p[f"l{layer}_w"])
         else:
-            outs = [dense_gat_head(H, A, p[f"l{layer}_h{h}_w"],
-                                   p[f"l{layer}_h{h}_asrc"],
-                                   p[f"l{layer}_h{h}_adst"])[0]
-                    for h in range(cfg.heads)]
+            heads = [dense_gat_head(H, A, p[f"l{layer}_h{h}_w"],
+                                    p[f"l{layer}_h{h}_asrc"],
+                                    p[f"l{layer}_h{h}_adst"])
+                     for h in range(cfg.heads)]
+            if attention is not None:
+                attention.append(np.mean([a for _, a in heads], axis=0))
+            outs = [out for out, _ in heads]
             H = outs[0]
             for out in outs[1:]:
                 H = ad.add(H, out)
@@ -125,6 +136,34 @@ subgraph_strategy = st.integers(1, 6).flatmap(lambda n: st.tuples(
                        st.integers(0, n - 1)), max_size=3 * n)))
 
 
+def stacked_batch(subs):
+    """The dense block-diagonal adjacency, GraphBatch and head rows of
+    subgraphs given as strategy draws."""
+    blocks = []
+    for n, triples in subs:
+        A = np.zeros((n, n))
+        for i, _, j in triples:
+            A[i, j] = 1.0
+        blocks.append(A)
+    arrows, offsets = combine_adjacency([make_subgraph(b) for b in blocks])
+    A = block_diag(*blocks)
+    return A, GraphBatch(arrows, len(A)), offsets
+
+
+def assert_encoders_agree(A, graph, readout, X0, weights, layers, seed):
+    for variant in ("gcn", "sage", "gat"):
+        enc = encoder(variant, layers=layers, seed=seed)
+        got = value_and_grads(
+            lambda X: enc.encode(X, graph, readout), X0, weights,
+            enc.parameters())
+        want = value_and_grads(
+            lambda X: dense_encode(enc, X, A, readout), X0, weights,
+            enc.parameters())
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{variant}, {layers} layers")
+
+
 class TestEdgeIndexMatchesDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(subs=st.lists(subgraph_strategy, min_size=1, max_size=3),
@@ -135,30 +174,10 @@ class TestEdgeIndexMatchesDenseOracle:
                    (2, [(0, 0, 1), (0, 2, 1)]), (1, [])], seed=0)
     def test_encoders_agree_in_values_and_input_gradients(self, subs, seed):
         rng = np.random.default_rng(seed)
-        blocks = []
-        for n, triples in subs:
-            A = np.zeros((n, n))
-            for i, _, j in triples:
-                A[i, j] = 1.0
-            blocks.append(A)
-        A = block_diag(*blocks)
-        subgraphs = [make_subgraph(b) for b in blocks]
-        arrows, offsets = combine_adjacency(subgraphs)
-        graph = GraphBatch(arrows, len(A))
+        A, graph, offsets = stacked_batch(subs)
         X0 = rng.normal(size=(len(A), 6))
         weights = rng.normal(size=(len(offsets), 6))
-
-        for variant in ("gcn", "sage", "gat"):
-            enc = encoder(variant, seed=seed)
-            got = value_and_grads(
-                lambda X: enc.encode(X, graph, offsets), X0, weights,
-                enc.parameters())
-            want = value_and_grads(
-                lambda X: dense_encode(enc, X, A, offsets), X0, weights,
-                enc.parameters())
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
-                                           err_msg=variant)
+        assert_encoders_agree(A, graph, offsets, X0, weights, 2, seed)
 
         vgae = Vgae(6, np.random.default_rng(seed), latent_dim=3)
         weights = rng.normal(size=(len(A), 3))
@@ -170,6 +189,40 @@ class TestEdgeIndexMatchesDenseOracle:
             vgae.parameters())
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(subs=st.lists(subgraph_strategy, min_size=1, max_size=3),
+           layers=st.sampled_from([1, 3]), picks=st.lists(
+               st.integers(0, 2**16), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    # a batch of one one-node subgraph
+    @example(subs=[(1, [])], layers=1, picks=[0], seed=0)
+    @example(subs=[(1, [])], layers=3, picks=[0, 0], seed=1)
+    # rows that are not subgraph starts, unsorted and repeated, next to a
+    # one-node subgraph
+    @example(subs=[(3, [(0, 0, 1), (1, 1, 2)]), (1, []),
+                   (4, [(0, 0, 3), (2, 1, 1), (3, 0, 2)])],
+             layers=3, picks=[6, 1, 3, 6, 0, 5], seed=2)
+    def test_any_readout_rows_and_layer_count(self, subs, layers, picks, seed):
+        rng = np.random.default_rng(seed)
+        A, graph, _ = stacked_batch(subs)
+        readout = [p % len(A) for p in picks]
+        assert_encoders_agree(A, graph, readout, rng.normal(size=(len(A), 6)),
+                              rng.normal(size=(len(readout), 6)), layers, seed)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_final_gat_attention_covers_only_readout_edges(self, layers):
+        A, graph, _ = stacked_batch([(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)]),
+                                     (3, [(0, 0, 1), (2, 0, 1)])])
+        readout = [5, 0, 5, 2]
+        enc = encoder("gat", layers=layers)
+        enc.encode(Tensor(np.random.default_rng(0).normal(size=(len(A), 6))),
+                   graph, readout)
+        final = enc.last_attention[-1]
+        assert final.size == sum(graph.indptr[r + 1] - graph.indptr[r]
+                                 for r in readout)
+        assert [a.size for a in enc.last_attention[:-1]] \
+            == [len(graph.dst)] * (layers - 1)
 
     def test_self_loop_arrow_weighs_twice_in_gcn(self):
         op = GraphBatch(np.array([[0, 0], [0, 1]]), 2).gcn_operator.toarray()
@@ -200,6 +253,25 @@ class TestNormalizeAdjacency:
     def test_out_of_range_arrow_rejected(self):
         with pytest.raises(ShapeError):
             GraphBatch(np.array([[0, 2]]), 2)
+
+
+class TestGraphRows:
+    def test_edges_into_each_row_in_graph_order(self):
+        graph = graph_of(TestEncodeNeighborhood.PATH5)
+        rows = graph.rows([3, 0, 3])
+        want = [np.arange(graph.indptr[r], graph.indptr[r + 1])
+                for r in (3, 0, 3)]
+        np.testing.assert_array_equal(
+            rows.indptr, np.cumsum([0] + [len(w) for w in want]))
+        edges = np.concatenate(want)
+        np.testing.assert_array_equal(rows.dst, graph.dst[edges])
+        np.testing.assert_array_equal(rows.src, graph.src[edges])
+        np.testing.assert_array_equal(rows.pattern.toarray(),
+                                      graph.pattern.toarray()[[3, 0, 3]])
+
+    def test_empty_readout_rejected(self):
+        with pytest.raises(ShapeError, match="non-empty"):
+            graph_of(TestEncodeNeighborhood.PATH5).rows([])
 
 
 class TestGcnLayer:
@@ -386,6 +458,14 @@ class TestEncodeNeighborhood:
             np.testing.assert_allclose(batched[row], single[0],
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
+    @pytest.mark.parametrize("row", [-1, 5])
+    def test_out_of_range_readout_row_rejected(self, variant, row):
+        enc = encoder(variant, dim=6)
+        X = Tensor(np.random.default_rng(15).normal(size=(5, 6)))
+        with pytest.raises(IndexError, match="out of range"):
+            enc.encode(X, graph_of(self.PATH5), [0, row])
+
     def test_gat_attention_recorded_per_layer(self):
         enc = encoder("gat", dim=6, layers=2)
         X = Tensor(np.random.default_rng(14).normal(size=(5, 6)))
@@ -393,6 +473,27 @@ class TestEncodeNeighborhood:
         assert len(enc.last_attention) == 2
         dense = dense_attention(graph_of(self.PATH5), enc.last_attention[0])
         np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestExplainNeighborOrder:
+    def test_gat_order_follows_dense_final_attention_into_the_head(self):
+        kg = dozen_graph()
+        model = KgcModel(RunConfig(dim=12, heads=2, k=2, seed=5),
+                         build_vocab(kg))
+        with ad.no_grad():
+            batch = model.encode_queries(kg, [(0, 0), (4, 1)], [3, 4])
+        got = neighbor_order(model, batch, kg)
+
+        graph = batch.graph
+        A = np.zeros((graph.num_nodes, graph.num_nodes))
+        A[graph.arrows[:, 0], graph.arrows[:, 1]] = 1.0
+        attention = []
+        dense_encode(model.gnn, batch.X, A, batch.offsets, attention)
+        into_head = attention[-1][0]
+        want = sorted(range(1, batch.subgraphs[0].num_nodes),
+                      key=lambda i: (-into_head[i], i))
+        assert len(want) > 2
+        assert got == want
 
 
 class TestConfigValidation:

@@ -179,6 +179,12 @@ class TestTransformerLite:
         with pytest.raises(ValueError, match="divisible"):
             TextEncoderConfig(dim=9, mode="transformer_lite", heads=2)
 
+    @pytest.mark.parametrize("field", ["layers", "ff_width"])
+    @pytest.mark.parametrize("mode", ["mean_pool", "transformer_lite"])
+    def test_layers_and_ff_width_below_one_rejected(self, field, mode):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TextEncoderConfig(dim=8, mode=mode, heads=2, **{field: 0})
+
     def test_shapes_and_determinism(self):
         _, enc = small_encoder(["apple", "red", "rel"], dim=8,
                                mode="transformer_lite", heads=2, layers=1)
