@@ -217,8 +217,8 @@ class GraphEncoder:
         cfg = self.config
         activation = ACTIVATIONS[cfg.activation]
         self.last_attention = []
-        out_rows = graph.rows(readout)
-        readout = out_rows.rows
+        final_graph = graph.rows(readout)
+        readout = final_graph.rows
 
         H = X
         for layer in range(cfg.layers):
@@ -232,7 +232,7 @@ class GraphEncoder:
                 H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
                                readout if final else None)
             else:
-                heads = [gat_head(H, out_rows if final else graph,
+                heads = [gat_head(H, final_graph if final else graph,
                                   *(self.params[f"l{layer}_h{h}_{k}"]
                                     for k in ("w", "asrc", "adst")))
                          for h in range(cfg.heads)]
