@@ -504,15 +504,25 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        # in place, keeping the operation order of the update
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so it rounds the same way
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = g * g
+            gg *= 1.0 - self.beta2
+            v *= self.beta2
+            v += gg
             if self.weight_decay:
                 p.values *= 1.0 - self.lr * self.weight_decay
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            step = m / bc1
+            step *= self.lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            p.values -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

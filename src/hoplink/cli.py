@@ -33,6 +33,7 @@ from .kg import (
     ParseError,
     add_inverse_relations,
     load_dataset_dir,
+    subgraph_edges,
     validate_counts,
 )
 from .model import KgcModel, load_model, save_model
@@ -314,8 +315,8 @@ def neighbor_order(model: KgcModel, batch, kg: KnowledgeGraph) -> list[int]:
                                  -kg.degree(sub.nodes[i]), sub.nodes[i]))
 
 
-def connecting_edge(sub, node_index: int, kg: KnowledgeGraph):
-    touching = [(i, j, r) for i, j, r in sub.edges
+def connecting_edge(sub, edges, node_index: int, kg: KnowledgeGraph):
+    touching = [(i, j, r) for i, j, r in edges
                 if i == node_index or j == node_index]
     if not touching:
         return None
@@ -365,6 +366,7 @@ def cmd_explain(args) -> int:
         gold = {"entity": "", "score": 0.0, "rank": 0, "in_top_n": False}
 
     sub = batch.subgraphs[0]
+    edges = subgraph_edges(kg, sub)
     top_tokens = set(tokenize(top[0]["entity"])) if top else set()
     neighbors = []
     for idx in neighbor_order(model, batch, kg):
@@ -373,7 +375,7 @@ def cmd_explain(args) -> int:
                          & set(tokenize(f"{rec.name} {rec.description}")))
         entry = {"name": rec.name, "description": rec.description,
                  "hop": int(sub.hop_of[idx]), "highlights": overlap}
-        edge = connecting_edge(sub, idx, kg)
+        edge = connecting_edge(sub, edges, idx, kg)
         if edge:
             entry.update(edge)
         neighbors.append(entry)

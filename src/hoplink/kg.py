@@ -8,7 +8,8 @@ identical id maps.
 ``NeighborIndex`` of the train triples (each entity's neighbors and out-edges
 as one slice of a flat array), from which ``khop_neighborhood`` samples every
 query's subgraph and ``degree`` counts edges. Valid and test triples never
-leak into it.
+leak into it. A sampled subgraph holds arrays only; ``subgraph_edges`` lists
+its per-relation edges on demand.
 """
 
 from __future__ import annotations
@@ -63,15 +64,14 @@ class NeighborhoodSubgraph:
     ``nodes`` lists original entity ids with the head at index 0. ``arrows``
     is an (m, 2) int array holding each (i, j) once iff some train triple
     links nodes[i] -> nodes[j] (original direction; synthesized inverse
-    relations add no arrows), sorted by i then j. ``edges`` keeps the
-    per-relation detail behind the arrows.
+    relations add no arrows), sorted by i then j. ``subgraph_edges`` gives
+    the per-relation detail behind the arrows on demand.
     """
 
     nodes: list[int]
     arrows: np.ndarray
     hop_of: np.ndarray
     truncated: bool
-    edges: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:
@@ -119,6 +119,16 @@ def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     ends = np.cumsum(counts)
     slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
     return slots, counts
+
+
+def _out_links(index: NeighborIndex, nodes: np.ndarray,
+               position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, out-row slot) of every out-edge nodes[i] -> nodes[j], by i then
+    out-row order; ``position`` maps an entity to its node index, or -1."""
+    slots, counts = _row_slots(index.out_indptr, nodes)
+    j = position[index.out_tails[slots]]
+    linked = j >= 0
+    return np.repeat(np.arange(len(nodes)), counts)[linked], j[linked], slots[linked]
 
 
 @dataclass
@@ -411,9 +421,13 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
         frontier = hops[-1]
         if len(frontier) == 1:
             found = index.indices[index.indptr[frontier[0]]:index.indptr[frontier[0] + 1]]
+            candidates = found[position[found] < 0]
         else:
-            found = _sorted_unique(index.indices[_row_slots(index.indptr, frontier)[0]])
-        candidates = found[position[found] < 0]
+            # a mark per entity dedupes and sorts the neighbors without a sort
+            mark = np.zeros(kg.num_entities, dtype=bool)
+            mark[index.indices[_row_slots(index.indptr, frontier)[0]]] = True
+            mark[np.concatenate(hops)] = False
+            candidates = np.flatnonzero(mark)
         if len(candidates) > cap_per_hop:
             rng = rng or np.random.default_rng(seed)
             keep = rng.choice(len(candidates), size=cap_per_hop, replace=False)
@@ -426,14 +440,20 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
 
     nodes = np.concatenate(hops)
     m = len(nodes)
-    slots, counts = _row_slots(index.out_indptr, nodes)
-    j = position[index.out_tails[slots]]
-    linked = j >= 0
-    i = np.repeat(np.arange(m), counts)[linked]
-    j = j[linked]
-    r = index.out_relations[slots[linked]]
-    edges = list(zip(i.tolist(), j.tolist(), r.tolist()))
+    i, j, _ = _out_links(index, nodes, position)
     arrows = np.stack(np.divmod(_sorted_unique(i * m + j), m), axis=1)
     hop_of = np.repeat(np.arange(len(hops)), [len(hop) for hop in hops])
     return NeighborhoodSubgraph(nodes=nodes.tolist(), arrows=arrows,
-                                hop_of=hop_of, truncated=truncated, edges=edges)
+                                hop_of=hop_of, truncated=truncated)
+
+
+def subgraph_edges(kg: KnowledgeGraph,
+                   sub: NeighborhoodSubgraph) -> list[tuple[int, int, int]]:
+    """(i, j, relation) of each distinct train triple nodes[i] -> nodes[j]
+    behind ``sub.arrows``, by i then (relation, tail)."""
+    nodes = np.asarray(sub.nodes, dtype=np.int64)
+    position = np.full(kg.num_entities, -1, dtype=np.int64)
+    position[nodes] = np.arange(len(nodes))
+    i, j, slots = _out_links(kg.neighbor_index, nodes, position)
+    relations = kg.neighbor_index.out_relations[slots]
+    return list(zip(i.tolist(), j.tolist(), relations.tolist()))

@@ -7,6 +7,7 @@ table but keep separate projection (or transformer) parameters.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -95,17 +96,11 @@ def save_vocab(tokenizer: Tokenizer, path) -> None:
 def bag_matrix(ids_list: Sequence[Sequence[int]],
                vocab_size: int) -> tuple[sp.csr_matrix, np.ndarray]:
     """Count-normalized bag rows; an empty sequence yields a zero row."""
-    rows, cols, vals = [], [], []
-    empty = np.zeros(len(ids_list), dtype=bool)
-    for i, ids in enumerate(ids_list):
-        if not ids:
-            empty[i] = True
-            continue
-        weight = 1.0 / len(ids)
-        for tid in ids:
-            rows.append(i)
-            cols.append(tid)
-            vals.append(weight)
+    lengths = np.fromiter(map(len, ids_list), np.int64, len(ids_list))
+    empty = lengths == 0
+    rows = np.repeat(np.arange(len(ids_list)), lengths)
+    cols = np.fromiter(itertools.chain.from_iterable(ids_list), np.int64, lengths.sum())
+    vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(len(ids_list), vocab_size), dtype=np.float64)
     mat.sum_duplicates()

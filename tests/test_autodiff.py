@@ -414,6 +414,35 @@ class TestAdamW:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_matches_the_formula_oracle(self, weight_decay):
+        # the textbook update on fresh arrays; the in-place step must give
+        # the same bits for parameters and both moments
+        lr, (b1, b2), eps = 0.05, (0.9, 0.999), 1e-8
+        rng = np.random.default_rng(8)
+        shapes = [(40, 6), (6,), (3, 5)]
+        params = [parameter(rng.normal(size=s)) for s in shapes]
+        want = [p.values.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = AdamW(params, lr=lr, betas=(b1, b2), eps=eps,
+                    weight_decay=weight_decay)
+        for t in range(1, 7):
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, p in enumerate(params):
+                g = rng.normal(size=shapes[i]) * (0.0 if t == 3 else 1.0)
+                p.grad = g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                if weight_decay:
+                    want[i] *= 1.0 - lr * weight_decay
+                want[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            opt.step()
+            for i, p in enumerate(params):
+                assert np.array_equal(p.values, want[i])
+                assert np.array_equal(opt.m[i], m[i])
+                assert np.array_equal(opt.v[i], v[i])
+
 
 class TestFiniteDiffCheck:
     def test_linear_function_is_near_exact(self):

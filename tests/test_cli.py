@@ -7,6 +7,7 @@ import pytest
 import hoplink.cli as cli
 from hoplink.checkpoint import load_checkpoint, save_checkpoint
 from hoplink.cli import main
+from hoplink.kg import load_dataset_dir
 from hoplink.text import tokenize
 
 
@@ -302,6 +303,45 @@ class TestExplain:
                               & set(tokenize(f"{n['name']} "
                                              f"{n['description']}")))
             assert n["highlights"] == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_neighbor_names_its_connecting_train_edge(
+            self, trained_run, dataset_dir, tmp_path, k):
+        if k == 1:
+            checkpoint = trained_run["checkpoint"]
+        else:
+            cfg = write_config(tmp_path / "k2.cfg", dataset_dir, tmp_path / "o",
+                               k=2, cap_per_hop=6)
+            assert main(["train", "--config", str(cfg)]) == 0
+            checkpoint = tmp_path / "o" / "checkpoint.ckpt"
+        kg = load_dataset_dir(dataset_dir)
+        names = [rec.name for rec in kg.entities]
+        assert len(set(names)) == len(names)
+        entity_of = {name: e for e, name in enumerate(names)}
+        listed = 0
+        for head in ("item01", "item05", "hub2"):
+            assert main(["explain", "--checkpoint", str(checkpoint),
+                         "--head", head, "--relation", "cue1"]) == 0
+            payload = json.loads(
+                (checkpoint.parent / "explanation.json").read_text())
+            # subgraph node order is hop, then entity id
+            rank = {entity_of[head]: (0, entity_of[head])}
+            rank.update((entity_of[n["name"]], (n["hop"], entity_of[n["name"]]))
+                        for n in payload["neighbors"])
+            for n in payload["neighbors"]:
+                node = entity_of[n["name"]]
+                # the joining train triple whose other end ranks first, then
+                # by relation, then by the rank of its head
+                joins = [(rank[tr.tail if tr.head == node else tr.head],
+                          tr.relation, rank[tr.head], tr)
+                         for tr in kg.splits["train"]
+                         if (tr.head == node and tr.tail in rank)
+                         or (tr.tail == node and tr.head in rank)]
+                tr = min(joins, key=lambda j: j[:3])[3]
+                assert n["relation"] == kg.relation_labels[tr.relation]
+                assert n["edge"] == f"{names[tr.head]} -> {names[tr.tail]}"
+                listed += 1
+        assert listed > 3 * k
 
     def test_anchor_text_shows_up_as_a_highlight(self, trained_run):
         # some cue neighbor names the hub that tops the prediction list;

@@ -1,5 +1,6 @@
 import warnings
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hoplink.kg import (
     KnowledgeGraph,
     ParseError,
     TransductiveWarning,
-    NeighborhoodSubgraph,
     Triple,
     add_inverse_relations,
     build_filter_index,
@@ -19,6 +19,7 @@ from hoplink.kg import (
     load_dataset,
     load_dataset_dir,
     queries_both_directions,
+    subgraph_edges,
     validate_counts,
 )
 
@@ -329,7 +330,7 @@ def set_based_khop(kg, head, k, cap_per_hop, seed):
     """Reference sampler: the set-based BFS that the CSR sampler replaced
     (neighbor sets per frontier node, one scan of each node's sorted
     out-edges), with its adjacency built from the train triples here, as an
-    oracle for every output field."""
+    oracle for every output field and for ``subgraph_edges``."""
     out_adj, in_adj = defaultdict(set), defaultdict(set)
     for tr in kg.splits["train"]:
         out_adj[tr.head].add((tr.relation, tr.tail))
@@ -368,11 +369,11 @@ def set_based_khop(kg, head, k, cap_per_hop, seed):
     arrows = np.array(sorted({(i, j) for i, j, _ in edges}),
                       dtype=np.int64).reshape(-1, 2)
     hops = np.array([hop_of[e] for e in order], dtype=np.int64)
-    return NeighborhoodSubgraph(nodes=order, arrows=arrows, hop_of=hops,
-                                truncated=truncated, edges=edges)
+    return SimpleNamespace(nodes=order, arrows=arrows, hop_of=hops,
+                           truncated=truncated, edges=edges)
 
 
-def assert_same_subgraph(got, want):
+def assert_same_subgraph(kg, got, want):
     assert got.nodes == want.nodes
     assert all(type(e) is int for e in got.nodes)
     assert got.hop_of.dtype == np.int64
@@ -381,7 +382,7 @@ def assert_same_subgraph(got, want):
     assert got.arrows.dtype == np.int64
     assert got.arrows.shape == want.arrows.shape
     assert got.arrows.tolist() == want.arrows.tolist()
-    assert got.edges == want.edges
+    assert subgraph_edges(kg, got) == want.edges
 
 
 id_rows = st.integers(1, 10).flatmap(lambda n: st.lists(
@@ -417,7 +418,7 @@ class TestCsrSamplerMatchesSetOracle:
     def test_every_field_matches(self, rows, pick, k, cap, seed, inverse):
         kg = self.graph(rows, inverse)
         for head in (pick % kg.num_entities, kg.entity_ids["lone"]):
-            assert_same_subgraph(khop_neighborhood(kg, head, k, cap, seed),
+            assert_same_subgraph(kg, khop_neighborhood(kg, head, k, cap, seed),
                                  set_based_khop(kg, head, k, cap, seed))
 
     def test_truncating_hops_on_random_graphs(self):
@@ -432,9 +433,32 @@ class TestCsrSamplerMatchesSetOracle:
             for k in (1, 2, 3):
                 head = int(rng.integers(0, kg.num_entities))
                 got = khop_neighborhood(kg, head, k, cap_per_hop=3, seed=trial)
-                assert_same_subgraph(got, set_based_khop(kg, head, k, 3, trial))
+                assert_same_subgraph(kg, got, set_based_khop(kg, head, k, 3, trial))
                 truncated[k] += got.truncated
         assert all(truncated[k] >= 20 for k in (1, 2, 3)), dict(truncated)
+
+    def test_hub_frontiers_on_a_skewed_graph(self):
+        # a few hundred entities whose popularity falls off as 1 / rank, so
+        # a hop from a hub gathers frontiers far wider than the caps above
+        rng = np.random.default_rng(17)
+        n, size = 300, 1200
+        weight = 1.0 / np.arange(1, n + 1)
+        weight /= weight.sum()
+        rows = [(int(h), int(r), int(t)) for h, r, t in zip(
+            rng.choice(n, size, p=weight), rng.integers(0, 4, size),
+            rng.choice(n, size, p=weight))]
+        kg = self.graph(rows, inverse=True)
+        heads = rng.integers(0, kg.num_entities, 200)
+        widest, truncated = 0, 0
+        for trial, head in enumerate(heads.tolist()):
+            for k in (2, 3):
+                for cap in (32, n):
+                    got = khop_neighborhood(kg, head, k, cap, seed=trial)
+                    assert_same_subgraph(kg, got,
+                                         set_based_khop(kg, head, k, cap, trial))
+                    widest = max(widest, int(np.bincount(got.hop_of).max()))
+                    truncated += got.truncated
+        assert widest > 100 and truncated > 100, (widest, truncated)
 
     def test_index_ignores_inverse_relations(self):
         kg = self.graph([(0, 0, 1), (1, 1, 2), (2, 0, 2)], inverse=False)

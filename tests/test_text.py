@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hoplink import autodiff as ad
 from hoplink.kg import KnowledgeGraph
@@ -99,12 +100,59 @@ class TestBuildVocab:
         assert parsed == tok.token_to_id
 
 
+def bag_matrix_loop(ids_list, vocab_size):
+    """Reference: the per-token append loop that ``bag_matrix`` replaced."""
+    rows, cols, vals = [], [], []
+    empty = np.zeros(len(ids_list), dtype=bool)
+    for i, ids in enumerate(ids_list):
+        if not ids:
+            empty[i] = True
+            continue
+        weight = 1.0 / len(ids)
+        for tid in ids:
+            rows.append(i)
+            cols.append(tid)
+            vals.append(weight)
+    mat = sp.csr_matrix((vals, (rows, cols)),
+                        shape=(len(ids_list), vocab_size), dtype=np.float64)
+    mat.sum_duplicates()
+    return mat, empty
+
+
 class TestBagMatrix:
     def test_normalized_counts(self):
         bag, empty = bag_matrix([[3, 3, 4], []], vocab_size=6)
         np.testing.assert_allclose(bag.toarray(), [
             [0, 0, 0, 2 / 3, 1 / 3, 0], [0, 0, 0, 0, 0, 0]])
         np.testing.assert_array_equal(empty, [False, True])
+
+    @pytest.mark.parametrize("ids_list", [
+        [], [[]], [[], []], [[5]], [[0, 0, 0]], [[], [2, 2, 7, 2], []],
+        [[1, 2, 3], [3, 2, 1], [], [4, 4, 4, 4, 4, 4, 4]],
+    ])
+    def test_matches_the_loop_oracle(self, ids_list):
+        got, got_empty = bag_matrix(ids_list, vocab_size=8)
+        want, want_empty = bag_matrix_loop(ids_list, vocab_size=8)
+        assert_same_csr(got, want)
+        assert got_empty.dtype == want_empty.dtype
+        np.testing.assert_array_equal(got_empty, want_empty)
+
+    def test_matches_the_loop_oracle_on_random_sequences(self):
+        rng = np.random.default_rng(9)
+        ids_list = [rng.integers(0, 30, size=rng.integers(0, 12)).tolist()
+                    for _ in range(300)]
+        got, got_empty = bag_matrix(ids_list, vocab_size=30)
+        want, want_empty = bag_matrix_loop(ids_list, vocab_size=30)
+        assert_same_csr(got, want)
+        np.testing.assert_array_equal(got_empty, want_empty)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
 
 
 class TestMeanPoolEncoder:
