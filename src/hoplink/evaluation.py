@@ -89,7 +89,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
         queries = queries[:max_queries]
     if not queries:
         return RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
-    tail_rows, _ = model.tail_matrix(kg)
+    entities = model.entity_matrix(kg)
+    tail_rows, _ = model.tail_matrix(kg, entities)
     ranks = np.full(len(queries), kg.num_entities, dtype=np.int64)
     seen = [i for i, q in enumerate(queries)
             if not kg.query_is_unseen(q.head, q.relation)]
@@ -101,7 +102,7 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
                  for i in index]
         with ad.no_grad():
             batch = model.encode_queries(
-                kg, [(q.head, q.relation) for q in chunk], seeds)
+                kg, [(q.head, q.relation) for q in chunk], seeds, entities)
         scores = query_scores(batch.e_hr.values, tail_rows)
         ranks[index] = filtered_rank(
             scores, [q.tail for q in chunk],

@@ -112,14 +112,21 @@ class KgcModel:
                  for e in ids]
         return self.text.encode_tails(items)
 
-    def tail_matrix(self, kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-        """All-entity tail encodings, row-normalized, built without gradients.
+    def entity_matrix(self, kg: KnowledgeGraph) -> np.ndarray:
+        """Every entity's tail encoding (E x d), built without gradients."""
+        with ad.no_grad():
+            return self.encode_entities(kg, list(range(kg.num_entities))).values
+
+    def tail_matrix(self, kg: KnowledgeGraph,
+                    entities: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """All-entity tail encodings, row-normalized: the rows of
+        ``entities`` when given, else of a fresh ``entity_matrix(kg)``.
 
         Returns (E x d matrix, zero-row flags). Rows with no text or a vector
         of norm ~0 stay zero, so their cosine score against any query is 0.
         """
-        with ad.no_grad():
-            mat = self.encode_entities(kg, list(range(kg.num_entities))).values
+        mat = self.entity_matrix(kg) if entities is None else entities
         norms = np.linalg.norm(mat, axis=1)
         zero = norms <= 1e-12
         safe = np.where(zero, 1.0, norms)
@@ -135,8 +142,13 @@ class KgcModel:
 
     def encode_queries(self, kg: KnowledgeGraph,
                        queries: list[tuple[int, int]],
-                       seeds: list[int]) -> QueryBatch:
-        """Encode a batch of (head, relation) queries in one graph pass."""
+                       seeds: list[int],
+                       entities: np.ndarray | None = None) -> QueryBatch:
+        """Encode a batch of (head, relation) queries in one graph pass.
+
+        Neighbor rows come from the tail tower, or, without gradients, as
+        rows of ``entities`` when it holds ``entity_matrix(kg)``: the tower
+        encodes each row on its own, so the rows are the same bits."""
         if len(seeds) != len(queries):
             raise ValueError("one neighborhood seed per query is required")
         subs = [self.neighborhood(kg, h, seed)
@@ -147,7 +159,8 @@ class KgcModel:
 
         neighbor_ids = [e for sub in subs for e in sub.nodes[1:]]
         if neighbor_ids:
-            N = self.encode_entities(kg, neighbor_ids)
+            N = (self.encode_entities(kg, neighbor_ids) if entities is None
+                 else ad.constant(entities[neighbor_ids]))
             stacked = ad.concat_rows([H, N])
         else:
             stacked = H

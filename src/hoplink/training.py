@@ -96,8 +96,8 @@ def combined_loss(kg_loss: Tensor | None, edge_loss_term: Tensor | None,
                   ad.scale(edge_loss_term, 1.0 - lambda_weight))
 
 
-def batch_edge_loss(model: KgcModel, batch: QueryBatch,
-                    masks: list[EdgeMask], noise_seed: int) -> Tensor:
+def batch_edge_loss(model: KgcModel, batch: QueryBatch, mask: EdgeMask,
+                    noise_seed: int) -> Tensor:
     """Edge-reconstruction loss over a batch's subgraphs, averaged per query.
 
     All subgraphs share one encoder pass over the batch's arrows minus the
@@ -107,14 +107,13 @@ def batch_edge_loss(model: KgcModel, batch: QueryBatch,
     if model.vgae is None:
         raise ValueError("model was built without an edge decoder")
     n = batch.graph.num_nodes
-    held = np.concatenate([mask.positives + offset
-                           for mask, offset in zip(masks, batch.offsets)])
+    held = mask.positives
     hidden = np.concatenate([held @ np.array([n, 1]), held @ np.array([1, n])])
     arrows = batch.graph.arrows
     visible = arrows[~np.isin(arrows @ np.array([n, 1]), hidden)]
     state = model.vgae.encode(batch.X, GraphBatch(visible, n))
     z = reparameterize(state, noise_seed)
-    return edge_loss(state, z, masks,
+    return edge_loss(state, z, mask,
                      [sub.num_nodes for sub in batch.subgraphs])
 
 
@@ -167,12 +166,14 @@ class Trainer:
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
 
         if model.vgae is not None:
-            masks = [mask_edges(sub.arrows, sub.num_nodes, cfg.mask_ratio,
-                                derive_seed(cfg.seed,
-                                            f"mask:{epoch}:{batch_index}:{k}"))[1]
-                     for k, sub in enumerate(batch.subgraphs)]
+            sizes = [sub.num_nodes for sub in batch.subgraphs]
+            mask_seeds = [
+                derive_seed(cfg.seed, f"mask:{epoch}:{batch_index}:{k}")
+                for k in range(len(sizes))]
+            _, mask = mask_edges(batch.graph.arrows, sizes, cfg.mask_ratio,
+                                 mask_seeds)
             noise_seed = derive_seed(cfg.seed, f"noise:{epoch}:{batch_index}")
-            edge_term = batch_edge_loss(model, batch, masks, noise_seed)
+            edge_term = batch_edge_loss(model, batch, mask, noise_seed)
             loss = combined_loss(kg_term, edge_term, cfg.lambda_weight)
         else:
             loss = combined_loss(kg_term, None, cfg.lambda_weight)

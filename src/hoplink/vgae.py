@@ -4,7 +4,6 @@ product."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +15,13 @@ from .gnn import GraphBatch, gcn_layer
 
 @dataclass
 class EdgeMask:
-    positives: np.ndarray    # (k, 2) int64 held-out arrows (i, j)
-    negatives: np.ndarray    # (k', 2) int64 sampled non-edges
-    ratio: float
-    seed: int
+    """One batch's held-out arrows and sampled non-edges over stacked rows,
+    grouped by subgraph in batch order."""
+
+    positives: np.ndarray    # (p, 2) int64 held-out arrows (i, j)
+    negatives: np.ndarray    # (q, 2) int64 sampled non-edges
+    pos_counts: np.ndarray   # (s,) int64 positives per subgraph
+    neg_counts: np.ndarray   # (s,) int64 negatives per subgraph
 
     @property
     def empty(self) -> bool:
@@ -32,43 +34,87 @@ class VgaeState:
     log_sigma: Tensor
 
 
-def mask_edges(arrows: np.ndarray, num_nodes: int, ratio: float,
-               seed: int) -> tuple[np.ndarray, EdgeMask]:
-    """Remove ceil(ratio * |arrows|) directed arrows, seeded; sample an equal
-    count of non-edges as negatives: pairs (i != j) with neither (i, j) nor
-    (j, i) an arrow, since the encoder links an arrow's nodes both ways and
-    the decoder scores (j, i) as (i, j). ``arrows`` is sorted by i then j and
-    positives and negatives are drawn by rank in row-major cell order.
-    Returns the visible arrows and the mask. An arrowless graph yields an
-    empty mask, signalling that this sample contributes no edge loss."""
+def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
+               seeds: list[int]) -> tuple[np.ndarray, EdgeMask]:
+    """Mask a batch of subgraphs stacked row-wise: subgraph k owns the next
+    ``sizes[k]`` rows and the run of ``arrows`` whose sources lie in them.
+
+    Per subgraph, remove ceil(ratio * m_k) of its m_k directed arrows, drawn
+    from ``default_rng(seeds[k])``, and sample an equal count of non-edges
+    as negatives: pairs (i != j) in its rows with neither (i, j) nor (j, i)
+    an arrow, since the encoder links an arrow's nodes both ways and the
+    decoder scores (j, i) as (i, j). A subgraph's arrows are sorted by i then
+    j, and positives and negatives are drawn by rank in its row-major cell
+    order. Only the draws run per subgraph; keys, sorts and the rank-to-cell
+    mapping run once over one cell space in which subgraph k's n_k^2 cells
+    follow those of the subgraphs before it. Returns the visible arrows and
+    the mask. An arrowless subgraph gets no pairs, signalling that it
+    contributes no edge loss."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
     arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
-    if len(arrows) == 0:
-        return arrows.copy(), EdgeMask(arrows.copy(), arrows.copy(), ratio, seed)
-    rng = np.random.default_rng(seed)
-    n_mask = math.ceil(ratio * len(arrows))
-    picked = np.sort(rng.choice(len(arrows), size=n_mask, replace=False))
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    if len(sizes) == 0 or len(seeds) != len(sizes) or (sizes < 1).any():
+        raise ShapeError(f"{len(seeds)} seeds for subgraph sizes "
+                         f"{sizes.tolist()}")
+    ends = np.cumsum(sizes)
+    row_start = ends - sizes
+    src, dst = arrows[:, 0], arrows[:, 1]
+    if len(arrows) and (arrows.min() < 0 or arrows.max() >= ends[-1]):
+        raise ShapeError(f"arrow endpoint outside {int(ends[-1])} stacked rows")
+    owner = np.searchsorted(ends, src, side="right")
+    if (owner != np.searchsorted(ends, dst, side="right")).any():
+        raise ShapeError("arrow crosses from one subgraph's rows into another's")
+    if (np.diff(owner) < 0).any():
+        raise ShapeError("arrows are not grouped by subgraph in batch order")
+
+    m = np.bincount(owner, minlength=len(sizes))
+    n_mask = np.ceil(ratio * m).astype(np.int64)
+    # subgraph k's cells (i, j) are keyed cell_start[k] + i_k * n_k + j_k
+    cells = sizes * sizes
+    cell_start = np.cumsum(cells) - cells
+    n, base = sizes[owner], cell_start[owner]
+    i, j = src - row_start[owner], dst - row_start[owner]
+    diag_owner = np.repeat(np.arange(len(sizes)), sizes)
+    diag = np.arange(len(diag_owner)) - row_start[diag_owner]
+    taken = np.sort(np.concatenate([
+        base + i * n + j, base + j * n + i,
+        cell_start[diag_owner] + diag * (sizes[diag_owner] + 1)]))
+    taken = taken[np.concatenate([[True], taken[1:] != taken[:-1]])]
+    n_free = cells - np.diff(np.searchsorted(taken, np.append(cell_start,
+                                                              cells.sum())))
+    free_start = np.cumsum(n_free) - n_free
+    arrow_start = np.cumsum(m) - m
+
+    picks, ranks, n_neg = [], [], np.zeros(len(sizes), dtype=np.int64)
+    for s in np.flatnonzero(m).tolist():
+        rng = np.random.default_rng(seeds[s])
+        count = int(n_mask[s])
+        picks.append(rng.choice(int(m[s]), size=count, replace=False)
+                     + arrow_start[s])
+        free = int(n_free[s])
+        if free:
+            # tiny near-complete graphs may not offer enough distinct non-edges
+            ranks.append(rng.choice(free, size=count, replace=free < count)
+                         + free_start[s])
+            n_neg[s] = count
+    # each subgraph's draws lie in its own index range, so one sort orders
+    # them within every subgraph and keeps the subgraphs in batch order
+    picked = np.sort(np.concatenate(picks)) if picks else np.zeros(0, np.int64)
     positives = arrows[picked]
     visible = np.delete(arrows, picked, axis=0)
 
-    # the k-th free cell c (not taken, not diagonal) has exactly k free
-    # cells before it, so c = k + #(taken cells <= c)
-    n = num_nodes
-    src, dst = arrows[:, 0], arrows[:, 1]
-    taken = np.unique(np.concatenate([src * n + dst, dst * n + src,
-                                      np.arange(n) * (n + 1)]))
-    n_free = n * n - len(taken)
-    if n_free == 0:
-        negatives = np.zeros((0, 2), dtype=np.int64)
-    else:
-        # tiny near-complete graphs may not offer enough distinct non-edges
-        replace = n_free < n_mask
-        ranks = np.sort(rng.choice(n_free, size=n_mask, replace=replace))
-        cells = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
-                                        side="right")
-        negatives = np.stack([cells // n, cells % n], axis=1)
-    return visible, EdgeMask(positives, negatives, ratio, seed)
+    # the R-th free cell c (not taken, not diagonal) has exactly R free cells
+    # before it, so c = R + #(taken cells <= c)
+    rank = np.sort(np.concatenate(ranks)) if ranks else np.zeros(0, np.int64)
+    cell = rank + np.searchsorted(taken - np.arange(len(taken)), rank,
+                                  side="right")
+    neg_owner = np.repeat(np.arange(len(sizes)), n_neg)
+    local_i, local_j = np.divmod(cell - cell_start[neg_owner],
+                                 sizes[neg_owner])
+    first = row_start[neg_owner]
+    negatives = np.stack([local_i + first, local_j + first], axis=1)
+    return visible, EdgeMask(positives, negatives, n_mask, n_neg)
 
 
 class Vgae:
@@ -120,35 +166,33 @@ def kl_to_standard_normal(state: VgaeState) -> Tensor:
     return ad.add(total, ad.constant(-0.5 * state.mu.values.size))
 
 
-def edge_loss(state: VgaeState, Z: Tensor, masks: list[EdgeMask],
+def edge_loss(state: VgaeState, Z: Tensor, mask: EdgeMask,
               sizes: list[int]) -> Tensor:
     """Edge-reconstruction loss of subgraphs stacked row-wise, averaged over
-    the subgraphs: subgraph k fills the next ``sizes[k]`` rows and
-    ``masks[k]`` indexes them from 0.
+    the subgraphs: subgraph k fills the next ``sizes[k]`` rows and owns the
+    k-th run of ``mask``'s positives and negatives, given over stacked rows.
 
-    A subgraph with a non-empty mask adds the mean binary cross-entropy over
-    its masked positives and sampled negatives plus KL / n over its n rows;
-    one with an empty mask adds 0. All pairs are scored in one pass and the
-    KL is one row-weighted sum. The result carries skipped=True when every
-    mask is empty."""
-    if not masks or len(masks) != len(sizes) or sum(sizes) != Z.shape[0]:
-        raise ShapeError(f"{len(masks)} masks over subgraph sizes {sizes} "
-                         f"do not tile {Z.shape[0]} rows")
+    A subgraph with positives adds the mean binary cross-entropy over its
+    masked positives and sampled negatives plus KL / n over its n rows; one
+    without adds 0. All pairs are scored in one pass and the KL is one
+    row-weighted sum. The result carries skipped=True when the mask is
+    empty."""
+    if (not len(sizes) or len(mask.pos_counts) != len(sizes)
+            or sum(sizes) != Z.shape[0]):
+        raise ShapeError(f"a mask of {len(mask.pos_counts)} subgraphs over "
+                         f"sizes {sizes} does not tile {Z.shape[0]} rows")
     sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    n_pos = np.array([len(m.positives) for m in masks])
-    n_neg = np.array([len(m.negatives) for m in masks])
+    n_pos, n_neg = mask.pos_counts, mask.neg_counts
     used = n_pos > 0
-    share = 1.0 / len(masks)
+    share = 1.0 / len(sizes)
     per_pair = np.where(used, share / np.maximum(n_pos + n_neg, 1), 0.0)
 
-    counts = np.concatenate([n_pos, n_neg])
-    pairs = np.concatenate([m.positives for m in masks]
-                           + [m.negatives for m in masks])
-    pairs = pairs + np.repeat(np.concatenate([starts, starts]), counts)[:, None]
+    pairs = np.concatenate([mask.positives, mask.negatives])
     # -log sigmoid(s) = softplus(-s); -log(1 - sigmoid(s)) = softplus(s)
-    sign = np.repeat([-1.0, 1.0], [n_pos.sum(), n_neg.sum()])[:, None]
-    weight = np.repeat(np.concatenate([per_pair, per_pair]), counts)[:, None]
+    sign = np.repeat([-1.0, 1.0], [len(mask.positives),
+                                   len(mask.negatives)])[:, None]
+    weight = np.repeat(np.concatenate([per_pair, per_pair]),
+                       np.concatenate([n_pos, n_neg]))[:, None]
     scores = ad.row_sums(ad.hadamard(ad.gather_rows(Z, pairs[:, 0]),
                                      ad.gather_rows(Z, pairs[:, 1])))
     bce = ad.sum_all(ad.hadamard(

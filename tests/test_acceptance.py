@@ -237,13 +237,13 @@ def test_criterion_2_gradient_correctness():
     worst["info_nce"] = err
 
     vgae = Vgae(4, np.random.default_rng(8), latent_dim=3)
-    visible, mask = mask_edges(graph.arrows, len(A), 0.3, seed=5)
+    visible, mask = mask_edges(graph.arrows, [len(A)], 0.3, [5])
     assert not mask.empty
 
     def f_vgae(x):
         state = vgae.encode(x, GraphBatch(visible, len(A)))
         z = reparameterize(state, seed=11)
-        return edge_loss(state, z, [mask], [len(A)])
+        return edge_loss(state, z, mask, [len(A)])
 
     err = finite_diff_check(f_vgae, ad.parameter(X0.copy()))
     assert err < 1e-4, f"edge loss: max relative error {err:.2e}"
@@ -288,10 +288,11 @@ def combined_gradient_error() -> float:
         batch = model.encode_queries(kg, pairs, seeds)
         gold = model.encode_entities(kg, golds)
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
-        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=60 + i)[1]
-                 for i, sub in enumerate(batch.subgraphs)]
+        _, mask = mask_edges(batch.graph.arrows,
+                             [sub.num_nodes for sub in batch.subgraphs], 0.3,
+                             [60 + i for i in range(len(batch.subgraphs))])
         from hoplink.training import batch_edge_loss
-        edge_term = batch_edge_loss(model, batch, masks, noise_seed=77)
+        edge_term = batch_edge_loss(model, batch, mask, noise_seed=77)
         return combined_loss(kg_term, edge_term, config.lambda_weight)
 
     sub = model.neighborhood(kg, pairs[0][0], seeds[0])

@@ -238,9 +238,9 @@ def record_encode_batches(monkeypatch) -> list[int]:
     sizes: list[int] = []
     encode = KgcModel.encode_queries
 
-    def counting(self, kg, queries, seeds):
+    def counting(self, kg, queries, seeds, *entities):
         sizes.append(len(queries))
-        return encode(self, kg, queries, seeds)
+        return encode(self, kg, queries, seeds, *entities)
 
     monkeypatch.setattr(KgcModel, "encode_queries", counting)
     return sizes

@@ -177,6 +177,14 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def batch_mask(batch, seeds, arrows=None):
+    """One mask over the batch's stacked arrows; subgraph k draws from
+    seeds[k]."""
+    arrows = batch.graph.arrows if arrows is None else arrows
+    return mask_edges(arrows, [sub.num_nodes for sub in batch.subgraphs],
+                      0.3, seeds)[1]
+
+
 class TestBatchEdgeLoss:
     def make_batch(self, kg, cfg, pairs):
         trainer = Trainer(kg, cfg)
@@ -187,10 +195,9 @@ class TestBatchEdgeLoss:
     def test_deterministic_and_finite(self, chain_kg):
         cfg = small_config()
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1), (4, 0)])
-        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=9 + i)[1]
-                 for i, sub in enumerate(batch.subgraphs)]
-        one = batch_edge_loss(model, batch, masks, noise_seed=3).item()
-        two = batch_edge_loss(model, batch, masks, noise_seed=3).item()
+        mask = batch_mask(batch, [9 + i for i in range(3)])
+        one = batch_edge_loss(model, batch, mask, noise_seed=3).item()
+        two = batch_edge_loss(model, batch, mask, noise_seed=3).item()
         assert one == two
         assert np.isfinite(one) and one > 0.0
 
@@ -198,9 +205,8 @@ class TestBatchEdgeLoss:
         cfg = small_config()
         with ad.Tape():
             model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-            masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=4 + i)[1]
-                     for i, sub in enumerate(batch.subgraphs)]
-            loss = batch_edge_loss(model, batch, masks, noise_seed=1)
+            mask = batch_mask(batch, [4 + i for i in range(2)])
+            loss = batch_edge_loss(model, batch, mask, noise_seed=1)
             ad.backward(loss)
         grads = [p.grad for p in model.vgae.parameters()]
         assert all(g is not None for g in grads)
@@ -209,8 +215,7 @@ class TestBatchEdgeLoss:
     def test_all_empty_masks_mean_skip(self, chain_kg):
         cfg = small_config()
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-        empty = [mask_edges(sub.arrows[:0], sub.num_nodes, 0.3, seed=1)[1]
-                 for sub in batch.subgraphs]
+        empty = batch_mask(batch, [1, 1], arrows=batch.graph.arrows[:0])
         loss = batch_edge_loss(model, batch, empty, noise_seed=1)
         assert loss.skipped
         assert loss.item() == 0.0
@@ -223,16 +228,14 @@ class TestBatchEdgeLoss:
         kg = KnowledgeGraph.build(
             {"train": train + [(t, r, h) for h, r, t in train]}, texts)
         model, batch = self.make_batch(kg, small_config(k=1), [(0, 0), (2, 0)])
-        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=6 + i)[1]
-                 for i, sub in enumerate(batch.subgraphs)]
+        mask = batch_mask(batch, [6 + i for i in range(2)])
         seen = []
         encode = model.vgae.encode
         monkeypatch.setattr(model.vgae, "encode",
                             lambda X, graph: seen.append(graph) or encode(X, graph))
-        batch_edge_loss(model, batch, masks, noise_seed=1)
+        batch_edge_loss(model, batch, mask, noise_seed=1)
         op = seen[0].gcn_operator.toarray()
-        pairs = [(i + off, j + off) for mask, off in zip(masks, batch.offsets)
-                 for i, j in mask.positives]
+        pairs = [(i, j) for i, j in mask.positives.tolist()]
         arrows = {tuple(a) for a in batch.graph.arrows.tolist()}
         assert pairs and all((j, i) in arrows for i, j in pairs)
         for i, j in pairs:
@@ -245,10 +248,9 @@ class TestBatchEdgeLoss:
     def test_rejected_without_a_decoder(self, chain_kg):
         cfg = small_config(lambda_weight=1.0)
         model, batch = self.make_batch(chain_kg, cfg, [(0, 0), (2, 1)])
-        masks = [mask_edges(sub.arrows, sub.num_nodes, 0.3, seed=2)[1]
-                 for sub in batch.subgraphs]
+        mask = batch_mask(batch, [2, 2])
         with pytest.raises(ValueError, match="without an edge decoder"):
-            batch_edge_loss(model, batch, masks, noise_seed=1)
+            batch_edge_loss(model, batch, mask, noise_seed=1)
 
 
 class TestTrainer:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoplink import autodiff as ad
-from hoplink.autodiff import AdamW, Tape, Tensor, backward
+from hoplink.autodiff import AdamW, ShapeError, Tape, Tensor, backward
 from hoplink.gnn import GraphBatch
 from hoplink.vgae import (
     EdgeMask,
@@ -56,6 +56,48 @@ def mask_dense(A, ratio, seed):
     return A_visible, positives, negatives
 
 
+def one_mask(positives, negatives):
+    """A one-subgraph batch mask."""
+    return EdgeMask(positives, negatives, np.array([len(positives)]),
+                    np.array([len(negatives)]))
+
+
+def mask_one(arrows, num_nodes, ratio, seed):
+    """The per-subgraph masking that the batched ``mask_edges`` replaced,
+    kept as its oracle: one generator, unique, delete and searchsorted per
+    subgraph, indexed from 0."""
+    arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
+    if len(arrows) == 0:
+        return arrows.copy(), one_mask(arrows.copy(), arrows.copy())
+    rng = np.random.default_rng(seed)
+    n_mask = math.ceil(ratio * len(arrows))
+    picked = np.sort(rng.choice(len(arrows), size=n_mask, replace=False))
+    positives = arrows[picked]
+    visible = np.delete(arrows, picked, axis=0)
+    n = num_nodes
+    src, dst = arrows[:, 0], arrows[:, 1]
+    taken = np.unique(np.concatenate([src * n + dst, dst * n + src,
+                                      np.arange(n) * (n + 1)]))
+    n_free = n * n - len(taken)
+    if n_free == 0:
+        negatives = np.zeros((0, 2), dtype=np.int64)
+    else:
+        replace = n_free < n_mask
+        ranks = np.sort(rng.choice(n_free, size=n_mask, replace=replace))
+        cells = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
+                                        side="right")
+        negatives = np.stack([cells // n, cells % n], axis=1)
+    return visible, one_mask(positives, negatives)
+
+
+def stacked_arrows(subgraphs):
+    """The (n, row-major cells) subgraphs' arrows over consecutive rows."""
+    offsets = np.cumsum([0] + [n for n, _ in subgraphs[:-1]])
+    return np.concatenate([arrows_of(np.reshape(cells, (n, n))) + offset
+                           for (n, cells), offset in zip(subgraphs, offsets)]
+                          ).reshape(-1, 2)
+
+
 class TestMaskEdges:
     def test_counts_at_ratio(self):
         A = np.zeros((6, 6))
@@ -63,7 +105,7 @@ class TestMaskEdges:
                  (5, 0), (0, 2), (1, 3), (2, 4), (3, 5)]
         for i, j in pairs:
             A[i, j] = 1.0
-        visible, mask = mask_edges(arrows_of(A), 6, 0.2, seed=0)
+        visible, mask = mask_edges(arrows_of(A), [6], 0.2, [0])
         assert len(mask.positives) == 2
         assert len(mask.negatives) == 2
         assert len(visible) == 8
@@ -71,14 +113,14 @@ class TestMaskEdges:
     def test_single_edge_never_unmasked(self):
         A = np.zeros((3, 3))
         A[0, 1] = 1.0
-        _, mask = mask_edges(arrows_of(A), 3, 0.01, seed=0)
+        _, mask = mask_edges(arrows_of(A), [3], 0.01, [0])
         assert mask.positives.tolist() == [[0, 1]]
 
     def test_masked_pairs_were_edges_and_negatives_were_not(self):
         rng = np.random.default_rng(3)
         A = (rng.random((10, 10)) > 0.7).astype(float)
         np.fill_diagonal(A, 0)
-        visible, mask = mask_edges(arrows_of(A), 10, 0.3, seed=7)
+        visible, mask = mask_edges(arrows_of(A), [10], 0.3, [7])
         for i, j in mask.positives:
             assert A[i, j] == 1.0 and [i, j] not in visible.tolist()
         for i, j in mask.negatives:
@@ -92,25 +134,25 @@ class TestMaskEdges:
         # the encoder links an arrow's nodes both ways and the decoder scores
         # (j, i) as (i, j), so neither direction of an arrow is a non-edge
         A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
-        _, mask = mask_edges(arrows_of(A), n, 0.3, seed)
+        _, mask = mask_edges(arrows_of(A), [n], 0.3, [seed])
         for i, j in mask.negatives:
             assert A[i, j] == 0.0 and A[j, i] == 0.0
 
     def test_same_seed_same_mask(self):
         A = ring_graph(8)
-        _, m1 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
-        _, m2 = mask_edges(arrows_of(A), 8, 0.4, seed=11)
+        _, m1 = mask_edges(arrows_of(A), [8], 0.4, [11])
+        _, m2 = mask_edges(arrows_of(A), [8], 0.4, [11])
         np.testing.assert_array_equal(m1.positives, m2.positives)
         np.testing.assert_array_equal(m1.negatives, m2.negatives)
 
     def test_edgeless_graph_gives_skip_mask(self):
-        visible, mask = mask_edges(np.zeros((0, 2), dtype=int), 4, 0.15, seed=0)
+        visible, mask = mask_edges(np.zeros((0, 2), dtype=int), [4], 0.15, [0])
         assert mask.empty
         assert len(visible) == 0
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mask_edges(arrows_of(ring_graph()), 5, 0.0, seed=0)
+            mask_edges(arrows_of(ring_graph()), [5], 0.0, [0])
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 7), fill=st.floats(0.0, 1.0),
@@ -119,7 +161,7 @@ class TestMaskEdges:
         # fill near 1 leaves too few non-edges and forces sampling with
         # replacement; the diagonal may carry self-loop arrows
         A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
-        visible, mask = mask_edges(arrows_of(A), n, ratio, seed)
+        visible, mask = mask_edges(arrows_of(A), [n], ratio, [seed])
         A_visible, positives, negatives = mask_dense(A, ratio, seed)
         np.testing.assert_array_equal(mask.positives, positives)
         np.testing.assert_array_equal(mask.negatives, negatives)
@@ -147,14 +189,14 @@ class TestEncode:
         rng = np.random.default_rng(2)
         model = Vgae(4, np.random.default_rng(3), latent_dim=2)
         A = ring_graph(4)
-        visible, mask = mask_edges(arrows_of(A), 4, 0.3, seed=5)
+        visible, mask = mask_edges(arrows_of(A), [4], 0.3, [5])
         graph = GraphBatch(visible, 4)
         X = ad.parameter(rng.normal(size=(4, 4)))
 
         def loss(_):
             state = model.encode(X, graph)
             Z = reparameterize(state, seed=9)
-            return edge_loss(state, Z, [mask], [4])
+            return edge_loss(state, Z, mask, [4])
 
         assert ad.finite_diff_check(loss, X, eps=1e-5) < 1e-4
         assert ad.finite_diff_check(loss, model.params["mu"], eps=1e-5) < 1e-4
@@ -191,8 +233,8 @@ def decoded(Z, i, j):
     read back from a mask that holds it as its one positive: with a zero
     posterior the KL vanishes and the loss is -log P."""
     zero = VgaeState(Tensor(np.zeros(Z.shape)), Tensor(np.zeros(Z.shape)))
-    mask = EdgeMask(pairs((i, j)), pairs(), 0.15, 0)
-    return math.exp(-edge_loss(zero, Z, [mask], [Z.shape[0]]).item())
+    mask = one_mask(pairs((i, j)), pairs())
+    return math.exp(-edge_loss(zero, Z, mask, [Z.shape[0]]).item())
 
 
 class TestEdgeDecoder:
@@ -236,14 +278,14 @@ class TestEdgeLoss:
     def test_perfect_predictions_drive_bce_to_zero(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z = Tensor([[30.0, 0.0], [30.0, 0.0], [-30.0, 0.0]])
-        mask = EdgeMask(pairs((0, 1)), pairs((0, 2)), 0.15, 0)
-        assert edge_loss(state, Z, [mask], [3]).item() < 1e-9
+        mask = one_mask(pairs((0, 1)), pairs((0, 2)))
+        assert edge_loss(state, Z, mask, [3]).item() < 1e-9
 
     def test_three_node_hand_case(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z_values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        mask = EdgeMask(pairs((0, 2)), pairs((0, 1)), 0.15, 0)
-        got = edge_loss(state, Tensor(Z_values), [mask], [3])
+        mask = one_mask(pairs((0, 2)), pairs((0, 1)))
+        got = edge_loss(state, Tensor(Z_values), mask, [3])
         sigmoid = lambda s: 1.0 / (1.0 + np.exp(-s))
         expected = (-np.log(sigmoid(1.0)) - np.log(1.0 - sigmoid(0.0))) / 2.0
         np.testing.assert_allclose(got.item(), expected, atol=1e-9)
@@ -251,7 +293,7 @@ class TestEdgeLoss:
     def test_empty_mask_skips(self):
         state = VgaeState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
         loss = edge_loss(state, Tensor(np.zeros((2, 2))),
-                         [EdgeMask(pairs(), pairs(), 0.15, 0)], [2])
+                         one_mask(pairs(), pairs()), [2])
         assert loss.skipped
         assert loss.item() == 0.0
 
@@ -262,8 +304,8 @@ class TestEdgeLoss:
             state = VgaeState(Tensor(rng.normal(size=(n, 2))),
                               Tensor(rng.normal(size=(n, 2))))
             Z = Tensor(rng.normal(size=(n, 2)))
-            mask = EdgeMask(pairs((0, 1)), pairs((1, 0)), 0.15, 0)
-            assert edge_loss(state, Z, [mask], [n]).item() >= 0.0
+            mask = one_mask(pairs((0, 1)), pairs((1, 0)))
+            assert edge_loss(state, Z, mask, [n]).item() >= 0.0
 
 
 def per_subgraph_edge_loss(state, Z, masks, sizes):
@@ -315,12 +357,64 @@ SUBGRAPH = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
 
 
+ARROWLESS = (4, [False] * 16)
+ONE_NODE = (1, [False])
+SPECIAL = st.sampled_from([NEAR_COMPLETE, ARROWLESS, ONE_NODE, (1, [True])])
+
+
+class TestBatchedMaskMatchesPerSubgraphOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(subgraphs=st.lists(st.one_of(SUBGRAPH, SUBGRAPH, SPECIAL),
+                              min_size=1, max_size=8),
+           ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**63))
+    @example(subgraphs=[(3, [True, False, True] * 3), ARROWLESS,
+                        (2, [False, True, True, False]), ONE_NODE,
+                        (4, [i % 3 == 1 for i in range(16)]), NEAR_COMPLETE,
+                        (3, [i != 4 for i in range(9)])],
+             ratio=0.3, seed=7)
+    @example(subgraphs=[ARROWLESS, ONE_NODE], ratio=0.5, seed=1)
+    def test_each_subgraph_gets_its_own_draws(self, subgraphs, ratio, seed):
+        sizes = [n for n, _ in subgraphs]
+        seeds = [seed + k for k in range(len(sizes))]
+        visible, mask = mask_edges(stacked_arrows(subgraphs), sizes, ratio,
+                                   seeds)
+        want_visible, want_pos, want_neg = [], [], []
+        for k, ((n, cells), offset) in enumerate(
+                zip(subgraphs, np.cumsum([0] + sizes))):
+            v, m = mask_one(arrows_of(np.reshape(cells, (n, n))), n, ratio,
+                            seeds[k])
+            want_visible.append(v + offset)
+            want_pos.append(m.positives + offset)
+            want_neg.append(m.negatives + offset)
+            assert mask.pos_counts[k] == len(m.positives)
+            assert mask.neg_counts[k] == len(m.negatives)
+        for got, want in ((visible, want_visible), (mask.positives, want_pos),
+                          (mask.negatives, want_neg)):
+            want = np.concatenate(want)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("arrows, sizes, seeds", [
+        ([[0, 1], [3, 5]], [2, 3], [1, 2]),    # endpoint past the 5 rows
+        ([[-1, 0]], [2, 3], [1, 2]),           # negative endpoint
+        ([[0, 2]], [2, 3], [1, 2]),            # crosses into the next run
+        ([[3, 4], [0, 1]], [2, 3], [1, 2]),    # runs out of batch order
+        ([[0, 1]], [2, 3], [1]),               # one seed short
+        ([[0, 1]], [2], [1, 2]),               # one seed too many
+    ])
+    def test_malformed_batch_rejected(self, arrows, sizes, seeds):
+        with pytest.raises(ShapeError):
+            mask_edges(np.array(arrows), sizes, 0.5, seeds)
+
+
 class TestBatchedEdgeLossMatchesPerSubgraphOracle:
     def losses(self, subgraphs, ratio, seed):
-        masks = [mask_edges(arrows_of(np.reshape(cells, (n, n))), n, ratio,
-                            seed + k)[1]
+        masks = [mask_one(arrows_of(np.reshape(cells, (n, n))), n, ratio,
+                          seed + k)[1]
                  for k, (n, cells) in enumerate(subgraphs)]
         sizes = [n for n, _ in subgraphs]
+        _, batched = mask_edges(stacked_arrows(subgraphs), sizes, ratio,
+                                [seed + k for k in range(len(sizes))])
         rng = np.random.default_rng(seed)
         leaves = [ad.parameter(rng.normal(size=(sum(sizes), 3)))
                   for _ in range(3)]
@@ -330,7 +424,8 @@ class TestBatchedEdgeLossMatchesPerSubgraphOracle:
                 leaf.grad = None
             with Tape():
                 loss = loss_fn(VgaeState(leaves[0], leaves[1]), leaves[2],
-                               masks, sizes)
+                               batched if loss_fn is edge_loss else masks,
+                               sizes)
                 backward(loss)
             grads = [np.zeros_like(leaf.values) if leaf.grad is None
                      else leaf.grad for leaf in leaves]
@@ -384,7 +479,7 @@ class TestToyTraining:
                 for j in block:
                     if i != j:
                         A[i, j] = 1.0
-        visible, mask = mask_edges(arrows_of(A), n, 0.3, seed=1)
+        visible, mask = mask_edges(arrows_of(A), [n], 0.3, [1])
         assert len(mask.positives) == 8
         graph = GraphBatch(visible, n)
 
@@ -399,7 +494,7 @@ class TestToyTraining:
             with Tape():
                 state = model.encode(X, graph)
                 Z = reparameterize(state, seed=step)
-                loss = edge_loss(state, Z, [mask], [n])
+                loss = edge_loss(state, Z, mask, [n])
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
