@@ -62,7 +62,7 @@ def one_mask(positives, negatives):
                     np.array([len(negatives)]))
 
 
-def mask_one(arrows, num_nodes, ratio, seed):
+def mask_per_subgraph(arrows, num_nodes, ratio, seed):
     """The per-subgraph masking that the batched ``mask_edges`` replaced,
     kept as its oracle: one generator, unique, delete and searchsorted per
     subgraph, indexed from 0."""
@@ -381,8 +381,8 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
         want_visible, want_pos, want_neg = [], [], []
         for k, ((n, cells), offset) in enumerate(
                 zip(subgraphs, np.cumsum([0] + sizes))):
-            v, m = mask_one(arrows_of(np.reshape(cells, (n, n))), n, ratio,
-                            seeds[k])
+            v, m = mask_per_subgraph(arrows_of(np.reshape(cells, (n, n))),
+                                     n, ratio, seeds[k])
             want_visible.append(v + offset)
             want_pos.append(m.positives + offset)
             want_neg.append(m.negatives + offset)
@@ -409,8 +409,8 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
 
 class TestBatchedEdgeLossMatchesPerSubgraphOracle:
     def losses(self, subgraphs, ratio, seed):
-        masks = [mask_one(arrows_of(np.reshape(cells, (n, n))), n, ratio,
-                          seed + k)[1]
+        masks = [mask_per_subgraph(arrows_of(np.reshape(cells, (n, n))), n,
+                                   ratio, seed + k)[1]
                  for k, (n, cells) in enumerate(subgraphs)]
         sizes = [n for n, _ in subgraphs]
         _, batched = mask_edges(stacked_arrows(subgraphs), sizes, ratio,
