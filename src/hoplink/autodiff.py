@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Ops execute eagerly on numpy and record themselves on a thread-local tape
-(a Wengert list). ``backward`` replays the tape in reverse, accumulating
-gradients at fan-out points. Everything is double precision so gradient
-checks stay sharp; graph structure enters as constant sparse matrices, whose
-entries ``sparse_matmul`` can take from a tensor, and as the index runs of
+(a Wengert list). ``backward`` replays the tape in reverse, summing
+gradients at fan-out points, and stores gradients on leaves only: an op
+output's gradient is dropped once its backward rule has used it.
+Everything is double precision so gradient checks stay sharp; graph
+structure enters as constant sparse matrices, whose entries
+``sparse_matmul`` can take from a tensor, and as the index runs of
 ``segment_softmax``.
 
 Each thread has an ambient default tape; scoped work (one training batch,
@@ -106,15 +108,16 @@ class Tensor:
     """Dense float64 array plus an optional gradient accumulator.
 
     ``requires_grad`` marks leaves (parameters) or is derived for op
-    outputs. ``grad`` is populated by :func:`backward` and accumulates
-    across repeated calls until reset to ``None``.
+    outputs. :func:`backward` populates ``grad`` on leaves only, that is on
+    tensors that are not outputs of an op on the tape it replays; it
+    accumulates across repeated calls until reset to ``None``. An op
+    output's ``grad`` stays ``None``.
     """
 
     def __init__(self, values: ArrayLike, requires_grad: bool = False) -> None:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
-        self._produced = False  # True when created as an op output on a tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -146,36 +149,44 @@ def _apply(
     track = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor(out_values, requires_grad=track)
     if track:
-        out._produced = True
         active_tape()._records.append((out, parents, backward_rule))
     return out
 
 
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from root.
+    """Populate ``grad`` on every requires-grad leaf reachable from root.
 
     Root must be a scalar (size 1). The active tape must contain root's
     history. Each recorded op is visited exactly once, in reverse recording
-    order; gradients sum at fan-out points. Calling again without zeroing
-    grads accumulates.
+    order, and its output's gradient is dropped once its rule has used it;
+    a leaf is any tensor whose producing op is not on this tape (a
+    parameter, or an op output from an outer tape). Gradients sum at
+    fan-out points in arrival order. Calling again without zeroing grads
+    accumulates.
     """
     if root.values.size != 1:
         raise GraphError(f"backward requires a scalar root, got shape {root.shape}")
     flowing: dict[int, Array] = {id(root): np.ones_like(root.values)}
     holders: dict[int, Tensor] = {id(root): root}
+    # keys whose flowing array backward allocated itself: only those may be
+    # summed into in place, because a rule may hand the same array to
+    # several parents (add) or return a view of its input (concat_rows)
+    owned: set[int] = set()
     for out, parents, rule in reversed(active_tape()._records):
-        g = flowing.pop(id(out), None)
+        key = id(out)
+        g = flowing.pop(key, None)
         if g is None:
             continue
-        holders.pop(id(out), None)
-        if out.requires_grad and out._produced:
-            out.grad = g if out.grad is None else out.grad + g
+        del holders[key]
         for parent, pg in zip(parents, rule(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in flowing:
+            if key in owned:
+                np.add(flowing[key], pg, out=flowing[key])
+            elif key in flowing:
                 flowing[key] = flowing[key] + pg
+                owned.add(key)
             else:
                 flowing[key] = pg
                 holders[key] = parent
@@ -422,7 +433,12 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         raise IndexError(f"gather_rows index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
 
     def rule(g: Array):
-        # one sparse (n x m) scatter sums the rows of repeated indices
+        # both scatters sum the rows of repeated indices in gather order,
+        # so they round alike; bincount skips the sparse matrix for a column
+        # (and returns int64 zeros for no indices, hence the cast)
+        if g.shape[1] == 1:
+            col = np.bincount(idx, weights=g[:, 0], minlength=n)
+            return (col.astype(np.float64, copy=False)[:, None],)
         scatter = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
                                 shape=(n, idx.size))
         return (np.asarray(scatter @ g),)
@@ -476,6 +492,14 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
+# AdamW.step updates each tensor in slices of this many values (128 KiB),
+# so its four temporaries stay in a core's L2 cache instead of being as
+# large as the embedding table. Timed on the wide model's tensors with one
+# BLAS thread: 4,096: 2.4 ms, 16,384: 2.0 ms, 65,536: 2.1 ms, unsliced:
+# 3.9 ms per step.
+ADAMW_SLICE = 16384
+
+
 class AdamW:
     """Adam with decoupled weight decay.
 
@@ -504,25 +528,28 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        # in place, keeping the operation order of the update
+        # in place, slice by slice, keeping the operation order of the update
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so it rounds the same way
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            gg = g * g
-            gg *= 1.0 - self.beta2
-            v *= self.beta2
-            v += gg
-            if self.weight_decay:
-                p.values *= 1.0 - self.lr * self.weight_decay
-            step = m / bc1
-            step *= self.lr
-            den = v / bc2
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
-            p.values -= step
+            flat = (p.values.reshape(-1, copy=False), m.reshape(-1),
+                    v.reshape(-1), p.grad.reshape(-1))
+            for lo in range(0, p.values.size, ADAMW_SLICE):
+                pv, mv, vv, g = (a[lo:lo + ADAMW_SLICE] for a in flat)
+                mv *= self.beta1
+                mv += (1.0 - self.beta1) * g
+                gg = g * g
+                gg *= 1.0 - self.beta2
+                vv *= self.beta2
+                vv += gg
+                if self.weight_decay:
+                    pv *= 1.0 - self.lr * self.weight_decay
+                step = mv / bc1
+                step *= self.lr
+                den = vv / bc2
+                np.sqrt(den, out=den)
+                den += self.eps
+                step /= den
+                pv -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

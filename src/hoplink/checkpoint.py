@@ -9,6 +9,8 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +34,30 @@ def save_checkpoint(path, config: dict, vocab: dict[str, int],
         "tensors": index,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+    # a write that fails part-way leaves the previous file at `path` intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for name in names:
+                fh.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
     """Read a checkpoint, raising CheckpointError for any malformed file: bad
-    magic, a header that is cut off, not JSON or missing a section, a
-    truncated tensor, or bytes after the last tensor."""
+    magic, a header that is cut off, not JSON or missing a section, a tensor
+    index that is not a list of distinct [name, shape] pairs with shapes of
+    non-negative integers, a truncated tensor, or bytes after the last
+    tensor."""
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -63,8 +77,21 @@ def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: header lacks {key}")
     tensors: dict[str, np.ndarray] = {}
     offset = 16 + header_len
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
+    index = header["tensors"]
+    if not isinstance(index, list):
+        raise CheckpointError(f"{path}: tensor index is not a list")
+    for entry in index:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)):
+            raise CheckpointError(f"{path}: tensor index entry {entry!r} "
+                                  "is not a [name, shape] pair")
+        name, shape = entry
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape!r}, "
+                                  "not a list of non-negative integers")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
+        count = math.prod(shape)
         raw = data[offset:offset + 8 * count]
         if len(raw) != 8 * count:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")

@@ -79,9 +79,15 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     Seen queries are encoded and ranked in chunks of ``config.batch_size``,
     one ``encode_queries`` pass per chunk, the batch shape of training. The
     neighborhood seed of query i depends only on the run seed, the split and
-    i, its index in the full query list, so chunking moves no rank. Unseen
-    heads/relations cannot be scored and take the worst rank. Runs without
-    gradients and mutates nothing: it reads ``kg.filter_index``, which
+    i, its index in the full query list, so a query gets the same
+    neighborhood in any chunk. Its last bits can still depend on the chunk:
+    OpenBLAS rounds a product of at least two rows and two columns the same
+    way wherever a row sits, but not a one-row product (a chunk of a single
+    query) nor a matrix-vector product (GAT's attention scores, whose bits
+    follow a node's position in the batch). A rank moves only where a
+    candidate scores within a few ulps of the gold. Unseen heads/relations
+    cannot be scored and take the worst rank. Runs without gradients and
+    mutates nothing: it reads ``kg.filter_index``, which
     ``add_inverse_relations`` keeps current.
     """
     queries = queries_both_directions(kg, split)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoplink import autodiff as ad
@@ -271,6 +271,26 @@ class TestReductionsAndShaping:
         np.add.at(expected, np.asarray(idx, dtype=np.int64), upstream)
         np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), idx=st.lists(st.integers(0, 5), max_size=12),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=3, idx=[], seed=0)
+    @example(n=4, idx=[3, 1, 3, 0, 3, 1], seed=1)
+    def test_one_column_gradient_equals_the_csr_scatter(self, n, idx, seed):
+        # the one-column scatter must give the sparse scatter's bits,
+        # dtype and shape, also for no indices at all
+        idx = [i % n for i in idx]
+        upstream = np.random.default_rng(seed).normal(size=(len(idx), 1))
+        g = grad_of(lambda t: ad.sum_all(ad.hadamard(
+            ad.gather_rows(t, idx), ad.constant(upstream))),
+            parameter(np.zeros((n, 1))))
+        scatter = sp.csr_matrix(
+            (np.ones(len(idx)), (np.asarray(idx, dtype=np.int64),
+                                 np.arange(len(idx)))), shape=(n, len(idx)))
+        expected = np.asarray(scatter @ upstream)
+        assert g.dtype == expected.dtype and g.shape == expected.shape
+        assert np.array_equal(g, expected)
+
     def test_concat_cols_empty(self):
         with pytest.raises(ShapeError):
             ad.concat_cols([])
@@ -417,10 +437,11 @@ class TestAdamW:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_in_place_step_matches_the_formula_oracle(self, weight_decay):
         # the textbook update on fresh arrays; the in-place step must give
-        # the same bits for parameters and both moments
+        # the same bits for parameters and both moments. The last tensor
+        # spans two full update slices plus a remainder of 96 values.
         lr, (b1, b2), eps = 0.05, (0.9, 0.999), 1e-8
         rng = np.random.default_rng(8)
-        shapes = [(40, 6), (6,), (3, 5)]
+        shapes = [(40, 6), (6,), (3, 5), (2 * ad.ADAMW_SLICE // 32 + 3, 32)]
         params = [parameter(rng.normal(size=s)) for s in shapes]
         want = [p.values.copy() for p in params]
         m = [np.zeros(s) for s in shapes]

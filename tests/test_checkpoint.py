@@ -120,3 +120,68 @@ class TestCorruption:
         path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
         with pytest.raises(CheckpointError, match=f"lacks {key}"):
             load_checkpoint(path)
+
+
+def write_index(path, tensors, payload=b""):
+    """A checkpoint whose header carries ``tensors`` as its tensor index."""
+    header = {"format_version": FORMAT_VERSION, "config": {}, "vocab": {},
+              "tensors": tensors}
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+
+
+class TestMalformedTensorIndex:
+    def test_shape_holding_a_string(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_index(path, [["w", ["2", 2]]], b"\x00" * 32)
+        with pytest.raises(CheckpointError, match="non-negative integers"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensors", [
+        [["w"]], [["w", [1], "extra"]], ["w"], [[["w"], [1]]],
+        {"w": [1]},
+    ], ids=["one-item", "three-items", "bare-name", "list-name", "dict"])
+    def test_index_that_is_not_a_list_of_pairs(self, tmp_path, tensors):
+        path = tmp_path / "model.ckpt"
+        write_index(path, tensors, b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="not a"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-1, -1], [2, -1], [1.0], [True]])
+    def test_shape_not_of_non_negative_integers(self, tmp_path, shape):
+        path = tmp_path / "model.ckpt"
+        write_index(path, [["w", shape]], b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="non-negative integers"):
+            load_checkpoint(path)
+
+    def test_duplicated_tensor_name(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_index(path, [["w", [1]], ["w", [1]]], b"\x00" * 16)
+        with pytest.raises(CheckpointError, match="listed twice"):
+            load_checkpoint(path)
+
+    def test_zero_sized_and_scalar_shapes_still_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_index(path, [["e", [0, 3]], ["s", []]], b"\x00" * 8)
+        _, _, tensors = load_checkpoint(path)
+        assert tensors["e"].shape == (0, 3) and tensors["s"].shape == ()
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"x": 1}, {}, sample_tensors())
+        before = path.read_bytes()
+        # "a" is written before "z" fails to convert, part-way through
+        broken = {"a": np.ones((2, 2)), "z": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"x": 2}, {}, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_replaces_an_existing_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), {"x": 1}, {}, sample_tensors())
+        save_checkpoint(str(path), {"x": 2}, {}, sample_tensors())
+        assert load_checkpoint(path)[0] == {"x": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
