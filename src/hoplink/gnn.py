@@ -205,9 +205,6 @@ class GraphEncoder:
                     self.params[f"{p}_asrc"] = ad.xavier_uniform((out_dim, 1), rng)
                     self.params[f"{p}_adst"] = ad.xavier_uniform((out_dim, 1), rng)
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def encode(self, X: Tensor, graph: GraphBatch, readout: list[int]) -> Tensor:
         """Run the stack over one batch graph and return the given rows of
         its final layer, adding the residual from X."""

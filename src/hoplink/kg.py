@@ -150,10 +150,6 @@ class KnowledgeGraph:
     def num_entities(self) -> int:
         return len(self.entity_labels)
 
-    @property
-    def num_relations(self) -> int:
-        return len(self.relation_labels)
-
     def base_relation(self, relation: int) -> int:
         if relation >= self.num_base_relations:
             return relation - self.num_base_relations

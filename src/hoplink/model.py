@@ -2,15 +2,19 @@
 optional edge-reconstruction head on the side.
 
 A batch of (head, relation) queries is encoded in one pass: head texts go
-through the head tower, neighbor entities through the tail tower, the rows are
-permuted so each query subgraph owns a consecutive run (head row first), and
-the graph encoder runs once over one edge index of all the subgraphs' arrows.
+through the head tower; every entity the batch reads (neighbors, and in
+training the gold tails) gets one row of an entity table, the tail tower's
+encoding of those entities in training or their rows of the constant entity
+matrix in evaluation; one gather lays each query subgraph out as a
+consecutive run of rows (head row first), and the graph encoder runs once
+over one edge index of all the subgraphs' arrows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +41,7 @@ class QueryBatch:
     offsets: list[int]           # row offset of each subgraph's head in X
     subgraphs: list[NeighborhoodSubgraph]
     graph: GraphBatch            # the subgraphs' arrows over X's rows
+    gold: Tensor | None = None   # entity-table rows of the requested golds
 
 
 class KgcModel:
@@ -58,7 +63,7 @@ class KgcModel:
         if config.learn_tau:
             self.log_inv_tau = ad.parameter(
                 np.array([math.log(1.0 / config.tau)]))
-        self._bag_cache: tuple[int, object, np.ndarray] | None = None
+        self._bag_cache: tuple[int, object] | None = None
 
     # -- parameters -----------------------------------------------------------
 
@@ -92,22 +97,16 @@ class KgcModel:
     def _entity_bag(self, kg: KnowledgeGraph):
         cached = self._bag_cache
         if cached is not None and cached[0] == id(kg):
-            return cached[1], cached[2]
-        ids_list, flags = [], []
-        for rec in kg.entities:
-            seq, empty = self.tokenizer.tail_ids(rec.name, rec.description)
-            ids_list.append(seq)
-            flags.append(empty)
-        bag, bag_empty = bag_matrix(ids_list, self.tokenizer.vocab_size)
-        empty = np.array(flags) | bag_empty
-        self._bag_cache = (id(kg), bag, empty)
-        return bag, empty
+            return cached[1]
+        bag = bag_matrix([self.tokenizer.tail_ids(rec.name, rec.description)
+                          for rec in kg.entities], self.tokenizer.vocab_size)
+        self._bag_cache = (id(kg), bag)
+        return bag
 
-    def encode_entities(self, kg: KnowledgeGraph, ids: list[int]) -> Tensor:
+    def encode_entities(self, kg: KnowledgeGraph, ids: Sequence[int]) -> Tensor:
         """Tail-tower encodings for the given entity ids (gradients flow)."""
         if self.config.text_mode == "mean_pool":
-            bag, empty = self._entity_bag(kg)
-            return self.text.encode_from_bag(bag[ids], empty[ids], "tail")
+            return self.text.encode_from_bag(self._entity_bag(kg)[ids], "tail")
         items = [(kg.entities[e].name, kg.entities[e].description)
                  for e in ids]
         return self.text.encode_tails(items)
@@ -143,12 +142,15 @@ class KgcModel:
     def encode_queries(self, kg: KnowledgeGraph,
                        queries: list[tuple[int, int]],
                        seeds: list[int],
-                       entities: np.ndarray | None = None) -> QueryBatch:
+                       entities: np.ndarray | None = None,
+                       golds: Sequence[int] = ()) -> QueryBatch:
         """Encode a batch of (head, relation) queries in one graph pass.
 
-        Neighbor rows come from the tail tower, or, without gradients, as
-        rows of ``entities`` when it holds ``entity_matrix(kg)``: the tower
-        encodes each row on its own, so the rows are the same bits."""
+        Neighbor rows and the rows of ``golds`` (``QueryBatch.gold``) come
+        from one entity table, a row per distinct entity read: the tail
+        tower's encoding (gradients flow), or, without gradients, rows of
+        ``entities`` when it holds ``entity_matrix(kg)``. The tower encodes
+        each row on its own, so both tables hold the same bits."""
         if len(seeds) != len(queries):
             raise ValueError("one neighborhood seed per query is required")
         subs = [self.neighborhood(kg, h, seed)
@@ -157,25 +159,24 @@ class KgcModel:
                        kg.relation_labels[r]) for h, r in queries]
         H = self.text.encode_heads(head_items)
 
-        neighbor_ids = [e for sub in subs for e in sub.nodes[1:]]
-        if neighbor_ids:
-            N = (self.encode_entities(kg, neighbor_ids) if entities is None
-                 else ad.constant(entities[neighbor_ids]))
-            stacked = ad.concat_rows([H, N])
-        else:
-            stacked = H
+        neighbors = [e for sub in subs for e in sub.nodes[1:]]
+        ids, rows = np.unique(np.array(neighbors + list(golds), dtype=np.int64),
+                              return_inverse=True)
+        table = (self.encode_entities(kg, ids) if entities is None
+                 else ad.constant(entities[ids]))
         arrows, offsets = combine_adjacency(subs)
-        # rows arrive as [heads..., neighbors...]; one gather puts each
-        # subgraph's rows together with its head first
-        perm: list[int] = []
-        for i, (sub, offset) in enumerate(zip(subs, offsets)):
-            first = len(queries) + offset - i  # after all heads and earlier neighbors
-            perm += [i, *range(first, first + sub.num_nodes - 1)]
-        X = ad.gather_rows(stacked, perm)
+        # X gathers rows of [H; table]: head i (row i) goes in front of its
+        # own neighbors, after the offsets[i] - i neighbors of earlier subgraphs
+        b = len(queries)
+        index = np.insert(b + rows[:len(neighbors)],
+                          np.subtract(offsets, np.arange(b)), np.arange(b))
+        X = ad.gather_rows(ad.concat_rows([H, table]), index)
         graph = GraphBatch(arrows, X.shape[0])
         e_hr = self.gnn.encode(X, graph, offsets)
+        gold = (ad.gather_rows(table, rows[len(neighbors):]) if len(golds)
+                else None)
         return QueryBatch(e_hr=e_hr, X=X, offsets=offsets, subgraphs=subs,
-                          graph=graph)
+                          graph=graph, gold=gold)
 
     # -- state ------------------------------------------------------------------
 

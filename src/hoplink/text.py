@@ -43,16 +43,14 @@ class Tokenizer:
     def ids(self, text: str) -> list[int]:
         return [self.token_to_id.get(tok, UNK) for tok in tokenize(text)]
 
-    def tail_ids(self, name: str, desc: str) -> tuple[list[int], bool]:
-        """Token ids for [name, desc]; flag is True when both are empty."""
+    def tail_ids(self, name: str, desc: str) -> list[int]:
+        """Token ids for [name, desc]; empty when both are."""
         name_ids = self.ids(name)
         desc_ids = self.ids(desc)
         budget = max(0, self.max_len - len(name_ids))
-        seq = name_ids + desc_ids[:budget]
-        return seq, not seq
+        return name_ids + desc_ids[:budget]
 
-    def head_ids(self, name: str, desc: str,
-                 relation_phrase: str) -> tuple[list[int], bool]:
+    def head_ids(self, name: str, desc: str, relation_phrase: str) -> list[int]:
         """Token ids for [name, desc, SEP, relation]; desc is cut first.
 
         The name and relation segments are never dropped, even when they alone
@@ -62,8 +60,7 @@ class Tokenizer:
         desc_ids = self.ids(desc)
         rel_ids = self.ids(relation_phrase)
         budget = max(0, self.max_len - len(name_ids) - len(rel_ids) - 1)
-        seq = name_ids + desc_ids[:budget] + [SEP] + rel_ids
-        return seq, not (name_ids or desc_ids)
+        return name_ids + desc_ids[:budget] + [SEP] + rel_ids
 
 
 def build_vocab(kg: KnowledgeGraph, min_frequency: int = 1,
@@ -94,17 +91,16 @@ def save_vocab(tokenizer: Tokenizer, path) -> None:
 
 
 def bag_matrix(ids_list: Sequence[Sequence[int]],
-               vocab_size: int) -> tuple[sp.csr_matrix, np.ndarray]:
+               vocab_size: int) -> sp.csr_matrix:
     """Count-normalized bag rows; an empty sequence yields a zero row."""
     lengths = np.fromiter(map(len, ids_list), np.int64, len(ids_list))
-    empty = lengths == 0
     rows = np.repeat(np.arange(len(ids_list)), lengths)
     cols = np.fromiter(itertools.chain.from_iterable(ids_list), np.int64, lengths.sum())
     vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(len(ids_list), vocab_size), dtype=np.float64)
     mat.sum_duplicates()
-    return mat, empty
+    return mat
 
 
 @dataclass
@@ -155,47 +151,33 @@ class TextEncoder:
                     self.params[f"{p}_ff2"] = ad.xavier_uniform(
                         (config.ff_width, d), rng)
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     # -- batch entry points ------------------------------------------------
 
     def encode_heads(self, items: Sequence[tuple[str, str, str]]) -> Tensor:
-        ids, flags = [], []
-        for name, desc, rel in items:
-            seq, empty = self.tokenizer.head_ids(name, desc, rel)
-            ids.append(seq)
-            flags.append(empty)
-        return self._encode(ids, np.array(flags), "head")
+        return self._encode([self.tokenizer.head_ids(name, desc, rel)
+                             for name, desc, rel in items], "head")
 
     def encode_tails(self, items: Sequence[tuple[str, str]]) -> Tensor:
-        ids, flags = [], []
-        for name, desc in items:
-            seq, empty = self.tokenizer.tail_ids(name, desc)
-            ids.append(seq)
-            flags.append(empty)
-        return self._encode(ids, np.array(flags), "tail")
+        return self._encode([self.tokenizer.tail_ids(name, desc)
+                             for name, desc in items], "tail")
 
-    def encode_from_bag(self, bag: sp.csr_matrix, empty_rows: np.ndarray,
-                        tower: str) -> Tensor:
+    def encode_from_bag(self, bag: sp.csr_matrix, tower: str) -> Tensor:
         """Fast path for mean_pool mode with a precomputed bag matrix."""
         if self.config.mode != "mean_pool":
             raise ValueError("bag encoding only applies to mean_pool mode")
         pooled = ad.sparse_matmul(bag, self.params["embeddings"])
-        out = ad.matmul(pooled, self.params[f"{tower}_proj"])
-        out.empty_rows = empty_rows
-        return out
+        return ad.matmul(pooled, self.params[f"{tower}_proj"])
 
     # -- internals -----------------------------------------------------------
 
-    def _encode(self, ids_list, empty_rows: np.ndarray, tower: str) -> Tensor:
+    def _encode(self, ids_list, tower: str) -> Tensor:
         if self.config.mode == "mean_pool":
-            bag, bag_empty = bag_matrix(ids_list, self.tokenizer.vocab_size)
-            return self.encode_from_bag(bag, empty_rows | bag_empty, tower)
-        rows = [self._transform_one(ids, tower) for ids in ids_list]
-        out = ad.stack_rows(rows)
-        out.empty_rows = empty_rows | np.array([not ids for ids in ids_list])
-        return out
+            return self.encode_from_bag(
+                bag_matrix(ids_list, self.tokenizer.vocab_size), tower)
+        if not ids_list:  # a batch that reads no entity
+            return ad.constant(np.zeros((0, self.config.dim)))
+        return ad.stack_rows([self._transform_one(ids, tower)
+                              for ids in ids_list])
 
     def _transform_one(self, ids: Sequence[int], tower: str) -> Tensor:
         d = self.config.dim

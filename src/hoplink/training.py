@@ -161,9 +161,10 @@ class Trainer:
         chosen = [self.queries[i] for i in indices]
         pairs = [(q.head, q.relation) for q in chosen]
         seeds = [self._neighborhood_seed(epoch, int(i)) for i in indices]
-        batch = model.encode_queries(self.kg, pairs, seeds)
-        gold = model.encode_entities(self.kg, [q.tail for q in chosen])
-        kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
+        batch = model.encode_queries(self.kg, pairs, seeds,
+                                     golds=[q.tail for q in chosen])
+        kg_term = info_nce_loss(batch.e_hr, batch.gold,
+                                model.temperature_scale())
 
         if model.vgae is not None:
             sizes = [sub.num_nodes for sub in batch.subgraphs]

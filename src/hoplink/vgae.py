@@ -131,9 +131,6 @@ class Vgae:
             "log_sigma": ad.xavier_uniform((dim, self.latent_dim), rng),
         }
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def encode(self, X: Tensor, visible: GraphBatch) -> VgaeState:
         A_hat = visible.gcn_operator
         hidden = gcn_layer(X, A_hat, self.params["shared"], ad.relu)

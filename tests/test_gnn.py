@@ -155,10 +155,10 @@ def assert_encoders_agree(A, graph, readout, X0, weights, layers, seed):
         enc = encoder(variant, layers=layers, seed=seed)
         got = value_and_grads(
             lambda X: enc.encode(X, graph, readout), X0, weights,
-            enc.parameters())
+            list(enc.params.values()))
         want = value_and_grads(
             lambda X: dense_encode(enc, X, A, readout), X0, weights,
-            enc.parameters())
+            list(enc.params.values()))
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
                                        err_msg=f"{variant}, {layers} layers")
@@ -183,10 +183,10 @@ class TestEdgeIndexMatchesDenseOracle:
         weights = rng.normal(size=(len(A), 3))
         got = value_and_grads(
             lambda X: vgae_encode(vgae, X, graph), X0, weights,
-            vgae.parameters())
+            list(vgae.params.values()))
         want = value_and_grads(
             lambda X: dense_vgae_encode(vgae, X, A), X0, weights,
-            vgae.parameters())
+            list(vgae.params.values()))
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 

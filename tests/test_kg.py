@@ -98,7 +98,7 @@ class TestLoading:
             train = kg.splits["train"]
             ends = {tr.head for tr in train} | {tr.tail for tr in train}
             assert kg.unseen_entities == set(range(kg.num_entities)) - ends
-            assert kg.unseen_relations == (set(range(kg.num_relations))
+            assert kg.unseen_relations == (set(range(len(kg.relation_labels)))
                                            - {tr.relation for tr in train})
 
     def test_manifest_mismatch_lists_each_diff(self):
@@ -136,7 +136,7 @@ class TestInverseRelations:
     def test_relation_count_doubles_and_filter_gains_inverse(self):
         kg = toy_kg([("a", "r", "b")])
         add_inverse_relations(kg)
-        assert kg.num_relations == 2
+        assert len(kg.relation_labels) == 2
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
         r = kg.relation_ids["r"]
         assert kg.filter_index[(b, r + 1)] == {a}

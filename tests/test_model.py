@@ -155,7 +155,7 @@ class TestQueryEncoding:
             ad.backward(ad.sum_all(batch.e_hr))
         emb = model.text.params["embeddings"].grad
         assert emb is not None and np.abs(emb).sum() > 0
-        gnn_grads = [p.grad for p in model.gnn.parameters()]
+        gnn_grads = [p.grad for p in model.gnn.params.values()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in gnn_grads)
 
 

@@ -37,6 +37,13 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
         assert calls[name] > 0, name
     # a training step masks its whole batch at once, never per subgraph
     assert calls["vgae.mask_edges"] == calls["vgae.edge_loss"]
+    # one entity table per training step and one entity matrix per evaluate
+    # (the epoch's valid pass and the test pass), never one encode per
+    # neighbor occurrence or a separate one for the gold tails
+    evaluations = 2
+    assert calls["model.tail_matrix"] == evaluations
+    assert calls["text.encode_entities"] == (calls["autodiff.backward"]
+                                             + evaluations)
     metrics = tracer.layer_metrics(1, {})
     assert metrics["kg.subgraph_nodes.mean"] > 0
     assert metrics["gnn.stacked_nodes.mean"] > 0

@@ -45,25 +45,27 @@ class TestTokenizer:
 
     def test_head_sequence_layout(self):
         tok, _ = small_encoder(["apple", "fruit", "rel"])
-        seq, empty = tok.head_ids("apple", "fruit", "rel")
+        seq = tok.head_ids("apple", "fruit", "rel")
         assert seq == [tok.token_to_id["apple"], tok.token_to_id["fruit"], SEP,
                        tok.token_to_id["rel"]]
-        assert not empty
 
     def test_truncation_cuts_description_only(self):
         tok = Tokenizer({name: tid for tid, name in enumerate(
             ["<pad>", "<unk>", "<sep>", "n1", "n2", "d", "r1", "r2"])}, max_len=6)
-        seq, _ = tok.head_ids("n1 n2", "d d d d d", "r1 r2")
+        seq = tok.head_ids("n1 n2", "d d d d d", "r1 r2")
         assert seq == [3, 4, 5, SEP, 6, 7]
-        seq, _ = tok.tail_ids("n1 n2", "d d d d d d d")
+        seq = tok.tail_ids("n1 n2", "d d d d d d d")
         assert len(seq) == 6
         assert seq[:2] == [3, 4]
 
-    def test_empty_head_text_flagged_but_keeps_relation(self):
+    def test_empty_head_text_keeps_relation(self):
         tok, _ = small_encoder(["rel"])
-        seq, empty = tok.head_ids("", "", "rel")
+        seq = tok.head_ids("", "", "rel")
         assert seq == [SEP, tok.token_to_id["rel"]]
-        assert empty
+
+    def test_empty_tail_text_gives_no_ids(self):
+        tok, _ = small_encoder(["rel"])
+        assert tok.tail_ids("", "") == []
 
 
 class TestBuildVocab:
@@ -103,10 +105,8 @@ class TestBuildVocab:
 def bag_matrix_loop(ids_list, vocab_size):
     """Reference: the per-token append loop that ``bag_matrix`` replaced."""
     rows, cols, vals = [], [], []
-    empty = np.zeros(len(ids_list), dtype=bool)
     for i, ids in enumerate(ids_list):
         if not ids:
-            empty[i] = True
             continue
         weight = 1.0 / len(ids)
         for tid in ids:
@@ -116,35 +116,29 @@ def bag_matrix_loop(ids_list, vocab_size):
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(len(ids_list), vocab_size), dtype=np.float64)
     mat.sum_duplicates()
-    return mat, empty
+    return mat
 
 
 class TestBagMatrix:
     def test_normalized_counts(self):
-        bag, empty = bag_matrix([[3, 3, 4], []], vocab_size=6)
+        bag = bag_matrix([[3, 3, 4], []], vocab_size=6)
         np.testing.assert_allclose(bag.toarray(), [
             [0, 0, 0, 2 / 3, 1 / 3, 0], [0, 0, 0, 0, 0, 0]])
-        np.testing.assert_array_equal(empty, [False, True])
 
     @pytest.mark.parametrize("ids_list", [
         [], [[]], [[], []], [[5]], [[0, 0, 0]], [[], [2, 2, 7, 2], []],
         [[1, 2, 3], [3, 2, 1], [], [4, 4, 4, 4, 4, 4, 4]],
     ])
     def test_matches_the_loop_oracle(self, ids_list):
-        got, got_empty = bag_matrix(ids_list, vocab_size=8)
-        want, want_empty = bag_matrix_loop(ids_list, vocab_size=8)
-        assert_same_csr(got, want)
-        assert got_empty.dtype == want_empty.dtype
-        np.testing.assert_array_equal(got_empty, want_empty)
+        assert_same_csr(bag_matrix(ids_list, vocab_size=8),
+                        bag_matrix_loop(ids_list, vocab_size=8))
 
     def test_matches_the_loop_oracle_on_random_sequences(self):
         rng = np.random.default_rng(9)
         ids_list = [rng.integers(0, 30, size=rng.integers(0, 12)).tolist()
                     for _ in range(300)]
-        got, got_empty = bag_matrix(ids_list, vocab_size=30)
-        want, want_empty = bag_matrix_loop(ids_list, vocab_size=30)
-        assert_same_csr(got, want)
-        np.testing.assert_array_equal(got_empty, want_empty)
+        assert_same_csr(bag_matrix(ids_list, vocab_size=30),
+                        bag_matrix_loop(ids_list, vocab_size=30))
 
 
 def assert_same_csr(got, want):
@@ -163,7 +157,6 @@ class TestMeanPoolEncoder:
         expected = (emb[tok.token_to_id["apple"]] + emb[SEP]
                     + emb[tok.token_to_id["rel"]]) / 3
         np.testing.assert_allclose(out.values[0], expected)
-        assert not out.empty_rows[0]
 
     def test_deterministic(self):
         _, enc = small_encoder(["apple", "fruit", "rel"])
@@ -193,19 +186,20 @@ class TestMeanPoolEncoder:
         out = enc.encode_tails([("apple", "xyzzy qwerty")])
         assert np.isfinite(out.values).all()
 
-    def test_empty_tail_text_gives_flagged_zero_row(self):
+    def test_empty_tail_text_gives_zero_row(self):
         _, enc = small_encoder(["apple"])
         out = enc.encode_tails([("", ""), ("apple", "")])
         np.testing.assert_array_equal(out.values[0], np.zeros(8))
-        np.testing.assert_array_equal(out.empty_rows, [True, False])
+        # zero rows are found from their norms
+        np.testing.assert_array_equal(ad.l2_normalize_rows(out).zero_rows,
+                                      [True, False])
 
     def test_bag_fast_path_matches_item_path(self):
         tok, enc = small_encoder(["apple", "red", "blue"])
         items = [("apple", "red"), ("blue", "")]
         slow = enc.encode_tails(items)
-        ids = [tok.tail_ids(n, d)[0] for n, d in items]
-        bag, empty = bag_matrix(ids, tok.vocab_size)
-        fast = enc.encode_from_bag(bag, empty, "tail")
+        ids = [tok.tail_ids(n, d) for n, d in items]
+        fast = enc.encode_from_bag(bag_matrix(ids, tok.vocab_size), "tail")
         np.testing.assert_allclose(fast.values, slow.values)
 
     def test_gradient_through_cosine_scoring(self):
@@ -242,11 +236,15 @@ class TestTransformerLite:
         assert np.isfinite(a.values).all()
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_empty_sequence_flagged(self):
+    def test_empty_sequence_gives_zero_row(self):
         _, enc = small_encoder(["apple"], dim=8, mode="transformer_lite", heads=2)
         out = enc.encode_tails([("", "")])
         np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
-        assert out.empty_rows[0]
+        assert ad.l2_normalize_rows(out).zero_rows[0]
+
+    def test_no_sequences_give_no_rows(self):
+        _, enc = small_encoder(["apple"], dim=8, mode="transformer_lite", heads=2)
+        assert enc.encode_tails([]).shape == (0, 8)
 
     def test_gradients_flow(self):
         _, enc = small_encoder(["apple", "red"], dim=4,

@@ -208,7 +208,7 @@ class TestBatchEdgeLoss:
             mask = batch_mask(batch, [4 + i for i in range(2)])
             loss = batch_edge_loss(model, batch, mask, noise_seed=1)
             ad.backward(loss)
-        grads = [p.grad for p in model.vgae.parameters()]
+        grads = [p.grad for p in model.vgae.params.values()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).sum() > 0 for g in grads)
 

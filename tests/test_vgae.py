@@ -171,7 +171,7 @@ class TestMaskEdges:
 class TestEncode:
     def test_zero_parameters_give_zero_state(self):
         model = Vgae(4, np.random.default_rng(0), latent_dim=2)
-        for p in model.parameters():
+        for p in model.params.values():
             p.values[:] = 0.0
         state = model.encode(Tensor(np.ones((3, 4))),
                              GraphBatch(arrows_of(ring_graph(3)), 3))
@@ -485,10 +485,10 @@ class TestToyTraining:
 
         X = ad.constant(np.random.default_rng(0).normal(size=(n, 8)))
         model = Vgae(8, np.random.default_rng(3), latent_dim=4)
-        for p in model.parameters():
+        for p in model.params.values():
             # start confidently wrong so the descent is visible in the curve
             p.values *= 2.0
-        opt = AdamW(model.parameters(), lr=0.008, weight_decay=0.0)
+        opt = AdamW(list(model.params.values()), lr=0.008, weight_decay=0.0)
         losses = []
         for step in range(200):
             with Tape():
