@@ -7,7 +7,7 @@ output's gradient is dropped once its backward rule has used it.
 Everything is double precision so gradient checks stay sharp; graph
 structure enters as constant sparse matrices, whose entries
 ``sparse_matmul`` can take from a tensor, and as the index runs of
-``segment_softmax``.
+``segment_softmax`` and the sequence lengths of ``sequence_attention``.
 
 Each thread has an ambient default tape; scoped work (one training batch,
 one finite-difference probe) should run under ``with Tape():`` so records
@@ -32,7 +32,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Operand values outside the op's domain (e.g. log of a non-positive)."""
+    """Operand values outside the op's domain (e.g. a non-positive step)."""
 
 
 class GraphError(RuntimeError):
@@ -302,13 +302,6 @@ def exp(x: Tensor) -> Tensor:
     return _apply(y, (x,), lambda g: (g * y,))
 
 
-def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0):
-        raise DomainError("log of a non-positive value")
-    xv = x.values
-    return _apply(np.log(xv), (x,), lambda g: (g / xv,))
-
-
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
     y = np.logaddexp(0.0, x.values)
@@ -324,20 +317,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # --------------------------------------------------------------------------
 # Primitives: softmax family
 # --------------------------------------------------------------------------
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
-    if x.values.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g: Array):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-    return _apply(y, (x,), rule)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -362,14 +341,6 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     shape = x.values.shape
     return _apply(np.asarray(x.values.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean over rows: (n, d) -> (d,)."""
-    if x.values.ndim != 2:
-        raise ShapeError(f"mean_rows expects a matrix, got shape {x.shape}")
-    n = x.shape[0]
-    return _apply(x.values.mean(axis=0), (x,), lambda g: (np.tile(g / n, (n, 1)),))
 
 
 def row_sums(x: Tensor) -> Tensor:
@@ -407,19 +378,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     splits = np.cumsum([p.shape[0] for p in parts])[:-1]
     return _apply(np.concatenate([p.values for p in parts], axis=0), tuple(parts),
                   lambda g: tuple(np.split(g, splits, axis=0)))
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    if not rows:
-        raise ShapeError("stack_rows of an empty list")
-    for r in rows:
-        if r.values.ndim != 1 or r.shape != rows[0].shape:
-            raise ShapeError(f"stack_rows expects equal-length vectors, got {[q.shape for q in rows]}")
-
-    def rule(g: Array):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return _apply(np.stack([r.values for r in rows]), tuple(rows), rule)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -463,6 +421,59 @@ def segment_softmax(x: Tensor, indptr) -> Tensor:
     y = e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)
     return _apply(y, (x,), lambda g: (y * (g - np.repeat(
         np.add.reduceat(g * y, starts), counts, axis=0)),))
+
+
+def sequence_attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within each sequence.
+
+    q, k and v are (T, d), the rows of sequence i being the next
+    ``lengths[i]`` rows. Head h reads columns h * d / heads to
+    (h + 1) * d / heads - 1, and each row attends to every row of its own
+    sequence. Sequences of equal length share one batched product, so
+    nothing is padded and a row's bits do not depend on which other
+    sequences share the call.
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    if q.values.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"sequence_attention q, k, v shapes: {q.shape}, {k.shape}, {v.shape}")
+    if lens.ndim != 1 or (lens < 0).any() or lens.sum() != q.shape[0]:
+        raise ShapeError(f"sequence_attention lengths must be >= 0 and sum to {q.shape[0]} rows")
+    d = q.shape[1]
+    if heads < 1 or d % heads:
+        raise ShapeError(f"sequence_attention: {d} columns do not split into {heads} heads")
+    hd = d // heads
+    c = 1.0 / math.sqrt(hd)
+    starts = np.cumsum(lens) - lens
+
+    def split(x: Array, rows: Array) -> Array:  # -> (count, heads, L, hd)
+        return x[rows].reshape(*rows.shape, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(y: Array, rows: Array, out: Array) -> None:
+        out[rows] = y.transpose(0, 2, 1, 3).reshape(*rows.shape, d)
+
+    out = np.empty_like(q.values)
+    groups = []
+    for length in np.unique(lens[lens > 0]):
+        rows = starts[lens == length][:, None] + np.arange(length)
+        qs, ks, vs = split(q.values, rows), split(k.values, rows), split(v.values, rows)
+        scores = (qs @ ks.swapaxes(2, 3)) * c
+        e = np.exp(scores - scores.max(axis=3, keepdims=True))
+        att = e / e.sum(axis=3, keepdims=True)
+        merge(att @ vs, rows, out)
+        groups.append((rows, qs, ks, vs, att))
+
+    def rule(g: Array):
+        dq, dk, dv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+        for rows, qs, ks, vs, att in groups:
+            gs = split(g, rows)
+            merge(att.swapaxes(2, 3) @ gs, rows, dv)
+            ga = gs @ vs.swapaxes(2, 3)
+            gs = att * (ga - (ga * att).sum(axis=3, keepdims=True)) * c
+            merge(gs @ ks, rows, dq)
+            merge(gs.swapaxes(2, 3) @ qs, rows, dk)
+        return dq, dk, dv
+
+    return _apply(out, (q, k, v), rule)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

@@ -2,7 +2,9 @@
 
 The head tower encodes [name, description, SEP, relation phrase]; the tail and
 neighbor towers encode [name, description]. Towers share one token-embedding
-table but keep separate projection (or transformer) parameters.
+table but keep separate projection (or transformer) parameters. The
+transformer tower encodes a whole call at once: every token is one row, and
+attention stays within each sequence.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class Tokenizer:
         """Token ids for [name, desc, SEP, relation]; desc is cut first.
 
         The name and relation segments are never dropped, even when they alone
-        exceed max_len.
+        exceed max_len; the transformer tower then reuses its last position
+        row for the tokens past the table.
         """
         name_ids = self.ids(name)
         desc_ids = self.ids(desc)
@@ -174,42 +177,26 @@ class TextEncoder:
         if self.config.mode == "mean_pool":
             return self.encode_from_bag(
                 bag_matrix(ids_list, self.tokenizer.vocab_size), tower)
-        if not ids_list:  # a batch that reads no entity
-            return ad.constant(np.zeros((0, self.config.dim)))
-        return ad.stack_rows([self._transform_one(ids, tower)
-                              for ids in ids_list])
-
-    def _transform_one(self, ids: Sequence[int], tower: str) -> Tensor:
-        d = self.config.dim
-        if not ids:
-            return ad.constant(np.zeros(d))
-        emb = ad.gather_rows(self.params["embeddings"], list(ids))
-        pos = ad.gather_rows(self.params["positions"], list(range(len(ids))))
-        x = ad.add(emb, pos)
+        # every token of every sequence is one row of x
+        lengths = np.fromiter(map(len, ids_list), np.int64, len(ids_list))
+        ends = np.cumsum(lengths)
+        t = int(lengths.sum())
+        ids = np.fromiter(itertools.chain.from_iterable(ids_list), np.int64, t)
+        # a sequence longer than the position table reuses its last row
+        pos = np.minimum(np.arange(t) - np.repeat(ends - lengths, lengths),
+                         self.params["positions"].shape[0] - 1)
+        x = ad.add(ad.gather_rows(self.params["embeddings"], ids),
+                   ad.gather_rows(self.params["positions"], pos))
         for layer in range(self.config.layers):
-            x = self._block(x, f"{tower}_l{layer}")
-        return ad.mean_rows(x)
+            x = self._block(x, lengths, f"{tower}_l{layer}")
+        # mean over each sequence's rows; an empty sequence pools to zeros
+        return ad.sparse_matmul(bag_matrix(np.split(np.arange(t), ends)[:-1], t), x)
 
-    def _block(self, x: Tensor, prefix: str) -> Tensor:
-        d = self.config.dim
-        heads = self.config.heads
-        head_dim = d // heads
-        q = ad.matmul(x, self.params[f"{prefix}_wq"])
-        k = ad.matmul(x, self.params[f"{prefix}_wk"])
-        v = ad.matmul(x, self.params[f"{prefix}_wv"])
-        outs = []
-        for h in range(heads):
-            sel = np.zeros((d, head_dim))
-            sel[h * head_dim:(h + 1) * head_dim] = np.eye(head_dim)
-            sel_t = ad.constant(sel)
-            qh = ad.matmul(q, sel_t)
-            kh = ad.matmul(k, sel_t)
-            vh = ad.matmul(v, sel_t)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
-                              1.0 / np.sqrt(head_dim))
-            outs.append(ad.matmul(ad.softmax_rows(scores), vh))
-        attended = ad.matmul(ad.concat_cols(outs), self.params[f"{prefix}_wo"])
-        x = ad.add(x, attended)
+    def _block(self, x: Tensor, lengths: np.ndarray, prefix: str) -> Tensor:
+        q, k, v = (ad.matmul(x, self.params[f"{prefix}_{name}"])
+                   for name in ("wq", "wk", "wv"))
+        attended = ad.sequence_attention(q, k, v, lengths, self.config.heads)
+        x = ad.add(x, ad.matmul(attended, self.params[f"{prefix}_wo"]))
         ff = ad.matmul(ad.relu(ad.matmul(x, self.params[f"{prefix}_ff1"])),
                        self.params[f"{prefix}_ff2"])
         return ad.add(x, ff)

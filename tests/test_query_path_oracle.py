@@ -174,8 +174,10 @@ def test_empty_neighborhoods_match_the_oracle():
 
 @pytest.mark.parametrize("make_batch", [
     lambda: synth_batch(encoder="gat", k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", k=2, cap_per_hop=4,
+                        text_mode="transformer_lite"),
     isolated_heads_batch,
-], ids=["synth", "isolated"])
+], ids=["synth", "transformer", "isolated"])
 def test_eval_table_gives_the_training_path_bits(make_batch):
     # evaluation reads its table from entity_matrix, training from the tower
     model, kg, queries, seeds, golds = make_batch()

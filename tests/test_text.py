@@ -24,9 +24,10 @@ def make_kg(entity_texts, train=(("a", "r", "b"),)):
     return KnowledgeGraph.build({"train": list(train)}, table)
 
 
-def small_encoder(tokens, dim=8, seed=0, **cfg):
+def small_encoder(tokens, dim=8, seed=0, max_len=64, **cfg):
     tok = Tokenizer({name: tid for tid, name in
-                     enumerate(["<pad>", "<unk>", "<sep>"] + list(tokens))})
+                     enumerate(["<pad>", "<unk>", "<sep>"] + list(tokens))},
+                    max_len=max_len)
     enc = TextEncoder(tok, TextEncoderConfig(dim=dim, **cfg),
                       np.random.default_rng(seed))
     return tok, enc
@@ -216,6 +217,12 @@ class TestMeanPoolEncoder:
         assert ad.finite_diff_check(loss, emb, eps=1e-5) < 1e-4
 
 
+def tape_ops(encode):
+    with ad.Tape() as tape:
+        encode()
+        return len(tape)
+
+
 class TestTransformerLite:
     def test_dim_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -255,3 +262,43 @@ class TestTransformerLite:
             return ad.sum_all(enc.encode_tails([("apple", "red")]))
 
         assert ad.finite_diff_check(loss, emb, eps=1e-5) < 1e-4
+
+    def test_name_longer_than_the_position_table(self):
+        # names and relations are never cut, so a sequence can outgrow the
+        # max_len + 2 position rows; the rows past the table reuse its last
+        words = ["one", "two", "three", "four", "five", "six", "rel"]
+        tok, enc = small_encoder(words, dim=8, max_len=2,
+                                 mode="transformer_lite", heads=2)
+        name = "one two three four five six"
+        assert len(tok.tail_ids(name, "")) == 6
+        assert len(tok.head_ids(name, "", "rel")) == 8
+        heads = enc.encode_heads([(name, "", "rel"), ("one", "", "rel")])
+        tails = enc.encode_tails([(name, ""), ("two", "")])
+        assert heads.shape == tails.shape == (2, 8)
+        assert np.isfinite(heads.values).all() and np.isfinite(tails.values).all()
+
+    def test_trainer_epoch_with_names_longer_than_max_len(self):
+        from hoplink.config import RunConfig
+        from hoplink.synth import generate_synthetic_kg
+        from hoplink.training import Trainer
+
+        splits, texts = generate_synthetic_kg(0)
+        config = RunConfig(dim=32, encoder="gat", heads=2, k=1,
+                           lambda_weight=0.2, batch_size=64, lr=0.01, tau=0.05,
+                           text_mode="transformer_lite", max_len=2)
+        trainer = Trainer(KnowledgeGraph.build(splits, texts), config)
+        assert max(len(trainer.model.tokenizer.head_ids(e.name, e.description, r))
+                   for e in trainer.kg.entities
+                   for r in trainer.kg.relation_labels) > config.max_len + 2
+        trainer.train_epochs(1)
+
+    def test_tape_length_does_not_grow_with_the_batch(self):
+        # the tower records the same ops for one sequence as for fifty
+        words = ["apple", "red", "green", "tree"]
+        _, enc = small_encoder(words, dim=8, mode="transformer_lite", heads=2)
+        rng = np.random.default_rng(3)
+        items = [(words[i % 4], " ".join(rng.choice(words, size=i % 7)))
+                 for i in range(50)]
+        one = tape_ops(lambda: enc.encode_tails(items[:1]))
+        assert one > 0
+        assert tape_ops(lambda: enc.encode_tails(items)) == one
