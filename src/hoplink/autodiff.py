@@ -468,9 +468,9 @@ def sequence_attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int) -> 
             gs = split(g, rows)
             merge(att.swapaxes(2, 3) @ gs, rows, dv)
             ga = gs @ vs.swapaxes(2, 3)
-            gs = att * (ga - (ga * att).sum(axis=3, keepdims=True)) * c
-            merge(gs @ ks, rows, dq)
-            merge(gs.swapaxes(2, 3) @ qs, rows, dk)
+            gscores = att * (ga - (ga * att).sum(axis=3, keepdims=True)) * c
+            merge(gscores @ ks, rows, dq)
+            merge(gscores.swapaxes(2, 3) @ qs, rows, dk)
         return dq, dk, dv
 
     return _apply(out, (q, k, v), rule)

@@ -247,6 +247,12 @@ class TestSparseMatmul:
 
 
 class TestReductionsAndShaping:
+    def test_mean_rows(self):
+        # the mean over rows is a product with a (1, n) row of 1/n
+        mean = sp.csr_matrix(np.full((1, 2), 0.5))
+        out = ad.sparse_matmul(mean, Tensor([[2.0, 4.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(out.values, [[1.0, 2.0]])
+
     def test_l2_normalize(self):
         out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.values, [[0.6, 0.8]])
