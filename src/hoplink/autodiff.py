@@ -74,9 +74,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def clear(self) -> None:
-        self._records.clear()
-
 
 def active_tape() -> Tape:
     return _state().tapes[-1]

@@ -65,6 +65,9 @@ class RunConfig:
                               f"got {self.lr} and {self.weight_decay}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        if self.latent_dim < 0:
+            raise ConfigError(f"latent_dim must be >= 0 (0 means dim // 2), "
+                              f"got {self.latent_dim}")
         try:
             self.text_encoder_config()
             self.graph_encoder_config()

@@ -76,18 +76,12 @@ def info_nce_loss(queries: Tensor, tails: Tensor,
     return loss
 
 
-def combined_loss(kg_loss: Tensor | None, edge_loss_term: Tensor | None,
+def combined_loss(kg_loss: Tensor, edge_loss_term: Tensor | None,
                   lambda_weight: float) -> Tensor:
-    """lambda * L_kg + (1 - lambda) * L_edge, with the all-weight cases
-    allowed to omit the unused term entirely."""
+    """lambda * L_kg + (1 - lambda) * L_edge; the edge term may be omitted
+    only when lambda == 1."""
     if not 0.0 <= lambda_weight <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_weight}")
-    if kg_loss is None and edge_loss_term is None:
-        raise ValueError("at least one loss term is required")
-    if kg_loss is None:
-        if lambda_weight != 0.0:
-            raise ValueError("kg loss may only be omitted when lambda == 0")
-        return ad.scale(edge_loss_term, 1.0 - lambda_weight)
     if edge_loss_term is None:
         if lambda_weight != 1.0:
             raise ValueError("edge loss may only be omitted when lambda == 1")
@@ -167,12 +161,10 @@ class Trainer:
                                 model.temperature_scale())
 
         if model.vgae is not None:
-            sizes = [sub.num_nodes for sub in batch.subgraphs]
-            mask_seeds = [
-                derive_seed(cfg.seed, f"mask:{epoch}:{batch_index}:{k}")
-                for k in range(len(sizes))]
-            _, mask = mask_edges(batch.graph.arrows, sizes, cfg.mask_ratio,
-                                 mask_seeds)
+            mask = mask_edges(
+                batch.graph.arrows, [sub.num_nodes for sub in batch.subgraphs],
+                cfg.mask_ratio,
+                derive_seed(cfg.seed, f"mask:{epoch}:{batch_index}"))
             noise_seed = derive_seed(cfg.seed, f"noise:{epoch}:{batch_index}")
             edge_term = batch_edge_loss(model, batch, mask, noise_seed)
             loss = combined_loss(kg_term, edge_term, cfg.lambda_weight)

@@ -35,28 +35,30 @@ class VgaeState:
 
 
 def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
-               seeds: list[int]) -> tuple[np.ndarray, EdgeMask]:
-    """Mask a batch of subgraphs stacked row-wise: subgraph k owns the next
-    ``sizes[k]`` rows and the run of ``arrows`` whose sources lie in them.
+               seed: int) -> EdgeMask:
+    """Draw one batch's edge masks from one ``default_rng(seed)``. The
+    subgraphs are stacked row-wise: subgraph k owns the next ``sizes[k]``
+    rows and the run of ``arrows`` whose sources lie in them.
 
-    Per subgraph, remove ceil(ratio * m_k) of its m_k directed arrows, drawn
-    from ``default_rng(seeds[k])``, and sample an equal count of non-edges
-    as negatives: pairs (i != j) in its rows with neither (i, j) nor (j, i)
-    an arrow, since the encoder links an arrow's nodes both ways and the
-    decoder scores (j, i) as (i, j). A subgraph's arrows are sorted by i then
-    j, and positives and negatives are drawn by rank in its row-major cell
-    order. Only the draws run per subgraph; keys, sorts and the rank-to-cell
-    mapping run once over one cell space in which subgraph k's n_k^2 cells
-    follow those of the subgraphs before it. Returns the visible arrows and
-    the mask. An arrowless subgraph gets no pairs, signalling that it
-    contributes no edge loss."""
+    Subgraph k holds out ceil(ratio * m_k) of its m_k directed arrows: after
+    one lexsort of the arrows by subgraph, then by a uniform key, the first
+    ones of each run, returned in arrow order. It gets as many negatives,
+    each uniform over its free cells and independent of the others, so a
+    negative may repeat. A free cell is a pair (i != j) in its rows with
+    neither (i, j) nor (j, i) an arrow, since the encoder links an arrow's
+    nodes both ways and the decoder scores (j, i) as (i, j). Negatives are
+    drawn as ranks among the free cells of one cell space in which subgraph
+    k's n_k^2 row-major cells follow those of the subgraphs before it, and
+    come back in cell order. A subgraph without arrows gets no pairs,
+    signalling that it contributes no edge loss; one without free cells gets
+    no negatives."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
     arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    if len(sizes) == 0 or len(seeds) != len(sizes) or (sizes < 1).any():
-        raise ShapeError(f"{len(seeds)} seeds for subgraph sizes "
-                         f"{sizes.tolist()}")
+    if len(sizes) == 0 or (sizes < 1).any():
+        raise ShapeError(f"subgraph sizes must be positive and non-empty, "
+                         f"got {sizes.tolist()}")
     ends = np.cumsum(sizes)
     row_start = ends - sizes
     src, dst = arrows[:, 0], arrows[:, 1]
@@ -68,8 +70,14 @@ def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
     if (np.diff(owner) < 0).any():
         raise ShapeError("arrows are not grouped by subgraph in batch order")
 
+    rng = np.random.default_rng(seed)
     m = np.bincount(owner, minlength=len(sizes))
     n_mask = np.ceil(ratio * m).astype(np.int64)
+    # owner is sorted, so the lexsort keeps each subgraph's run in place
+    order = np.lexsort((rng.random(len(arrows)), owner))
+    place = np.arange(len(arrows)) - (np.cumsum(m) - m)[owner]
+    positives = arrows[np.sort(order[place < n_mask[owner]])]
+
     # subgraph k's cells (i, j) are keyed cell_start[k] + i_k * n_k + j_k
     cells = sizes * sizes
     cell_start = np.cumsum(cells) - cells
@@ -83,38 +91,21 @@ def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
     taken = taken[np.concatenate([[True], taken[1:] != taken[:-1]])]
     n_free = cells - np.diff(np.searchsorted(taken, np.append(cell_start,
                                                               cells.sum())))
-    free_start = np.cumsum(n_free) - n_free
-    arrow_start = np.cumsum(m) - m
-
-    picks, ranks, n_neg = [], [], np.zeros(len(sizes), dtype=np.int64)
-    for s in np.flatnonzero(m).tolist():
-        rng = np.random.default_rng(seeds[s])
-        count = int(n_mask[s])
-        picks.append(rng.choice(int(m[s]), size=count, replace=False)
-                     + arrow_start[s])
-        free = int(n_free[s])
-        if free:
-            # tiny near-complete graphs may not offer enough distinct non-edges
-            ranks.append(rng.choice(free, size=count, replace=free < count)
-                         + free_start[s])
-            n_neg[s] = count
-    # each subgraph's draws lie in its own index range, so one sort orders
-    # them within every subgraph and keeps the subgraphs in batch order
-    picked = np.sort(np.concatenate(picks)) if picks else np.zeros(0, np.int64)
-    positives = arrows[picked]
-    visible = np.delete(arrows, picked, axis=0)
-
+    n_neg = np.where(n_free > 0, n_mask, 0)
+    neg_owner = np.repeat(np.arange(len(sizes)), n_neg)
+    # ranks of subgraph k lie in its own range, so one sort orders them
+    # within every subgraph and keeps the subgraphs in batch order
+    rank = np.sort(rng.integers(0, n_free[neg_owner])
+                   + (np.cumsum(n_free) - n_free)[neg_owner])
     # the R-th free cell c (not taken, not diagonal) has exactly R free cells
     # before it, so c = R + #(taken cells <= c)
-    rank = np.sort(np.concatenate(ranks)) if ranks else np.zeros(0, np.int64)
     cell = rank + np.searchsorted(taken - np.arange(len(taken)), rank,
                                   side="right")
-    neg_owner = np.repeat(np.arange(len(sizes)), n_neg)
     local_i, local_j = np.divmod(cell - cell_start[neg_owner],
                                  sizes[neg_owner])
     first = row_start[neg_owner]
     negatives = np.stack([local_i + first, local_j + first], axis=1)
-    return visible, EdgeMask(positives, negatives, n_mask, n_neg)
+    return EdgeMask(positives, negatives, n_mask, n_neg)
 
 
 class Vgae:
@@ -155,12 +146,6 @@ def _kl_cells(state: VgaeState) -> Tensor:
     sigma_sq = ad.exp(ad.scale(log_sigma, 2.0))
     return ad.sub(ad.add(sigma_sq, ad.hadamard(state.mu, state.mu)),
                   ad.scale(log_sigma, 2.0))
-
-
-def kl_to_standard_normal(state: VgaeState) -> Tensor:
-    """Sum over nodes and latent dims of KL(N(mu, sigma^2) || N(0, I))."""
-    total = ad.scale(ad.sum_all(_kl_cells(state)), 0.5)
-    return ad.add(total, ad.constant(-0.5 * state.mu.values.size))
 
 
 def edge_loss(state: VgaeState, Z: Tensor, mask: EdgeMask,

@@ -31,8 +31,8 @@ from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.synth import write_synthetic_dataset
 from hoplink.text import build_vocab
 from hoplink.training import Trainer, combined_loss, info_nce_loss
-from hoplink.vgae import Vgae, VgaeState, edge_loss, kl_to_standard_normal, \
-    mask_edges, reparameterize
+from hoplink.vgae import EdgeMask, Vgae, VgaeState, edge_loss, mask_edges, \
+    reparameterize
 
 REPO = Path(__file__).resolve().parent.parent
 TESTS = Path(__file__).resolve().parent
@@ -234,8 +234,10 @@ def test_criterion_2_gradient_correctness():
     worst["info_nce"] = err
 
     vgae = Vgae(4, np.random.default_rng(8), latent_dim=3)
-    visible, mask = mask_edges(graph.arrows, [len(A)], 0.3, [5])
+    mask = mask_edges(graph.arrows, [len(A)], 0.3, 5)
     assert not mask.empty
+    held = (graph.arrows[:, None] == mask.positives[None]).all(-1).any(1)
+    visible = graph.arrows[~held]
 
     def f_vgae(x):
         state = vgae.encode(x, GraphBatch(visible, len(A)))
@@ -285,9 +287,8 @@ def combined_gradient_error() -> float:
         batch = model.encode_queries(kg, pairs, seeds)
         gold = model.encode_entities(kg, golds)
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
-        _, mask = mask_edges(batch.graph.arrows,
-                             [sub.num_nodes for sub in batch.subgraphs], 0.3,
-                             [60 + i for i in range(len(batch.subgraphs))])
+        mask = mask_edges(batch.graph.arrows,
+                          [sub.num_nodes for sub in batch.subgraphs], 0.3, 60)
         from hoplink.training import batch_edge_loss
         edge_term = batch_edge_loss(model, batch, mask, noise_seed=77)
         return combined_loss(kg_term, edge_term, config.lambda_weight)
@@ -405,9 +406,14 @@ def test_criterion_4_analytic_losses():
                           ad.constant(np.array(0.5)), 0.2).item()
     assert abs(mixed - 0.6) < 1e-12, mixed
 
+    # at Z = 0 every pair scores softplus(0) = ln 2, so the edge loss of a
+    # zero posterior minus ln 2 is its KL term
     state = VgaeState(mu=ad.constant(np.zeros((4, 3))),
                       log_sigma=ad.constant(np.zeros((4, 3))))
-    kl = kl_to_standard_normal(state).item()
+    pair = np.array([[0, 1]])
+    kl = edge_loss(state, ad.constant(np.zeros((4, 3))),
+                   EdgeMask(pair, pair[:, ::-1], np.array([1]), np.array([1])),
+                   [4]).item() - np.log(2.0)
     assert abs(kl) < 1e-12, kl
     verdict(4, f"uniform InfoNCE = ln {b} ± 1e-9; 0.2·1.0 + 0.8·0.5 = 0.6 "
                "± 1e-12; KL(N(0,I) ‖ N(0,I)) = 0 ± 1e-12")

@@ -148,9 +148,10 @@ class TestTrain:
         ["--layers", "0"],
         ["--dim", "16", "--text_mode", "transformer_lite", "--text_heads", "3"],
         ["--lr", "-1"], ["--weight_decay", "-1"], ["--max_len", "0"],
-        ["--text_layers", "0"], ["--text_ff", "0"]],
+        ["--text_layers", "0"], ["--text_ff", "0"], ["--latent_dim", "-1"]],
         ids=["cap_per_hop", "heads", "dim", "layers", "text_heads", "lr",
-             "weight_decay", "max_len", "text_layers", "text_ff"])
+             "weight_decay", "max_len", "text_layers", "text_ff",
+             "latent_dim"])
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_out_of_range_value_exits_one_before_any_output(
             self, dataset_dir, tmp_path, capsys, command, override):

@@ -88,7 +88,7 @@ class TestValidation:
         ("tau", -1.0), ("k", 0), ("batch_size", 1), ("epochs", -1),
         ("mask_ratio", 0.0), ("mask_ratio", 1.0), ("lr", 0.0), ("lr", -1.0),
         ("weight_decay", -1.0), ("max_len", 0), ("text_layers", 0),
-        ("text_ff", 0),
+        ("text_ff", 0), ("latent_dim", -1),
     ])
     def test_out_of_range_values(self, field, value):
         config = RunConfig(**{field: value})

@@ -13,7 +13,6 @@ from hoplink.vgae import (
     Vgae,
     VgaeState,
     edge_loss,
-    kl_to_standard_normal,
     mask_edges,
     reparameterize,
 )
@@ -34,60 +33,28 @@ def pairs(*ps):
     return np.array(ps, dtype=np.int64).reshape(-1, 2)
 
 
-def mask_dense(A, ratio, seed):
-    """The n x n masking that ``mask_edges`` replaced, kept as its oracle.
-    A non-edge is an off-diagonal cell with A + A^T == 0."""
-    edges = np.argwhere(A > 0)
-    if len(edges) == 0:
-        return A.copy(), pairs(), pairs()
-    rng = np.random.default_rng(seed)
-    n_mask = math.ceil(ratio * len(edges))
-    picked = rng.choice(len(edges), size=n_mask, replace=False)
-    positives = edges[np.sort(picked)]
-    A_visible = A.copy()
-    for i, j in positives:
-        A_visible[i, j] = 0.0
-    non_edges = np.argwhere((A + A.T == 0) & ~np.eye(len(A), dtype=bool))
-    negatives = pairs()
-    if len(non_edges):
-        idx = rng.choice(len(non_edges), size=n_mask,
-                         replace=len(non_edges) < n_mask)
-        negatives = non_edges[np.sort(idx)]
-    return A_visible, positives, negatives
-
-
 def one_mask(positives, negatives):
     """A one-subgraph batch mask."""
     return EdgeMask(positives, negatives, np.array([len(positives)]),
                     np.array([len(negatives)]))
 
 
-def mask_per_subgraph(arrows, num_nodes, ratio, seed):
-    """The per-subgraph masking that the batched ``mask_edges`` replaced,
-    kept as its oracle: one generator, unique, delete and searchsorted per
-    subgraph, indexed from 0."""
-    arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
-    if len(arrows) == 0:
-        return arrows.copy(), one_mask(arrows.copy(), arrows.copy())
-    rng = np.random.default_rng(seed)
-    n_mask = math.ceil(ratio * len(arrows))
-    picked = np.sort(rng.choice(len(arrows), size=n_mask, replace=False))
-    positives = arrows[picked]
-    visible = np.delete(arrows, picked, axis=0)
-    n = num_nodes
-    src, dst = arrows[:, 0], arrows[:, 1]
-    taken = np.unique(np.concatenate([src * n + dst, dst * n + src,
-                                      np.arange(n) * (n + 1)]))
-    n_free = n * n - len(taken)
-    if n_free == 0:
-        negatives = np.zeros((0, 2), dtype=np.int64)
-    else:
-        replace = n_free < n_mask
-        ranks = np.sort(rng.choice(n_free, size=n_mask, replace=replace))
-        cells = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
-                                        side="right")
-        negatives = np.stack([cells // n, cells % n], axis=1)
-    return visible, one_mask(positives, negatives)
+def visible_arrows(arrows, mask):
+    """The arrows that ``mask`` does not hold out."""
+    held = (arrows[:, None, :] == mask.positives[None, :, :]).all(-1).any(1)
+    return arrows[~held]
+
+
+def split_mask(mask, sizes):
+    """One single-subgraph mask per subgraph of a batched mask, indexed from
+    each subgraph's first row."""
+    offsets = np.cumsum([0] + list(sizes))
+    pos_ends, neg_ends = np.cumsum(mask.pos_counts), np.cumsum(mask.neg_counts)
+    return [one_mask(mask.positives[pe - p:pe] - offset,
+                     mask.negatives[ne - q:ne] - offset)
+            for p, pe, q, ne, offset in zip(mask.pos_counts, pos_ends,
+                                            mask.neg_counts, neg_ends,
+                                            offsets)]
 
 
 def stacked_arrows(subgraphs):
@@ -105,24 +72,25 @@ class TestMaskEdges:
                  (5, 0), (0, 2), (1, 3), (2, 4), (3, 5)]
         for i, j in pairs:
             A[i, j] = 1.0
-        visible, mask = mask_edges(arrows_of(A), [6], 0.2, [0])
+        mask = mask_edges(arrows_of(A), [6], 0.2, 0)
         assert len(mask.positives) == 2
         assert len(mask.negatives) == 2
-        assert len(visible) == 8
 
     def test_single_edge_never_unmasked(self):
         A = np.zeros((3, 3))
         A[0, 1] = 1.0
-        _, mask = mask_edges(arrows_of(A), [3], 0.01, [0])
+        mask = mask_edges(arrows_of(A), [3], 0.01, 0)
         assert mask.positives.tolist() == [[0, 1]]
 
     def test_masked_pairs_were_edges_and_negatives_were_not(self):
         rng = np.random.default_rng(3)
         A = (rng.random((10, 10)) > 0.7).astype(float)
         np.fill_diagonal(A, 0)
-        visible, mask = mask_edges(arrows_of(A), [10], 0.3, [7])
+        mask = mask_edges(arrows_of(A), [10], 0.3, 7)
         for i, j in mask.positives:
-            assert A[i, j] == 1.0 and [i, j] not in visible.tolist()
+            assert A[i, j] == 1.0
+        assert len({tuple(p) for p in mask.positives.tolist()}) == len(
+            mask.positives)
         for i, j in mask.negatives:
             assert A[i, j] == 0.0 and i != j
         assert len(mask.negatives) == len(mask.positives)
@@ -134,38 +102,63 @@ class TestMaskEdges:
         # the encoder links an arrow's nodes both ways and the decoder scores
         # (j, i) as (i, j), so neither direction of an arrow is a non-edge
         A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
-        _, mask = mask_edges(arrows_of(A), [n], 0.3, [seed])
+        mask = mask_edges(arrows_of(A), [n], 0.3, seed)
         for i, j in mask.negatives:
             assert A[i, j] == 0.0 and A[j, i] == 0.0
 
     def test_same_seed_same_mask(self):
         A = ring_graph(8)
-        _, m1 = mask_edges(arrows_of(A), [8], 0.4, [11])
-        _, m2 = mask_edges(arrows_of(A), [8], 0.4, [11])
+        m1 = mask_edges(arrows_of(A), [8], 0.4, 11)
+        m2 = mask_edges(arrows_of(A), [8], 0.4, 11)
         np.testing.assert_array_equal(m1.positives, m2.positives)
         np.testing.assert_array_equal(m1.negatives, m2.negatives)
 
     def test_edgeless_graph_gives_skip_mask(self):
-        visible, mask = mask_edges(np.zeros((0, 2), dtype=int), [4], 0.15, [0])
+        mask = mask_edges(np.zeros((0, 2), dtype=int), [4], 0.15, 0)
         assert mask.empty
-        assert len(visible) == 0
+        assert len(mask.negatives) == 0
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mask_edges(arrows_of(ring_graph()), [5], 0.0, [0])
+            mask_edges(arrows_of(ring_graph()), [5], 0.0, 0)
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 7), fill=st.floats(0.0, 1.0),
-           ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**16))
-    def test_matches_dense_argwhere_masking(self, n, fill, ratio, seed):
-        # fill near 1 leaves too few non-edges and forces sampling with
-        # replacement; the diagonal may carry self-loop arrows
-        A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
-        visible, mask = mask_edges(arrows_of(A), [n], ratio, [seed])
-        A_visible, positives, negatives = mask_dense(A, ratio, seed)
-        np.testing.assert_array_equal(mask.positives, positives)
-        np.testing.assert_array_equal(mask.negatives, negatives)
-        np.testing.assert_array_equal(visible, arrows_of(A_visible).reshape(-1, 2))
+    def test_draw_frequencies_match_uniform_rates(self):
+        # subgraph 0: a 4-ring (4 arrows, 2 held out, 4 free cells: the
+        # diagonals 0-2 and 1-3 both ways); subgraph 1: 5 nodes with the arrows
+        # 0->1, 1->2 and 3->1 (3 arrows, 1 held out, 14 free cells). Over
+        # 2,000 seeds each arrow is held out at rate ceil(ratio m)/m, and each
+        # free cell is drawn count/free times per mask on average
+        first, second = ring_graph(4), np.zeros((5, 5))
+        for i, j in [(0, 1), (1, 2), (3, 1)]:
+            second[i, j] = 1.0
+        subgraphs = [(4, first.ravel() > 0), (5, second.ravel() > 0)]
+        arrows = stacked_arrows(subgraphs)
+        seeds = 2000
+        held = np.zeros(len(arrows))
+        drawn = {}
+        for seed in range(seeds):
+            mask = mask_edges(arrows, [4, 5], 0.4, seed)
+            assert mask.pos_counts.tolist() == mask.neg_counts.tolist() == [2, 2]
+            for pair in map(tuple, mask.positives.tolist()):
+                held[np.flatnonzero((arrows == pair).all(1))] += 1
+            for pair in map(tuple, mask.negatives.tolist()):
+                drawn[pair] = drawn.get(pair, 0) + 1
+        rates = np.array([2 / 4] * 4 + [2 / 3] * 3)
+        stderr = np.sqrt(rates * (1 - rates) / seeds)
+        assert (np.abs(held / seeds - rates) < 5 * stderr).all()
+
+        free = [{(i, j) for i in range(n) for j in range(n)
+                 if i != j and A[i, j] == A[j, i] == 0}
+                for n, A in ((4, first), (5, second))]
+        assert [len(f) for f in free] == [4, 14]
+        cells = [(i, j) for i, j in free[0]] + [(i + 4, j + 4)
+                                                for i, j in free[1]]
+        assert set(drawn) <= set(cells)
+        for pair in cells:
+            p = 1 / (4 if pair[0] < 4 else 14)
+            # each of a subgraph's 2 negatives hits the cell with chance p
+            rate, sd = 2 * p, np.sqrt(2 * p * (1 - p) / seeds)
+            assert abs(drawn.get(pair, 0) / seeds - rate) < 5 * sd, pair
 
 
 class TestEncode:
@@ -189,8 +182,8 @@ class TestEncode:
         rng = np.random.default_rng(2)
         model = Vgae(4, np.random.default_rng(3), latent_dim=2)
         A = ring_graph(4)
-        visible, mask = mask_edges(arrows_of(A), [4], 0.3, [5])
-        graph = GraphBatch(visible, 4)
+        mask = mask_edges(arrows_of(A), [4], 0.3, 5)
+        graph = GraphBatch(visible_arrows(arrows_of(A), mask), 4)
         X = ad.parameter(rng.normal(size=(4, 4)))
 
         def loss(_):
@@ -264,16 +257,25 @@ class TestEdgeDecoder:
             decoded(Tensor(np.zeros((2, 2))), 0, 5)
 
 
+def kl_term(state):
+    """``edge_loss``'s KL term of a one-subgraph batch: at Z = 0 every pair
+    scores softplus(0) = ln 2, so the loss minus ln 2 is all KL."""
+    Z = Tensor(np.zeros(state.mu.shape))
+    loss = edge_loss(state, Z, one_mask(pairs((0, 1)), pairs((1, 2))),
+                     [state.mu.shape[0]])
+    return loss.item() - math.log(2.0)
+
+
 class TestEdgeLoss:
     def test_standard_normal_posterior_has_zero_kl(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
-        assert abs(kl_to_standard_normal(state).item()) < 1e-12
+        assert abs(kl_term(state)) < 1e-12
 
     def test_kl_positive_otherwise(self):
         rng = np.random.default_rng(6)
         state = VgaeState(Tensor(rng.normal(size=(3, 2))),
                           Tensor(rng.normal(size=(3, 2))))
-        assert kl_to_standard_normal(state).item() > 0.0
+        assert kl_term(state) > 0.0
 
     def test_perfect_predictions_drive_bce_to_zero(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
@@ -350,7 +352,7 @@ def per_subgraph_edge_loss(state, Z, masks, sizes):
 
 
 # 5 nodes, every arrow but 0 -> 1 and 1 -> 0: 18 arrows, 6 masked at ratio
-# 0.3, and only 2 free cells, so negatives are drawn with replacement
+# 0.3, and only 2 free cells for 6 negatives, so negatives repeat
 NEAR_COMPLETE = (5, [i != j and {i, j} != {0, 1}
                      for i in range(5) for j in range(5)])
 SUBGRAPH = st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -375,46 +377,48 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
     @example(subgraphs=[ARROWLESS, ONE_NODE], ratio=0.5, seed=1)
     def test_each_subgraph_gets_its_own_draws(self, subgraphs, ratio, seed):
         sizes = [n for n, _ in subgraphs]
-        seeds = [seed + k for k in range(len(sizes))]
-        visible, mask = mask_edges(stacked_arrows(subgraphs), sizes, ratio,
-                                   seeds)
-        want_visible, want_pos, want_neg = [], [], []
-        for k, ((n, cells), offset) in enumerate(
-                zip(subgraphs, np.cumsum([0] + sizes))):
-            v, m = mask_per_subgraph(arrows_of(np.reshape(cells, (n, n))),
-                                     n, ratio, seeds[k])
-            want_visible.append(v + offset)
-            want_pos.append(m.positives + offset)
-            want_neg.append(m.negatives + offset)
-            assert mask.pos_counts[k] == len(m.positives)
-            assert mask.neg_counts[k] == len(m.negatives)
-        for got, want in ((visible, want_visible), (mask.positives, want_pos),
-                          (mask.negatives, want_neg)):
-            want = np.concatenate(want)
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        arrows = stacked_arrows(subgraphs)
+        mask = mask_edges(arrows, sizes, ratio, seed)
+        assert mask.positives.dtype == mask.negatives.dtype == np.int64
+        again = mask_edges(arrows, sizes, ratio, seed)
+        np.testing.assert_array_equal(again.positives, mask.positives)
+        np.testing.assert_array_equal(again.negatives, mask.negatives)
+        for (n, cells), got in zip(subgraphs, split_mask(mask, sizes)):
+            A = np.reshape(cells, (n, n))
+            own = arrows_of(A)
+            count = math.ceil(ratio * len(own))
+            free = ((A + A.T == 0) & ~np.eye(n, dtype=bool)).sum()
+            assert len(got.positives) == count
+            assert len(got.negatives) == (count if free else 0)
+            # distinct arrows of the subgraph, in arrow order
+            index = [np.flatnonzero((own == p).all(1)) for p in got.positives]
+            assert all(len(k) == 1 for k in index)
+            assert (np.diff([int(k[0]) for k in index]) > 0).all()
+            # off the diagonal, in the subgraph's rows, in neither direction
+            # an arrow, and in row-major cell order
+            i, j = got.negatives.T
+            assert ((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)).all()
+            assert not (A[i, j] | A[j, i]).any()
+            assert (np.diff(i * n + j) >= 0).all()
 
-    @pytest.mark.parametrize("arrows, sizes, seeds", [
-        ([[0, 1], [3, 5]], [2, 3], [1, 2]),    # endpoint past the 5 rows
-        ([[-1, 0]], [2, 3], [1, 2]),           # negative endpoint
-        ([[0, 2]], [2, 3], [1, 2]),            # crosses into the next run
-        ([[3, 4], [0, 1]], [2, 3], [1, 2]),    # runs out of batch order
-        ([[0, 1]], [2, 3], [1]),               # one seed short
-        ([[0, 1]], [2], [1, 2]),               # one seed too many
+    @pytest.mark.parametrize("arrows, sizes", [
+        ([[0, 1], [3, 5]], [2, 3]),    # endpoint past the 5 rows
+        ([[-1, 0]], [2, 3]),           # negative endpoint
+        ([[0, 2]], [2, 3]),            # crosses into the next run
+        ([[3, 4], [0, 1]], [2, 3]),    # runs out of batch order
+        ([[0, 1]], [2, 0]),            # a subgraph without rows
+        (np.zeros((0, 2)), []),        # no subgraphs
     ])
-    def test_malformed_batch_rejected(self, arrows, sizes, seeds):
+    def test_malformed_batch_rejected(self, arrows, sizes):
         with pytest.raises(ShapeError):
-            mask_edges(np.array(arrows), sizes, 0.5, seeds)
+            mask_edges(np.array(arrows), sizes, 0.5, 1)
 
 
 class TestBatchedEdgeLossMatchesPerSubgraphOracle:
     def losses(self, subgraphs, ratio, seed):
-        masks = [mask_per_subgraph(arrows_of(np.reshape(cells, (n, n))), n,
-                                   ratio, seed + k)[1]
-                 for k, (n, cells) in enumerate(subgraphs)]
         sizes = [n for n, _ in subgraphs]
-        _, batched = mask_edges(stacked_arrows(subgraphs), sizes, ratio,
-                                [seed + k for k in range(len(sizes))])
+        batched = mask_edges(stacked_arrows(subgraphs), sizes, ratio, seed)
+        masks = split_mask(batched, sizes)
         rng = np.random.default_rng(seed)
         leaves = [ad.parameter(rng.normal(size=(sum(sizes), 3)))
                   for _ in range(3)]
@@ -479,9 +483,9 @@ class TestToyTraining:
                 for j in block:
                     if i != j:
                         A[i, j] = 1.0
-        visible, mask = mask_edges(arrows_of(A), [n], 0.3, [1])
+        mask = mask_edges(arrows_of(A), [n], 0.3, 1)
         assert len(mask.positives) == 8
-        graph = GraphBatch(visible, n)
+        graph = GraphBatch(visible_arrows(arrows_of(A), mask), n)
 
         X = ad.constant(np.random.default_rng(0).normal(size=(n, 8)))
         model = Vgae(8, np.random.default_rng(3), latent_dim=4)
