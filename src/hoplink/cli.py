@@ -32,6 +32,7 @@ from .kg import (
     KnowledgeGraph,
     ParseError,
     add_inverse_relations,
+    known_tails,
     load_dataset_dir,
     subgraph_edges,
     validate_counts,
@@ -356,9 +357,10 @@ def cmd_explain(args) -> int:
             "rank": rank + 1}
            for rank, e in enumerate(order[:args.top_n])]
 
-    known = kg.filter_index.get((head, relation), set())
-    if known:
-        best_gold = max(known, key=lambda e: (scores[e], -e))
+    known, _ = known_tails(kg, [head], [relation])
+    if len(known):
+        # the best-scoring known tail; ties go to the lowest id
+        best_gold = int(known[np.argmax(scores[known])])
         gold = {"entity": kg.entities[best_gold].name,
                 "score": float(scores[best_gold]),
                 "rank": int(np.where(order == best_gold)[0][0]) + 1,

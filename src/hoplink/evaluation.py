@@ -8,14 +8,14 @@ is excluded, and ties with the gold score count against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 # build_filter_index stays importable here: perfbench's tracer wraps it by name
-from .kg import KnowledgeGraph, build_filter_index, queries_both_directions  # noqa: F401
+from .kg import (KnowledgeGraph, build_filter_index, known_tails,  # noqa: F401
+                 queries_both_directions)
 from .model import KgcModel, eval_neighborhood_seed
 
 
@@ -44,20 +44,18 @@ class RankingMetrics:
             count=len(ranks))
 
 
-def filtered_rank(scores: np.ndarray, golds: Sequence[int],
-                  known_tails: Sequence[Collection[int]]) -> np.ndarray:
+def filtered_rank(scores: np.ndarray, golds: Sequence[int], tails: np.ndarray,
+                  counts: Sequence[int]) -> np.ndarray:
     """Pessimistic rank of each row's gold within its row of ``scores``.
 
-    Row i's other known-true tails ``known_tails[i]`` are removed from its
-    candidate pool first; every remaining candidate other than the gold that
-    scores >= the gold pushes the gold down one place.
+    Row i's known-true tails, the next ``counts[i]`` entries of ``tails``
+    (the layout ``known_tails`` returns), are removed from its candidate
+    pool first; every remaining candidate other than the gold that scores
+    >= the gold pushes the gold down one place.
     """
     rows = np.arange(len(golds))
-    counts = [len(tails) for tails in known_tails]
     excluded = np.zeros(scores.shape, dtype=bool)
-    excluded[np.repeat(rows, counts),
-             np.fromiter(chain.from_iterable(known_tails), dtype=np.int64,
-                         count=sum(counts))] = True
+    excluded[np.repeat(rows, counts), tails] = True
     excluded[rows, golds] = True  # the gold is never its own rival
     gold_scores = scores[rows, golds]
     return 1 + np.sum((scores >= gold_scores[:, None]) & ~excluded, axis=1)
@@ -87,8 +85,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     follow a node's position in the batch). A rank moves only where a
     candidate scores within a few ulps of the gold. Unseen heads/relations
     cannot be scored and take the worst rank. Runs without gradients and
-    mutates nothing: it reads ``kg.filter_index``, which
-    ``add_inverse_relations`` keeps current.
+    mutates nothing: each chunk's known tails are one ``known_tails`` lookup
+    into ``kg.filter_index``.
     """
     queries = queries_both_directions(kg, split)
     if max_queries is not None:
@@ -110,7 +108,7 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
             batch = model.encode_queries(
                 kg, [(q.head, q.relation) for q in chunk], seeds, entities)
         scores = query_scores(batch.e_hr.values, tail_rows)
-        ranks[index] = filtered_rank(
-            scores, [q.tail for q in chunk],
-            [kg.filter_index.get((q.head, q.relation), ()) for q in chunk])
+        heads, relations, golds = zip(*chunk)
+        ranks[index] = filtered_rank(scores, golds,
+                                     *known_tails(kg, heads, relations))
     return RankingMetrics.from_ranks(ranks.tolist())

@@ -10,6 +10,11 @@ as one slice of a flat array), from which ``khop_neighborhood`` samples every
 query's subgraph and ``degree`` counts edges. Valid and test triples never
 leak into it. A sampled subgraph holds arrays only; ``subgraph_edges`` lists
 its per-relation edges on demand.
+
+The filtered ranking protocol reads ``kg.filter_index``, one sorted array of
+the ``fact_keys`` of every split's triples and their inverses, so a batch of
+(head, relation) queries finds all its known tails with two ``searchsorted``
+calls (``known_tails``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +48,9 @@ class TransductiveWarning(UserWarning):
     """Some valid/test entities or relations never appear in the train split."""
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """Entity and relation ids of one fact; equal to the plain tuple."""
+
     head: int
     relation: int
     tail: int
@@ -112,10 +118,10 @@ def _csr(keys: np.ndarray, width: int, num_rows: int) -> tuple[np.ndarray, np.nd
     return np.searchsorted(keys // width, np.arange(num_rows + 1)), keys % width
 
 
-def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the given CSR rows, concatenated, and each row's length."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
+def _range_slots(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions start..stop-1 of every range, concatenated, and each range's
+    length; the ranges may be the rows of a CSR index."""
+    counts = stops - starts
     ends = np.cumsum(counts)
     slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
     return slots, counts
@@ -125,7 +131,7 @@ def _out_links(index: NeighborIndex, nodes: np.ndarray,
                position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, out-row slot) of every out-edge nodes[i] -> nodes[j], by i then
     out-row order; ``position`` maps an entity to its node index, or -1."""
-    slots, counts = _row_slots(index.out_indptr, nodes)
+    slots, counts = _range_slots(index.out_indptr[nodes], index.out_indptr[nodes + 1])
     j = position[index.out_tails[slots]]
     linked = j >= 0
     return np.repeat(np.arange(len(nodes)), counts)[linked], j[linked], slots[linked]
@@ -144,7 +150,8 @@ class KnowledgeGraph:
     unseen_entities: frozenset[int]
     unseen_relations: frozenset[int]
     inverses_added: bool = False
-    filter_index: dict[tuple[int, int], set[int]] = field(default_factory=dict)
+    # sorted fact_keys of every split's triples and their inverses
+    filter_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
     def num_entities(self) -> int:
@@ -173,32 +180,14 @@ class KnowledgeGraph:
         if not split_triples.get("train"):
             raise DatasetError("train split is empty; nothing to build from")
 
-        entity_ids: dict[str, int] = {}
-        entity_labels: list[str] = []
-        relation_ids: dict[str, int] = {}
-        relation_labels: list[str] = []
-
-        def ent(label: str) -> int:
-            eid = entity_ids.get(label)
-            if eid is None:
-                eid = len(entity_labels)
-                entity_ids[label] = eid
-                entity_labels.append(label)
-            return eid
-
-        def rel(label: str) -> int:
-            rid = relation_ids.get(label)
-            if rid is None:
-                rid = len(relation_labels)
-                relation_ids[label] = rid
-                relation_labels.append(label)
-            return rid
-
-        splits: dict[str, list[Triple]] = {}
-        for name in SPLITS:
-            rows = split_triples.get(name, ())
-            # argument order fixes first-appearance id assignment: h, r, t
-            splits[name] = [Triple(ent(h), rel(r), ent(t)) for h, r, t in rows]
+        rows = [row for name in SPLITS for row in split_triples.get(name, ())]
+        # label columns in first-appearance order: head before tail, by split
+        ends = [label for h, _, t in rows for label in (h, t)]
+        relations = [r for _, r, _ in rows]
+        entity_labels = list(dict.fromkeys(ends))
+        relation_labels = list(dict.fromkeys(relations))
+        entity_ids = dict(zip(entity_labels, range(len(entity_labels))))
+        relation_ids = dict(zip(relation_labels, range(len(relation_labels))))
 
         missing = [label for label in entity_labels if label not in entity_text]
         if missing:
@@ -211,17 +200,29 @@ class KnowledgeGraph:
             name, desc = entity_text[label]
             entities.append(EntityRecord(id=eid, name=name, description=desc))
 
-        h, r, t = (np.fromiter((getattr(tr, part) for tr in splits["train"]), np.int64,
-                               len(splits["train"])) for part in ("head", "relation", "tail"))
-        n, num_rel = len(entity_labels), len(relation_labels)
+        h, t = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
+                           len(ends)).reshape(-1, 2).T
+        r = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, len(rows))
+        columns = (h.tolist(), r.tolist(), t.tolist())
+        splits: dict[str, list[Triple]] = {}
+        start = 0
+        for name in SPLITS:
+            stop = start + len(split_triples.get(name, ()))
+            splits[name] = list(map(Triple, *(c[start:stop] for c in columns)))
+            start = stop
+
+        n, num_rel, train = len(entity_labels), len(relation_labels), len(splits["train"])
+        heads, tails = h[:train], t[:train]
         # out-edge keys sort each row by (relation, tail)
-        out_indptr, out_cells = _csr(h * (num_rel * n) + r * n + t, num_rel * n, n)
-        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n),
+        out_indptr, out_cells = _csr(heads * (num_rel * n) + r[:train] * n + tails,
+                                     num_rel * n, n)
+        index = NeighborIndex(*_csr(np.concatenate([heads * n + tails, tails * n + heads]),
+                                    n, n),
                               out_indptr, *np.divmod(out_cells, n))
 
         # an entity is in a train triple iff it has a neighbor (maybe itself)
         unseen_entities = frozenset(np.flatnonzero(np.diff(index.indptr) == 0).tolist())
-        unseen_relations = frozenset(range(num_rel)) - frozenset(r.tolist())
+        unseen_relations = frozenset(range(num_rel)) - frozenset(columns[1][:train])
         if unseen_entities or unseen_relations:
             warnings.warn(
                 f"{len(unseen_entities)} entities and {len(unseen_relations)} "
@@ -232,11 +233,11 @@ class KnowledgeGraph:
         kg = cls(entity_ids=entity_ids, entity_labels=entity_labels,
                  entities=entities, relation_ids=relation_ids,
                  relation_labels=relation_labels,
-                 num_base_relations=len(relation_labels), splits=splits,
+                 num_base_relations=num_rel, splits=splits,
                  neighbor_index=index,
                  unseen_entities=unseen_entities,
                  unseen_relations=unseen_relations)
-        build_filter_index(kg)
+        build_filter_index(kg, h, r, t)
         return kg
 
 
@@ -345,38 +346,52 @@ def validate_counts(kg: KnowledgeGraph,
 def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     """Synthesize an inverse relation per base relation; second call is a no-op.
 
-    Inverse keys enter the filter index so that (?, r, t) queries become
-    tail prediction (t, r_inv, ?). The index that
-    ``KnowledgeGraph.build`` made gains the inverse keys in place, leaving it
-    equal to a fresh ``build_filter_index``. Split triple lists stay in
-    original form, and neighborhoods keep original arrows.
+    Relation r + R is the inverse of base relation r (R base relations), so
+    (?, r, t) queries become tail prediction (t, r + R, ?). The filter index
+    holds the inverse facts from the start, so only the labels change. Split
+    triple lists stay in original form, and neighborhoods keep original
+    arrows.
     """
     if kg.inverses_added:
         return kg
-    offset = kg.num_base_relations
-    for label in list(kg.relation_labels[:offset]):
+    for label in kg.relation_labels[:kg.num_base_relations]:
         inv = f"inverse of {label}"
         kg.relation_ids[inv] = len(kg.relation_labels)
         kg.relation_labels.append(inv)
-    for triples in kg.splits.values():
-        for tr in triples:
-            kg.filter_index.setdefault(
-                (tr.tail, tr.relation + offset), set()).add(tr.head)
     kg.inverses_added = True
     return kg
 
 
-def build_filter_index(kg: KnowledgeGraph) -> dict[tuple[int, int], set[int]]:
-    """(head, relation) -> all gold tails across every split, inverse-augmented."""
-    index: dict[tuple[int, int], set[int]] = {}
-    offset = kg.num_base_relations
-    for triples in kg.splits.values():
-        for tr in triples:
-            index.setdefault((tr.head, tr.relation), set()).add(tr.tail)
-            if kg.inverses_added:
-                index.setdefault((tr.tail, tr.relation + offset), set()).add(tr.head)
+def fact_keys(kg: KnowledgeGraph, heads, relations, tails) -> np.ndarray:
+    """Key (head * 2R + relation) * E + tail of each fact, for R base
+    relations and E entities: sorted keys group the facts by query (head,
+    relation), tails ascending."""
+    return (heads * (2 * kg.num_base_relations) + relations) * kg.num_entities + tails
+
+
+def build_filter_index(kg: KnowledgeGraph, heads: np.ndarray, relations: np.ndarray,
+                       tails: np.ndarray) -> np.ndarray:
+    """Set ``kg.filter_index`` to the sorted, distinct, read-only fact keys
+    of the triples (h, r, t) and of their inverses (t, r + R, h)."""
+    index = _sorted_unique(np.concatenate([
+        fact_keys(kg, heads, relations, tails),
+        fact_keys(kg, tails, relations + kg.num_base_relations, heads)]))
+    index.flags.writeable = False
     kg.filter_index = index
     return index
+
+
+def known_tails(kg: KnowledgeGraph, heads: Sequence[int],
+                relations: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every known-true tail of each query (head, relation), in any split:
+    all queries' tails concatenated, each query's ascending, and each
+    query's count."""
+    first = fact_keys(kg, np.asarray(heads, dtype=np.int64),
+                      np.asarray(relations, dtype=np.int64), 0)
+    index = kg.filter_index
+    slots, counts = _range_slots(np.searchsorted(index, first),
+                                 np.searchsorted(index, first + kg.num_entities))
+    return index[slots] % kg.num_entities, counts
 
 
 def queries_both_directions(kg: KnowledgeGraph, split: str) -> list[Triple]:
@@ -421,7 +436,8 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
         else:
             # a mark per entity dedupes and sorts the neighbors without a sort
             mark = np.zeros(kg.num_entities, dtype=bool)
-            mark[index.indices[_row_slots(index.indptr, frontier)[0]]] = True
+            rows = _range_slots(index.indptr[frontier], index.indptr[frontier + 1])[0]
+            mark[index.indices[rows]] = True
             mark[np.concatenate(hops)] = False
             candidates = np.flatnonzero(mark)
         if len(candidates) > cap_per_hop:

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -31,9 +32,16 @@ def make_model(kg, **overrides) -> KgcModel:
     return KgcModel(RunConfig(**base), build_vocab(kg))
 
 
+def flat_tails(known):
+    """Per-row tail collections as filtered_rank's (tails, counts) layout."""
+    tails = [int(t) for row in known for t in sorted(row)]
+    return np.array(tails, dtype=np.int64), [len(row) for row in known]
+
+
 def rank_one(scores, gold, known_tails):
     """filtered_rank of a single query, as a one-row batch."""
-    return filtered_rank(np.asarray(scores)[None, :], [gold], [known_tails])[0]
+    return filtered_rank(np.asarray(scores)[None, :], [gold],
+                         *flat_tails([known_tails]))[0]
 
 
 class TestFilteredRank:
@@ -72,7 +80,7 @@ class TestFilteredRank:
         known = [set(map(int, rng.choice(12, size=int(rng.integers(0, 5)),
                                          replace=False))) for _ in range(7)]
         known[2] = ()  # a query with no filter entry at all
-        batched = filtered_rank(scores, golds, known)
+        batched = filtered_rank(scores, golds, *flat_tails(known))
         assert batched.tolist() == [rank_one(row, g, k) for row, g, k
                                     in zip(scores, golds, known)]
         assert batched[3] == 12 - len(set(known[3]) - {golds[3]})
@@ -194,13 +202,27 @@ class TestEvaluate:
         assert first == second
         assert before == after
 
-    def test_reads_the_filter_index_without_rebuilding_it(self, dozen_kg):
+    def test_reads_the_filter_index_without_rebuilding_it(self, dozen_kg,
+                                                          monkeypatch):
         model = make_model(dozen_kg)
         index = dozen_kg.filter_index
-        snapshot = {k: set(v) for k, v in index.items()}
+        snapshot = index.copy()
+
+        def rebuild(*_args):
+            raise AssertionError("evaluate rebuilt the filter index")
+
+        monkeypatch.setattr("hoplink.kg.build_filter_index", rebuild)
+        monkeypatch.setattr("hoplink.evaluation.build_filter_index", rebuild)
         evaluate(model, dozen_kg, "test")
+        monkeypatch.undo()
         assert dozen_kg.filter_index is index
-        assert index == snapshot == build_filter_index(dozen_kg)
+        assert not index.flags.writeable
+        assert np.array_equal(index, snapshot)
+        heads, relations, tails = np.array(
+            [tr for split in dozen_kg.splits.values() for tr in split]).T
+        fresh = copy.copy(dozen_kg)
+        assert np.array_equal(
+            build_filter_index(fresh, heads, relations, tails), snapshot)
 
     def test_max_queries_truncates(self, dozen_kg):
         model = make_model(dozen_kg)

@@ -16,6 +16,7 @@ from hoplink.kg import (
     add_inverse_relations,
     build_filter_index,
     khop_neighborhood,
+    known_tails,
     load_dataset,
     load_dataset_dir,
     queries_both_directions,
@@ -36,6 +37,19 @@ def toy_kg(train, valid=(), test=(), texts=None):
 
 
 CHAIN = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d")]
+
+
+def tails_of(kg, head, relation) -> set[int]:
+    """The filter index's known tails of one (head, relation) query."""
+    tails, counts = known_tails(kg, [head], [relation])
+    assert counts.tolist() == [len(tails)]
+    return set(tails.tolist())
+
+
+def id_columns(kg):
+    """(heads, relations, tails) id arrays of every split's triples."""
+    return np.array([tr for split in kg.splits.values() for tr in split],
+                    dtype=np.int64).reshape(-1, 3).T
 
 
 class TestLoading:
@@ -139,34 +153,38 @@ class TestInverseRelations:
         assert len(kg.relation_labels) == 2
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
         r = kg.relation_ids["r"]
-        assert kg.filter_index[(b, r + 1)] == {a}
+        assert tails_of(kg, b, r + 1) == {a}
         assert kg.relation_labels[r + 1] == "inverse of r"
 
     def test_extends_the_built_filter_index_in_place(self, monkeypatch):
+        # the built index already holds the inverse facts: adding the
+        # inverse labels must leave it as it is, never rebuild it
         kg = toy_kg(CHAIN, valid=[("a", "r", "c")], test=[("d", "r", "a")])
         index = kg.filter_index
-        forward = {key: set(tails) for key, tails in index.items()}
+        before = index.copy()
 
-        def rebuild(_kg):
+        def rebuild(*_args):
             raise AssertionError("add_inverse_relations rebuilt the index")
 
         monkeypatch.setattr("hoplink.kg.build_filter_index", rebuild)
         add_inverse_relations(kg)
         monkeypatch.undo()
         assert kg.filter_index is index
-        assert all(index[key] == tails for key, tails in forward.items())
-        assert index == build_filter_index(kg)
+        assert np.array_equal(index, before)
+        assert np.array_equal(index, build_filter_index(kg, *id_columns(kg)))
+        a, d = kg.entity_ids["a"], kg.entity_ids["d"]
+        assert tails_of(kg, a, kg.relation_ids["inverse of r"]) == {d}
 
     def test_idempotent(self):
         kg = toy_kg(CHAIN)
         add_inverse_relations(kg)
         labels = list(kg.relation_labels)
         index = kg.neighbor_index
-        filters = {key: set(tails) for key, tails in kg.filter_index.items()}
+        filters = kg.filter_index.copy()
         add_inverse_relations(kg)
         assert kg.relation_labels == labels
         assert kg.neighbor_index is index
-        assert kg.filter_index == filters
+        assert np.array_equal(kg.filter_index, filters)
 
     def test_queries_both_directions(self):
         kg = toy_kg([("a", "r", "b"), ("b", "r", "c")])
@@ -181,15 +199,42 @@ class TestInverseRelations:
         assert qs[1] == Triple(b, r + kg.num_base_relations, a)
 
 
+def filter_oracle(split_rows):
+    """The dict-of-sets filter built one label triple at a time, with ids
+    assigned by a closure per table in first-appearance order (h, r, t)."""
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+
+    def ent(label):
+        return entity_ids.setdefault(label, len(entity_ids))
+
+    def rel(label):
+        return relation_ids.setdefault(label, len(relation_ids))
+
+    ids = {name: [(ent(h), rel(r), ent(t)) for h, r, t in rows]
+           for name, rows in split_rows.items()}
+    index: dict[tuple[int, int], set[int]] = {}
+    for triples in ids.values():
+        for h, r, t in triples:
+            index.setdefault((h, r), set()).add(t)
+            index.setdefault((t, r + len(relation_ids)), set()).add(h)
+    return entity_ids, relation_ids, ids, index
+
+
+labels = st.sampled_from("abcdefg")
+label_rows = st.lists(st.tuples(labels, st.sampled_from("pqr"), labels),
+                      max_size=8)
+
+
 class TestFilterIndex:
     def test_two_tails_collected(self):
         kg = toy_kg([("a", "r", "b"), ("a", "r", "c")])
         a, r = kg.entity_ids["a"], kg.relation_ids["r"]
-        assert kg.filter_index[(a, r)] == {kg.entity_ids["b"], kg.entity_ids["c"]}
+        assert tails_of(kg, a, r) == {kg.entity_ids["b"], kg.entity_ids["c"]}
 
     def test_absent_key_is_empty(self):
         kg = toy_kg([("a", "r", "b")])
-        assert kg.filter_index.get((kg.entity_ids["b"], 0), set()) == set()
+        assert tails_of(kg, kg.entity_ids["b"], 0) == set()
 
     def test_matches_brute_force_on_six_triples(self):
         rows = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "a"),
@@ -199,16 +244,49 @@ class TestFilterIndex:
         for split in kg.splits.values():
             for tr in split:
                 expected[(tr.head, tr.relation)].add(tr.tail)
-        assert build_filter_index(kg) == dict(expected)
+                expected[(tr.tail, tr.relation + 2)].add(tr.head)
+        keys = [(h, r) for h in range(kg.num_entities) for r in range(4)]
+        tails, counts = known_tails(kg, *zip(*keys))
+        got = np.split(tails, np.cumsum(counts)[:-1])
+        assert {key: set(row.tolist()) for key, row in zip(keys, got)} == {
+            key: expected.get(key, set()) for key in keys}
 
     def test_every_split_triple_is_covered(self):
         kg = toy_kg(CHAIN, valid=[("a", "r", "c")], test=[("d", "r", "a")])
         add_inverse_relations(kg)
         for split in kg.splits.values():
             for tr in split:
-                assert tr.tail in kg.filter_index[(tr.head, tr.relation)]
+                assert tr.tail in tails_of(kg, tr.head, tr.relation)
                 inv = tr.relation + kg.num_base_relations
-                assert tr.head in kg.filter_index[(tr.tail, inv)]
+                assert tr.head in tails_of(kg, tr.tail, inv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(train=label_rows.filter(bool), valid=label_rows, test=label_rows,
+           probes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                           max_size=10))
+    @example(train=[("a", "p", "a")], valid=[("a", "p", "a")],
+             test=[("b", "q", "a")], probes=[(1, 0), (0, 4)])
+    def test_lookup_matches_the_per_triple_oracle(self, train, valid, test, probes):
+        # self-loops, repeats across splits, relations first seen in valid or
+        # test, absent keys and inverse keys all come up in this space
+        split_rows = {"train": train, "valid": valid, "test": test}
+        kg = toy_kg(train, valid, test)
+        entity_ids, relation_ids, ids, oracle = filter_oracle(split_rows)
+        assert kg.entity_ids == entity_ids
+        assert kg.entity_labels == list(entity_ids)
+        assert kg.relation_ids == relation_ids
+        assert {name: [tuple(tr) for tr in kg.splits[name]] for name in ids} == ids
+        num_rel = len(relation_ids)
+        keys = sorted(oracle) + [(h, r) for h, r in probes
+                                 if h < kg.num_entities and r < 2 * num_rel]
+        tails, counts = known_tails(kg, [h for h, _ in keys], [r for _, r in keys])
+        rows = np.split(tails, np.cumsum(counts)[:-1]) if keys else []
+        for key, row in zip(keys, rows):
+            assert row.tolist() == sorted(oracle.get(key, ()))
+        assert len(kg.filter_index) == sum(map(len, oracle.values()))
+        add_inverse_relations(kg)
+        assert [kg.relation_ids[f"inverse of {label}"] for label in relation_ids] \
+            == list(range(num_rel, 2 * num_rel))
 
 
 def bfs_oracle(id_triples, head, k):
