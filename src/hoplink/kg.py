@@ -200,10 +200,10 @@ class KnowledgeGraph:
             name, desc = entity_text[label]
             entities.append(EntityRecord(id=eid, name=name, description=desc))
 
-        h, t = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
-                           len(ends)).reshape(-1, 2).T
-        r = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, len(rows))
-        columns = (h.tolist(), r.tolist(), t.tolist())
+        heads, tails = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
+                                   len(ends)).reshape(-1, 2).T
+        rels = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, len(rows))
+        columns = (heads.tolist(), rels.tolist(), tails.tolist())
         splits: dict[str, list[Triple]] = {}
         start = 0
         for name in SPLITS:
@@ -211,18 +211,17 @@ class KnowledgeGraph:
             splits[name] = list(map(Triple, *(c[start:stop] for c in columns)))
             start = stop
 
-        n, num_rel, train = len(entity_labels), len(relation_labels), len(splits["train"])
-        heads, tails = h[:train], t[:train]
+        train = len(splits["train"])
+        h, r, t = heads[:train], rels[:train], tails[:train]
+        n, num_rel = len(entity_labels), len(relation_labels)
         # out-edge keys sort each row by (relation, tail)
-        out_indptr, out_cells = _csr(heads * (num_rel * n) + r[:train] * n + tails,
-                                     num_rel * n, n)
-        index = NeighborIndex(*_csr(np.concatenate([heads * n + tails, tails * n + heads]),
-                                    n, n),
+        out_indptr, out_cells = _csr(h * (num_rel * n) + r * n + t, num_rel * n, n)
+        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n),
                               out_indptr, *np.divmod(out_cells, n))
 
         # an entity is in a train triple iff it has a neighbor (maybe itself)
         unseen_entities = frozenset(np.flatnonzero(np.diff(index.indptr) == 0).tolist())
-        unseen_relations = frozenset(range(num_rel)) - frozenset(columns[1][:train])
+        unseen_relations = frozenset(range(num_rel)) - frozenset(r.tolist())
         if unseen_entities or unseen_relations:
             warnings.warn(
                 f"{len(unseen_entities)} entities and {len(unseen_relations)} "
@@ -233,11 +232,11 @@ class KnowledgeGraph:
         kg = cls(entity_ids=entity_ids, entity_labels=entity_labels,
                  entities=entities, relation_ids=relation_ids,
                  relation_labels=relation_labels,
-                 num_base_relations=num_rel, splits=splits,
+                 num_base_relations=len(relation_labels), splits=splits,
                  neighbor_index=index,
                  unseen_entities=unseen_entities,
                  unseen_relations=unseen_relations)
-        build_filter_index(kg, h, r, t)
+        build_filter_index(kg, heads, rels, tails)
         return kg
 
 
