@@ -85,8 +85,10 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     follow a node's position in the batch). A rank moves only where a
     candidate scores within a few ulps of the gold. Unseen heads/relations
     cannot be scored and take the worst rank. Runs without gradients and
-    mutates nothing: each chunk's known tails are one ``known_tails`` lookup
-    into ``kg.filter_index``.
+    changes neither the model nor the graph's facts: each chunk's known tails
+    are one ``known_tails`` lookup into ``kg.filter_index``. It does fill
+    ``kg.neighborhoods``, the graph's memo of draw-free neighborhoods (see
+    ``khop_neighborhood``), which changes no later result.
     """
     queries = queries_both_directions(kg, split)
     if max_queries is not None:

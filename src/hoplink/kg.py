@@ -9,7 +9,10 @@ identical id maps.
 as one slice of a flat array), from which ``khop_neighborhood`` samples every
 query's subgraph and ``degree`` counts edges. Valid and test triples never
 leak into it. A sampled subgraph holds arrays only; ``subgraph_edges`` lists
-its per-relation edges on demand.
+its per-relation edges on demand. The index never changes after ``build``, so
+a neighborhood in which no hop hit its cap, and hence no random draw was made,
+depends only on (head, k, cap): the graph keeps each such neighborhood in
+``kg.neighborhoods`` and ``khop_neighborhood`` computes it once per graph.
 
 The filtered ranking protocol reads ``kg.filter_index``, one sorted array of
 the ``fact_keys`` of every split's triples and their inverses, so a batch of
@@ -152,6 +155,9 @@ class KnowledgeGraph:
     inverses_added: bool = False
     # sorted fact_keys of every split's triples and their inverses
     filter_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    # draw-free neighborhoods by (head, k, cap_per_hop), see khop_neighborhood
+    neighborhoods: dict[tuple[int, int, int], NeighborhoodSubgraph] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def num_entities(self) -> int:
@@ -413,7 +419,17 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
     returned arrows keep original directions. When a hop frontier exceeds
     ``cap_per_hop``, a seeded uniform subsample is kept and the subgraph is
     marked truncated.
+
+    A neighborhood that is not truncated made no draw, so it is the same for
+    every seed: the first call stores it in ``kg.neighborhoods`` and later
+    calls with the same (head, k, cap_per_hop) return it without sampling.
+    Every call returns its own ``nodes`` list; a stored neighborhood's
+    ``arrows`` and ``hop_of`` are shared and read-only.
     """
+    stored = kg.neighborhoods.get((head, k, cap_per_hop))
+    if stored is not None:
+        return NeighborhoodSubgraph(list(stored.nodes), stored.arrows,
+                                    stored.hop_of, False)
     if not 0 <= head < kg.num_entities:
         raise KeyError(f"unknown entity id {head}")
     if k < 1:
@@ -454,8 +470,13 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
     i, j, _ = _out_links(index, nodes, position)
     arrows = np.stack(np.divmod(_sorted_unique(i * m + j), m), axis=1)
     hop_of = np.repeat(np.arange(len(hops)), [len(hop) for hop in hops])
-    return NeighborhoodSubgraph(nodes=nodes.tolist(), arrows=arrows,
-                                hop_of=hop_of, truncated=truncated)
+    sub = NeighborhoodSubgraph(nodes=nodes.tolist(), arrows=arrows,
+                               hop_of=hop_of, truncated=truncated)
+    if not truncated:
+        arrows.flags.writeable = hop_of.flags.writeable = False
+        kg.neighborhoods[head, k, cap_per_hop] = NeighborhoodSubgraph(
+            list(sub.nodes), arrows, hop_of, False)
+    return sub
 
 
 def subgraph_edges(kg: KnowledgeGraph,

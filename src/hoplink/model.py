@@ -63,7 +63,8 @@ class KgcModel:
         if config.learn_tau:
             self.log_inv_tau = ad.parameter(
                 np.array([math.log(1.0 / config.tau)]))
-        self._bag_cache: tuple[int, object] | None = None
+        # the graph itself, not its id: CPython reuses a freed graph's id
+        self._bag_cache: tuple[KnowledgeGraph, object] | None = None
 
     # -- parameters -----------------------------------------------------------
 
@@ -96,11 +97,11 @@ class KgcModel:
 
     def _entity_bag(self, kg: KnowledgeGraph):
         cached = self._bag_cache
-        if cached is not None and cached[0] == id(kg):
+        if cached is not None and cached[0] is kg:
             return cached[1]
         bag = bag_matrix([self.tokenizer.tail_ids(rec.name, rec.description)
                           for rec in kg.entities], self.tokenizer.vocab_size)
-        self._bag_cache = (id(kg), bag)
+        self._bag_cache = (kg, bag)
         return bag
 
     def encode_entities(self, kg: KnowledgeGraph, ids: Sequence[int]) -> Tensor:

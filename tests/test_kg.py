@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hoplink.model as model_module
+from hoplink.config import RunConfig
 from hoplink.kg import (
     DatasetError,
     KnowledgeGraph,
@@ -23,6 +25,9 @@ from hoplink.kg import (
     subgraph_edges,
     validate_counts,
 )
+from hoplink.model import save_model
+from hoplink.synth import generate_synthetic_kg
+from hoplink.training import Trainer
 
 
 def toy_kg(train, valid=(), test=(), texts=None):
@@ -551,3 +556,88 @@ class TestCsrSamplerMatchesSetOracle:
         assert index.out_tails[row].tolist() == [e["e2"]]
         row = slice(index.indptr[e["e1"]], index.indptr[e["e1"] + 1])
         assert index.indices[row].tolist() == sorted([e["e0"], e["e2"]])
+
+
+class TestNeighborhoodMemo:
+    """``khop_neighborhood`` stores each neighborhood that made no draw on
+    the graph; what a call returns must not depend on what the memo holds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=id_rows, data=st.data(),
+           shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                           min_size=1, max_size=3, unique=True),
+           seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+    def test_repeated_calls_match_the_set_oracle(self, rows, data, shapes, seeds):
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse=False)
+        heads = data.draw(st.permutations(2 * list(range(kg.num_entities))))
+        draw_free = set()
+        for seed in seeds:
+            for head in heads:
+                for k, cap in shapes:
+                    want = set_based_khop(kg, head, k, cap, seed)
+                    assert_same_subgraph(
+                        kg, khop_neighborhood(kg, head, k, cap, seed), want)
+                    if not want.truncated:
+                        draw_free.add((head, k, cap))
+        assert set(kg.neighborhoods) == draw_free
+
+    def test_only_draw_free_neighborhoods_are_stored(self):
+        # a hub of 5 leaves, one of which leads on to a far node
+        kg = toy_kg([("hub", "r", f"leaf{i}") for i in range(5)]
+                    + [("leaf0", "r", "far")])
+        hub = kg.entity_ids["hub"]
+        first = khop_neighborhood(kg, hub, k=1, cap_per_hop=3, seed=1)
+        again = khop_neighborhood(kg, hub, k=1, cap_per_hop=3, seed=2)
+        assert first.truncated and again.truncated
+        assert first.nodes != again.nodes
+        assert kg.neighborhoods == {}
+        for k, cap in ((1, 5), (2, 5), (1, 8)):
+            assert not khop_neighborhood(kg, hub, k, cap, seed=3).truncated
+        assert set(kg.neighborhoods) == {(hub, 1, 5), (hub, 2, 5), (hub, 1, 8)}
+        assert kg.neighborhoods[hub, 1, 5].num_nodes == 6
+        assert kg.neighborhoods[hub, 2, 5].num_nodes == 7
+        assert kg.neighborhoods[hub, 1, 8].nodes == kg.neighborhoods[hub, 1, 5].nodes
+
+    def test_stored_arrays_are_read_only_and_nodes_are_per_call(self):
+        kg = toy_kg(CHAIN)
+        head = kg.entity_ids["a"]
+        first = khop_neighborhood(kg, head, k=2)
+        first.nodes.append(kg.entity_ids["d"])
+        second = khop_neighborhood(kg, head, k=2)
+        assert second.nodes == [kg.entity_ids[e] for e in "abc"]
+        assert second.nodes is not kg.neighborhoods[head, 2, 32].nodes
+        assert second.arrows is first.arrows
+        with pytest.raises(ValueError, match="read-only"):
+            second.arrows[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            second.hop_of[0] = 1
+
+    def test_training_bytes_do_not_depend_on_the_memo(self, monkeypatch, tmp_path):
+        splits, texts = generate_synthetic_kg(0)
+        config = RunConfig(dim=16, encoder="gat", heads=2, k=1, lambda_weight=0.2,
+                           batch_size=64, lr=0.01, tau=0.05, epochs=3, seed=0)
+
+        def run(name):
+            lines = []
+            trainer = Trainer(KnowledgeGraph.build(splits, texts), config,
+                              log_fn=lines.append)
+            trainer.train()
+            save_model(tmp_path / name, trainer.model)
+            log = "".join(f"{line}\n" for line in lines).encode()
+            return log, (tmp_path / name).read_bytes(), trainer.kg
+
+        memo_log, memo_ckpt, memo_kg = run("memo.ckpt")
+        sample = model_module.khop_neighborhood
+        computed = []
+
+        def without_memo(kg, *args, **kwargs):
+            kg.neighborhoods.clear()
+            computed.append(1)
+            return sample(kg, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "khop_neighborhood", without_memo)
+        bare_log, bare_ckpt, _ = run("bare.ckpt")
+        # every synth query is draw-free at k=1: one entry per head
+        assert len(memo_kg.neighborhoods) == memo_kg.num_entities < len(computed)
+        assert memo_log == bare_log
+        assert memo_ckpt == bare_ckpt

@@ -19,6 +19,7 @@ from hoplink.model import (
     load_model,
     save_model,
 )
+from hoplink.synth import generate_synthetic_kg
 from hoplink.text import build_vocab
 
 from conftest import chain_graph, dozen_graph
@@ -189,6 +190,24 @@ class TestTailMatrix:
         b = kg.entity_ids["b"]
         assert zero[b]
         assert np.all(rows[b] == 0.0)
+
+    def test_a_graph_built_at_a_freed_graphs_id_gets_its_own_rows(self):
+        splits, texts = generate_synthetic_kg(0)
+        old = KnowledgeGraph.build(splits, texts)
+        model, fresh = make_model(old), make_model(old)
+        model.entity_matrix(old)
+        # 20 of the synth labels on a ring, each with another one's text
+        labels = list(texts)[:20]
+        ring = [(labels[i], "r", labels[(i + 1) % 20]) for i in range(20)]
+        fields = vars(KnowledgeGraph.build(
+            {"train": ring}, {e: texts[labels[-1 - i]] for i, e in enumerate(labels)}))
+        # a cache that kept only the old graph's id would let it be freed
+        # here, and the next graph would take its memory and its id
+        del old
+        new = KnowledgeGraph(**fields)
+        assert new.num_entities == 20
+        np.testing.assert_array_equal(model.entity_matrix(new),
+                                      fresh.entity_matrix(new))
 
 
 class TestStateRoundtrip:

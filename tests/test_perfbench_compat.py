@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hoplink.config import RunConfig
 from hoplink.evaluation import evaluate
-from hoplink.kg import KnowledgeGraph
+from hoplink.kg import KnowledgeGraph, queries_both_directions
 from hoplink.synth import generate_synthetic_kg
 from hoplink.training import Trainer
 
@@ -30,6 +30,16 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
         tracer.active = False
 
     calls = Counter(span[0] for span in tracer.spans)
+    # one sampler span per query encoded, whatever the graph's memo holds:
+    # every training query of the epoch's batches, then each seen query of
+    # the valid pass and the 4 test queries
+    kg = trainer.kg
+    left = len(trainer.queries) % config.batch_size
+    trained = len(trainer.queries) - (left if left == 1 else 0)
+    evaluated = sum(not kg.query_is_unseen(q.head, q.relation)
+                    for q in (queries_both_directions(kg, "valid")
+                              + queries_both_directions(kg, "test")[:4]))
+    assert calls["kg.khop_neighborhood"] == trained + evaluated == 634
     for name in ("kg.khop_neighborhood", "kg.build_filter_index", "gnn.encode",
                  "gnn.combine_adjacency", "vgae.mask_edges",
                  "vgae.edge_loss", "training.batch_edge_loss",
