@@ -54,10 +54,11 @@ def save_checkpoint(path, config: dict, vocab: dict[str, int],
 
 def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
     """Read a checkpoint, raising CheckpointError for any malformed file: bad
-    magic, a header that is cut off, not JSON or missing a section, a tensor
-    index that is not a list of distinct [name, shape] pairs with shapes of
-    non-negative integers, a truncated tensor, or bytes after the last
-    tensor."""
+    magic, a header that is cut off, not JSON or missing a section, a config
+    or vocabulary that is not an object, vocabulary ids other than 0..V-1, a
+    tensor index that is not a list of distinct [name, shape] pairs with
+    shapes of non-negative integers, a truncated tensor, or bytes after the
+    last tensor."""
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -72,14 +73,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version} "
                               f"not supported (expected {FORMAT_VERSION})")
-    for key in ("config", "vocab", "tensors"):
+    for key, kind in (("config", dict), ("vocab", dict), ("tensors", list)):
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key}")
+        if not isinstance(header[key], kind):
+            raise CheckpointError(f"{path}: header {key} is not a JSON "
+                                  + ("object" if kind is dict else "list"))
+    config, vocab, index = header["config"], header["vocab"], header["tensors"]
+    ids = list(vocab.values())
+    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise CheckpointError(f"{path}: vocabulary ids are not the integers "
+                              f"0..{len(ids) - 1}")
     tensors: dict[str, np.ndarray] = {}
     offset = 16 + header_len
-    index = header["tensors"]
-    if not isinstance(index, list):
-        raise CheckpointError(f"{path}: tensor index is not a list")
     for entry in index:
         if not (isinstance(entry, list) and len(entry) == 2
                 and isinstance(entry[0], str) and isinstance(entry[1], list)):
@@ -100,4 +106,4 @@ def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
     if offset != len(data):
         raise CheckpointError(
             f"{path}: {len(data) - offset} trailing bytes after the last tensor")
-    return header["config"], header["vocab"], tensors
+    return config, vocab, tensors

@@ -32,6 +32,7 @@ from .kg import (
     KnowledgeGraph,
     ParseError,
     add_inverse_relations,
+    dataset_counts,
     known_tails,
     load_dataset_dir,
     subgraph_edges,
@@ -135,13 +136,7 @@ def parse_manifest(path) -> dict[str, int]:
 def cmd_preprocess(args) -> int:
     kg = load_dataset_dir(args.dataset_dir)
     add_inverse_relations(kg)
-    counts = {
-        "entities": kg.num_entities,
-        "relations": kg.num_base_relations,
-        "train": len(kg.splits["train"]),
-        "valid": len(kg.splits["valid"]),
-        "test": len(kg.splits["test"]),
-    }
+    counts = dataset_counts(kg)
     if args.expect:
         diffs = validate_counts(kg, parse_manifest(args.expect))
         if diffs:

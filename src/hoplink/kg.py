@@ -18,10 +18,15 @@ The filtered ranking protocol reads ``kg.filter_index``, one sorted array of
 the ``fact_keys`` of every split's triples and their inverses, so a batch of
 (head, relation) queries finds all its known tails with two ``searchsorted``
 calls (``known_tails``).
+
+A split's queries are one (2m x 3) array of (head, relation, gold) rows
+(``query_columns``), which training and ``evaluate`` slice; ``known_tails``
+and ``query_is_unseen`` each answer a batch of its rows in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,15 +168,13 @@ class KnowledgeGraph:
     def num_entities(self) -> int:
         return len(self.entity_labels)
 
-    def base_relation(self, relation: int) -> int:
-        if relation >= self.num_base_relations:
-            return relation - self.num_base_relations
-        return relation
-
-    def query_is_unseen(self, head: int, relation: int) -> bool:
-        """True when the query touches an entity/relation absent from train."""
-        return (head in self.unseen_entities
-                or self.base_relation(relation) in self.unseen_relations)
+    def query_is_unseen(self, heads, relations):
+        """Whether each query (head, relation) touches an entity or base
+        relation absent from train; a bool for one query, else a bool array."""
+        unseen = (np.isin(heads, list(self.unseen_entities))
+                  | np.isin(np.remainder(relations, self.num_base_relations),
+                            list(self.unseen_relations)))
+        return unseen if unseen.ndim else bool(unseen)
 
     def degree(self, entity: int) -> int:
         """Distinct train out-edges plus distinct train in-edges."""
@@ -329,16 +332,16 @@ def load_dataset_dir(dataset_dir,
     return load_dataset(triples, text_file, expected_counts)
 
 
+def dataset_counts(kg: KnowledgeGraph) -> dict[str, int]:
+    """Entity, base-relation and per-split triple counts, in manifest order."""
+    return {"entities": kg.num_entities, "relations": kg.num_base_relations,
+            **{name: len(kg.splits[name]) for name in SPLITS}}
+
+
 def validate_counts(kg: KnowledgeGraph,
                     expected: Mapping[str, int]) -> list[str]:
     """Compare against manifest counts; returns one message per mismatch."""
-    found = {
-        "entities": kg.num_entities,
-        "relations": kg.num_base_relations,
-        "train": len(kg.splits["train"]),
-        "valid": len(kg.splits["valid"]),
-        "test": len(kg.splits["test"]),
-    }
+    found = dataset_counts(kg)
     diffs = []
     for key in sorted(expected):
         if key not in found:
@@ -399,16 +402,21 @@ def known_tails(kg: KnowledgeGraph, heads: Sequence[int],
     return index[slots] % kg.num_entities, counts
 
 
-def queries_both_directions(kg: KnowledgeGraph, split: str) -> list[Triple]:
-    """Forward (h, r, ?) plus inverse (t, r_inv, ?) query per triple."""
+def query_columns(kg: KnowledgeGraph, split: str) -> np.ndarray:
+    """(2m x 3) int64 rows (head, relation, gold) of the split's m triples:
+    each triple's forward query (h, r, t), then its inverse (t, r + R, h)."""
     if not kg.inverses_added:
         raise ValueError("inverse relations not added; call add_inverse_relations first")
-    offset = kg.num_base_relations
-    queries: list[Triple] = []
-    for tr in kg.splits[split]:
-        queries.append(tr)
-        queries.append(Triple(tr.tail, tr.relation + offset, tr.head))
-    return queries
+    triples = kg.splits[split]
+    forward = np.fromiter(itertools.chain.from_iterable(triples), np.int64,
+                          3 * len(triples)).reshape(-1, 3)
+    inverse = forward[:, ::-1] + (0, kg.num_base_relations, 0)
+    return np.stack([forward, inverse], axis=1).reshape(-1, 3)
+
+
+def queries_both_directions(kg: KnowledgeGraph, split: str) -> list[Triple]:
+    """``query_columns`` as ``Triple``s, for perfbench/worker.py."""
+    return list(map(Triple._make, query_columns(kg, split).tolist()))
 
 
 def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,

@@ -214,8 +214,7 @@ def save_model(path, model: KgcModel) -> None:
 def load_model(path) -> KgcModel:
     config_dict, vocab, tensors = load_checkpoint(path)
     config = config_from_dict(config_dict)
-    tokenizer = Tokenizer(token_to_id={t: int(i) for t, i in vocab.items()},
-                          max_len=config.max_len)
+    tokenizer = Tokenizer(token_to_id=vocab, max_len=config.max_len)
     model = KgcModel(config, tokenizer)
     model.load_state_arrays(tensors)
     return model

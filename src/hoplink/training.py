@@ -16,12 +16,7 @@ from . import autodiff as ad
 from .autodiff import AdamW, ShapeError, Tensor
 from .config import ConfigError, RunConfig
 from .gnn import GraphBatch
-from .kg import (
-    KnowledgeGraph,
-    Triple,
-    add_inverse_relations,
-    queries_both_directions,
-)
+from .kg import KnowledgeGraph, add_inverse_relations, query_columns
 from .model import KgcModel, QueryBatch
 from .seeding import derive_rng, derive_seed
 from .text import build_vocab
@@ -133,7 +128,8 @@ class Trainer:
         self.model = model
         self.optimizer = AdamW(model.parameters(), lr=config.lr,
                                weight_decay=config.weight_decay)
-        self.queries: list[Triple] = queries_both_directions(kg, "train")
+        # (head, relation, gold) rows; train_epochs also takes a list of rows
+        self.queries: np.ndarray = query_columns(kg, "train")
         self.epoch = 0
         self.history: list[dict] = []
         self.log_fn = log_fn
@@ -148,15 +144,15 @@ class Trainer:
         e = epoch if self.config.resample_neighborhoods else 0
         return derive_seed(self.config.seed, f"nbhd:{e}:{query_index}")
 
-    def _train_batch(self, epoch: int, batch_index: int,
+    def _train_batch(self, epoch: int, batch_index: int, rows: np.ndarray,
                      indices: np.ndarray) -> float:
+        """One step on ``rows``, rows ``indices`` of the epoch's queries."""
         cfg = self.config
         model = self.model
-        chosen = [self.queries[i] for i in indices]
-        pairs = [(q.head, q.relation) for q in chosen]
-        seeds = [self._neighborhood_seed(epoch, int(i)) for i in indices]
-        batch = model.encode_queries(self.kg, pairs, seeds,
-                                     golds=[q.tail for q in chosen])
+        seeds = [self._neighborhood_seed(epoch, i) for i in indices.tolist()]
+        # Python ints in the pairs keep the neighborhood memo's keys plain
+        batch = model.encode_queries(self.kg, rows[:, :2].tolist(), seeds,
+                                     golds=rows[:, 2])
         kg_term = info_nce_loss(batch.e_hr, batch.gold,
                                 model.temperature_scale())
 
@@ -191,8 +187,9 @@ class Trainer:
         has_valid = bool(self.kg.splits.get("valid"))
         for _ in range(count):
             epoch = self.epoch
+            queries = np.asarray(self.queries, np.int64).reshape(-1, 3)
             order = derive_rng(cfg.seed, f"shuffle:{epoch}").permutation(
-                len(self.queries))
+                len(queries))
             losses = []
             for batch_index, start in enumerate(
                     range(0, len(order), cfg.batch_size)):
@@ -200,8 +197,8 @@ class Trainer:
                 if len(indices) < 2:
                     continue
                 with ad.Tape():
-                    losses.append(
-                        self._train_batch(epoch, batch_index, indices))
+                    losses.append(self._train_batch(
+                        epoch, batch_index, queries[indices], indices))
             train_loss = float(np.mean(losses)) if losses else float("nan")
             valid_mrr = (evaluate(self.model, self.kg, "valid").mrr
                          if has_valid else 0.0)

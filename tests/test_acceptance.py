@@ -25,8 +25,7 @@ from hoplink.cli import main
 from hoplink.config import RunConfig
 from hoplink.evaluation import RankingMetrics, evaluate
 from hoplink.gnn import GraphBatch, GraphEncoder, GraphEncoderConfig
-from hoplink.kg import (KnowledgeGraph, add_inverse_relations,
-                        khop_neighborhood, queries_both_directions)
+from hoplink.kg import KnowledgeGraph, add_inverse_relations, khop_neighborhood
 from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.synth import write_synthetic_dataset
 from hoplink.text import build_vocab
@@ -316,14 +315,20 @@ def count_based_ranks(model: KgcModel, kg: KnowledgeGraph,
     with ad.no_grad():
         raw = [model.text.encode_tails([(rec.name, rec.description)]).values[0]
                for rec in kg.entities]
+    # forward then inverse query of each triple, built here rather than
+    # taken from query_columns; unseen by the graph's train-split sets
+    offset = kg.num_base_relations
+    queries = [q for tr in kg.splits[split]
+               for q in (tr, (tr.tail, tr.relation + offset, tr.head))]
     ranks = []
-    for i, q in enumerate(queries_both_directions(kg, split)):
-        if kg.query_is_unseen(q.head, q.relation):
+    for i, (head, relation, gold) in enumerate(queries):
+        if (head in kg.unseen_entities
+                or relation % offset in kg.unseen_relations):
             ranks.append(kg.num_entities)
             continue
         seed = eval_neighborhood_seed(model.config.seed, split, i)
         with ad.no_grad():
-            vec = model.encode_queries(kg, [(q.head, q.relation)],
+            vec = model.encode_queries(kg, [(head, relation)],
                                        [seed]).e_hr.values[0]
         vec_norm = np.linalg.norm(vec)
 
@@ -333,9 +338,9 @@ def count_based_ranks(model: KgcModel, kg: KnowledgeGraph,
                 return 0.0
             return float(vec @ raw[t]) / (vec_norm * t_norm)
 
-        gold_score = score(q.tail)
+        gold_score = score(gold)
         admissible = [t for t in range(kg.num_entities)
-                      if t == q.tail or t not in known[(q.head, q.relation)]]
+                      if t == gold or t not in known[(head, relation)]]
         ranks.append(sum(1 for t in admissible if score(t) >= gold_score))
     return ranks
 

@@ -25,7 +25,7 @@ class TestRoundtrip:
     def test_everything_survives(self, tmp_path):
         path = tmp_path / "model.ckpt"
         config = {"dim": 8, "lambda": 0.2, "encoder": "gat"}
-        vocab = {"<pad>": 0, "alpha": 3, "beta": 4}
+        vocab = {"<pad>": 0, "alpha": 1, "beta": 2}
         tensors = sample_tensors()
         save_checkpoint(path, config, vocab, tensors)
         config2, vocab2, tensors2 = load_checkpoint(path)
@@ -120,6 +120,38 @@ class TestCorruption:
         path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
         with pytest.raises(CheckpointError, match=f"lacks {key}"):
             load_checkpoint(path)
+
+
+def write_header(path, config, vocab):
+    """A checkpoint with no tensors and the given config and vocabulary."""
+    save_checkpoint(path, config, vocab, {})
+
+
+class TestMalformedHeaderSections:
+    @pytest.mark.parametrize("config, vocab", [
+        ([["dim", 8]], {}), ("dim=8", {}), ({}, [["<pad>", 0]]), ({}, None)],
+        ids=["config-list", "config-string", "vocab-list", "vocab-null"])
+    def test_section_that_is_not_an_object(self, tmp_path, config, vocab):
+        path = tmp_path / "model.ckpt"
+        write_header(path, config, vocab)
+        with pytest.raises(CheckpointError, match="is not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("ids", [
+        ["x", 1], [0, 88], [1, 2], [0, 0], [0, 1.0], [False, 1], [0, None]],
+        ids=["string", "past-the-table", "no-zero", "repeated", "float",
+             "bool", "null"])
+    def test_vocabulary_ids_other_than_0_to_v_minus_1(self, tmp_path, ids):
+        path = tmp_path / "model.ckpt"
+        write_header(path, {}, dict(zip(["<pad>", "alpha"], ids)))
+        with pytest.raises(CheckpointError, match="vocabulary ids"):
+            load_checkpoint(path)
+
+    def test_dense_ids_in_any_order_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        vocab = {"beta": 2, "<pad>": 0, "alpha": 1}
+        write_header(path, {"dim": 8}, vocab)
+        assert load_checkpoint(path)[:2] == ({"dim": 8}, vocab)
 
 
 def write_index(path, tensors, payload=b""):

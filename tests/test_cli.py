@@ -208,6 +208,25 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert "'k'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("config-list", "config is not a JSON object"),
+        ("vocab-id-string", "vocabulary ids"),
+        ("vocab-id-past-table", "vocabulary ids")])
+    def test_malformed_header_exits_one(self, trained_run, tmp_path, capsys,
+                                        case, message):
+        config, vocab, tensors = load_checkpoint(trained_run["checkpoint"])
+        last = max(vocab, key=vocab.get)
+        if case == "config-list":
+            config = list(config.items())
+        elif case == "vocab-id-string":
+            vocab = {**vocab, last: "x"}
+        else:  # a row the embedding table does not have
+            vocab = {**vocab, last: len(vocab) + 7}
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, config, vocab, tensors)
+        assert main(["eval", "--checkpoint", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_unrecognized_argument_exits_one(self, trained_run):
         assert main(["eval", "--checkpoint", str(trained_run["checkpoint"]),
                      "--shiny"]) == 1

@@ -18,7 +18,7 @@ from hoplink.kg import (
     Triple,
     add_inverse_relations,
     build_filter_index,
-    queries_both_directions,
+    query_columns,
 )
 from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.text import build_vocab
@@ -116,6 +116,14 @@ class TestRankingMetrics:
         m = RankingMetrics.from_ranks([])
         assert m == RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
 
+    def test_rank_array_gives_the_list_metrics(self):
+        ranks = np.array([3, 1, 12, 2, 7], dtype=np.int64)
+        assert (RankingMetrics.from_ranks(ranks)
+                == RankingMetrics.from_ranks(ranks.tolist()))
+        assert type(RankingMetrics.from_ranks(ranks).count) is int
+        assert (RankingMetrics.from_ranks(np.empty(0, np.int64))
+                == RankingMetrics(0.0, 0.0, 0.0, 0.0, 0))
+
     def test_hits_are_monotone_and_bounded(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
@@ -144,9 +152,17 @@ def brute_force_ranks(model, kg, split):
             inv = tr.relation + kg.num_base_relations
             known.setdefault((tr.tail, inv), set()).add(tr.head)
 
+    # forward then inverse query of each triple, and the unseen rule, built
+    # here rather than taken from query_columns or query_is_unseen
+    queries = []
+    for tr in kg.splits[split]:
+        queries.append(tr)
+        queries.append(Triple(tr.tail, tr.relation + kg.num_base_relations,
+                              tr.head))
     ranks = []
-    for i, q in enumerate(queries_both_directions(kg, split)):
-        if kg.query_is_unseen(q.head, q.relation):
+    for i, q in enumerate(queries):
+        if (q.head in kg.unseen_entities
+                or q.relation % kg.num_base_relations in kg.unseen_relations):
             ranks.append(kg.num_entities)
             continue
         seed = eval_neighborhood_seed(model.config.seed, split, i)
@@ -248,8 +264,8 @@ class TestEvaluate:
         add_inverse_relations(kg)
         model = make_model(kg, k=1)
         ghost = kg.entity_ids["ghost"]
-        assert queries_both_directions(kg, "valid")[0] == Triple(
-            ghost, 0, kg.entity_ids["a"])
+        assert query_columns(kg, "valid")[0].tolist() == [
+            ghost, 0, kg.entity_ids["a"]]
         metrics = evaluate(model, kg, "valid", max_queries=1)
         assert metrics.count == 1
         assert metrics.mrr == 1.0 / kg.num_entities
@@ -302,10 +318,9 @@ class TestBatchedEvaluate:
                            ("b", "s", "mute")], "test": []}, entity_text)
         add_inverse_relations(kg)
         model = make_model(kg, k=1, batch_size=5)
-        queries = queries_both_directions(kg, "valid")
-        unseen = [i for i, q in enumerate(queries)
-                  if kg.query_is_unseen(q.head, q.relation)]
-        assert unseen == [2]  # between the seen rows of the one chunk
+        rows = query_columns(kg, "valid")
+        unseen = np.flatnonzero(kg.query_is_unseen(rows[:, 0], rows[:, 1]))
+        assert unseen.tolist() == [2]  # between the seen rows of the one chunk
         _, zero = model.tail_matrix(kg)
         assert zero[kg.entity_ids["mute"]]
         ranks = brute_force_ranks(model, kg, "valid")

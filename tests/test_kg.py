@@ -17,11 +17,13 @@ from hoplink.kg import (
     Triple,
     add_inverse_relations,
     build_filter_index,
+    dataset_counts,
     khop_neighborhood,
     known_tails,
     load_dataset,
     load_dataset_dir,
     queries_both_directions,
+    query_columns,
     subgraph_edges,
     validate_counts,
 )
@@ -125,6 +127,12 @@ class TestLoading:
         diffs = validate_counts(kg, {"entities": 4, "relations": 2, "train": 3})
         assert diffs == ["relations: expected 2, found 1"]
 
+    def test_dataset_counts_in_manifest_order(self):
+        kg = toy_kg(CHAIN, valid=[("a", "s", "d")])
+        assert list(dataset_counts(kg).items()) == [
+            ("entities", 4), ("relations", 2), ("train", 3), ("valid", 1),
+            ("test", 0)]
+
     def test_manifest_mismatch_fails_load(self, tmp_path):
         (tmp_path / "train.txt").write_text("a\tr\tb\n")
         (tmp_path / "entities.txt").write_text("a\ta\t\nb\tb\t\n")
@@ -202,6 +210,73 @@ class TestInverseRelations:
         r = kg.relation_ids["r"]
         assert qs[0] == Triple(a, r, b)
         assert qs[1] == Triple(b, r + kg.num_base_relations, a)
+
+
+def query_rows_oracle(kg, split):
+    """Forward then inverse (head, relation, gold) row of each triple, built
+    one triple at a time."""
+    rows = []
+    for h, r, t in kg.splits[split]:
+        rows.append((h, r, t))
+        rows.append((t, r + kg.num_base_relations, h))
+    return rows
+
+
+def unseen_oracle(kg, head, relation):
+    """The scalar rule: an unseen head, or an unseen base relation."""
+    base = relation
+    if relation >= kg.num_base_relations:
+        base -= kg.num_base_relations
+    return head in kg.unseen_entities or base in kg.unseen_relations
+
+
+def unseen_head_kg():
+    """Valid and test queries with heads and a relation absent from train."""
+    kg = toy_kg(CHAIN, valid=[("a", "r", "x"), ("y", "s", "b"), ("b", "r", "c")],
+                test=[("x", "r", "y"), ("d", "r", "a")])
+    return add_inverse_relations(kg)
+
+
+class TestQueryColumns:
+    @pytest.mark.parametrize("make_kg", [
+        lambda: add_inverse_relations(
+            KnowledgeGraph.build(*generate_synthetic_kg(0))),
+        unseen_head_kg])
+    def test_rows_match_the_per_triple_loop(self, make_kg):
+        kg = make_kg()
+        for split in ("train", "valid", "test"):
+            rows = query_columns(kg, split)
+            expected = query_rows_oracle(kg, split)
+            assert rows.dtype == np.int64 and rows.shape == (len(expected), 3)
+            assert list(map(tuple, rows.tolist())) == expected
+            assert queries_both_directions(kg, split) == expected
+
+    def test_empty_split_gives_no_rows(self):
+        kg = add_inverse_relations(toy_kg(CHAIN))
+        assert query_columns(kg, "test").shape == (0, 3)
+
+    def test_vectorized_unseen_matches_the_scalar_rule(self):
+        kg = unseen_head_kg()
+        assert kg.unseen_entities and kg.unseen_relations
+        for split in ("train", "valid", "test"):
+            rows = query_columns(kg, split)
+            got = kg.query_is_unseen(rows[:, 0], rows[:, 1])
+            expected = [unseen_oracle(kg, h, r) for h, r, _ in rows.tolist()]
+            assert got.tolist() == expected
+            assert [kg.query_is_unseen(h, r) for h, r, _ in rows.tolist()] == expected
+        # every (entity, relation) pair, inverse relations included
+        heads, relations = np.divmod(
+            np.arange(kg.num_entities * len(kg.relation_labels)),
+            len(kg.relation_labels))
+        assert kg.query_is_unseen(heads, relations).tolist() == [
+            unseen_oracle(kg, h, r)
+            for h, r in zip(heads.tolist(), relations.tolist())]
+
+    def test_scalar_answer_is_a_plain_bool(self):
+        kg = unseen_head_kg()
+        x = kg.entity_ids["x"]
+        assert kg.query_is_unseen(x, 0) is True
+        assert kg.query_is_unseen(kg.entity_ids["a"], 0) is False
 
 
 def filter_oracle(split_rows):

@@ -2,8 +2,14 @@
 refactor under src/ that renames or reshapes one of them must fail here, not
 only in a ``perfbench/run.py --trace 1`` run."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from hoplink.config import RunConfig
 from hoplink.evaluation import evaluate
@@ -12,6 +18,7 @@ from hoplink.synth import generate_synthetic_kg
 from hoplink.training import Trainer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("synth-gat-epoch", "wide-k2-gat-train", "wide-k1-eval")
 
 
 def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
@@ -58,3 +65,22 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
     assert metrics["kg.subgraph_nodes.mean"] > 0
     assert metrics["gnn.stacked_nodes.mean"] > 0
     assert metrics["training.steps"] > 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_worker_runs_each_workload_at_tiny_size(monkeypatch, workload):
+    """The benchmark's own entry point, one pass set at tiny size: every
+    check it makes holds and no operation fails."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from run import EXPECTED_CHECKS, ONE_THREAD
+
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--size", "tiny"],
+        cwd=PERFBENCH.parent, env={**os.environ, **ONE_THREAD},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(result["checks"]) == EXPECTED_CHECKS[workload]
+    assert all(result["checks"].values()), result["checks"]
+    assert result["failed"] == 0 and result["attempted"] > 0

@@ -328,6 +328,22 @@ class TestTrainer:
         trainer.train_epochs(2)
         assert [r["epoch"] for r in trainer.history] == [0, 1, 2, 3]
 
+    def test_queries_reassigned_as_a_list_of_rows_train_the_same(self):
+        # perfbench's wide-k2 job keeps a sample of the query rows as a list
+        pick = sorted(np.random.default_rng(3).choice(20, size=12, replace=False))
+        as_list = Trainer(chain_graph(), small_config(batch_size=4))
+        as_array = Trainer(chain_graph(), small_config(batch_size=4))
+        assert as_array.queries.shape == (20, 3)
+        as_list.queries = [as_list.queries[i] for i in pick]
+        as_array.queries = as_array.queries[pick]
+        as_list.train()
+        as_array.train()
+        assert as_list.history == as_array.history
+        assert len({r["train_loss"] for r in as_list.history}) == 2
+        s1, s2 = as_list.model.state_arrays(), as_array.model.state_arrays()
+        for name in s1:
+            assert s1[name].tobytes() == s2[name].tobytes(), name
+
     def test_split_resume_matches_single_run(self):
         whole = Trainer(chain_graph(), small_config(epochs=4))
         whole.train()
