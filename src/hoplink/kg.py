@@ -5,12 +5,15 @@ Entity and relation ids are dense integers assigned in first-appearance order
 identical id maps.
 
 ``KnowledgeGraph.build`` makes the graph's one adjacency: a read-only CSR
-``NeighborIndex`` of the train triples (each entity's neighbors and out-edges
-as one slice of a flat array), from which ``khop_neighborhood`` samples every
-query's subgraph and ``degree`` counts edges. Valid and test triples never
-leak into it. A sampled subgraph holds arrays only; ``subgraph_edges`` lists
-its per-relation edges on demand. The index never changes after ``build``, so
-a neighborhood in which no hop hit its cap, and hence no random draw was made,
+``NeighborIndex`` of the train triples (each entity's neighbors, out-edges
+and degree-ordered arrows as slices of flat arrays). Valid and test triples
+never leak into it. Sampling and linking are split: ``khop_neighborhood``
+samples one query's nodes and hops, and ``combine_adjacency`` links a whole
+batch of subgraphs in one pass over their nodes' arrow rows, which hold each
+directed pair once at its lower-degree end, so a hub's row stays short.
+``subgraph_edges`` lists one subgraph's per-relation edges on demand, and
+``degree`` counts edges. The index never changes after ``build``, so a
+neighborhood in which no hop hit its cap, and hence no random draw was made,
 depends only on (head, k, cap): the graph keeps each such neighborhood in
 ``kg.neighborhoods`` and ``khop_neighborhood`` computes it once per graph.
 
@@ -73,17 +76,15 @@ class EntityRecord:
 
 @dataclass
 class NeighborhoodSubgraph:
-    """Induced subgraph around a head entity.
+    """Sampled neighborhood of a head entity: nodes and hops only.
 
-    ``nodes`` lists original entity ids with the head at index 0. ``arrows``
-    is an (m, 2) int array holding each (i, j) once iff some train triple
-    links nodes[i] -> nodes[j] (original direction; synthesized inverse
-    relations add no arrows), sorted by i then j. ``subgraph_edges`` gives
-    the per-relation detail behind the arrows on demand.
+    ``nodes`` lists original entity ids with the head at index 0 and each
+    hop's nodes after the last hop's; ``hop_of`` holds each node's hop.
+    ``combine_adjacency`` links a batch of subgraphs' arrows in one pass and
+    ``subgraph_edges`` lists one subgraph's per-relation edges on demand.
     """
 
     nodes: list[int]
-    arrows: np.ndarray
     hop_of: np.ndarray
     truncated: bool
 
@@ -98,7 +99,12 @@ class NeighborIndex:
     ``indices``) holds e's undirected train neighbors, sorted and unique (e
     itself for a self-loop); row e of (``out_indptr``, ``out_relations``,
     ``out_tails``) holds e's distinct train out-edges sorted by (relation,
-    tail). Inverse relations add no neighbor and no base-relation arrow, so
+    tail). Row e of (``arrow_indptr``, ``arrow_entries``) holds each distinct
+    directed train pair once, relations dropped, in the row of its endpoint
+    that is lower by (undirected degree, id): the entry is 2 * other + 1 for
+    an arrow other -> e, else 2 * other (a self-loop is 2 * e). Ordering the
+    pairs by degree keeps hubs' rows short (Chiba & Nishizeki, 1985). Inverse
+    relations add no neighbor and no base-relation arrow, so
     ``add_inverse_relations`` leaves the index as it is."""
 
     indptr: np.ndarray
@@ -106,6 +112,8 @@ class NeighborIndex:
     out_indptr: np.ndarray
     out_relations: np.ndarray
     out_tails: np.ndarray
+    arrow_indptr: np.ndarray
+    arrow_entries: np.ndarray
 
     def __post_init__(self):
         for array in vars(self).values():
@@ -133,16 +141,6 @@ def _range_slots(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
     ends = np.cumsum(counts)
     slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
     return slots, counts
-
-
-def _out_links(index: NeighborIndex, nodes: np.ndarray,
-               position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, out-row slot) of every out-edge nodes[i] -> nodes[j], by i then
-    out-row order; ``position`` maps an entity to its node index, or -1."""
-    slots, counts = _range_slots(index.out_indptr[nodes], index.out_indptr[nodes + 1])
-    j = position[index.out_tails[slots]]
-    linked = j >= 0
-    return np.repeat(np.arange(len(nodes)), counts)[linked], j[linked], slots[linked]
 
 
 @dataclass
@@ -217,7 +215,9 @@ class KnowledgeGraph:
         start = 0
         for name in SPLITS:
             stop = start + len(split_triples.get(name, ()))
-            splits[name] = list(map(Triple, *(c[start:stop] for c in columns)))
+            # tuple.__new__ skips the Python-level Triple.__new__ per triple
+            splits[name] = list(map(tuple.__new__, itertools.repeat(Triple),
+                                    zip(*(c[start:stop] for c in columns))))
             start = stop
 
         train = len(splits["train"])
@@ -225,11 +225,17 @@ class KnowledgeGraph:
         n, num_rel = len(entity_labels), len(relation_labels)
         # out-edge keys sort each row by (relation, tail)
         out_indptr, out_cells = _csr(h * (num_rel * n) + r * n + t, num_rel * n, n)
-        index = NeighborIndex(*_csr(np.concatenate([h * n + t, t * n + h]), n, n),
-                              out_indptr, *np.divmod(out_cells, n))
+        indptr, indices = _csr(np.concatenate([h * n + t, t * n + h]), n, n)
+        # each pair goes to the row of its lower (degree, id) end, which is
+        # its tail where ``incoming`` holds
+        degree = np.diff(indptr)
+        incoming = (degree[t] < degree[h]) | ((degree[t] == degree[h]) & (t < h))
+        owner, other = np.where(incoming, t, h), np.where(incoming, h, t)
+        index = NeighborIndex(indptr, indices, out_indptr, *np.divmod(out_cells, n),
+                              *_csr(owner * (2 * n) + 2 * other + incoming, 2 * n, n))
 
         # an entity is in a train triple iff it has a neighbor (maybe itself)
-        unseen_entities = frozenset(np.flatnonzero(np.diff(index.indptr) == 0).tolist())
+        unseen_entities = frozenset(np.flatnonzero(degree == 0).tolist())
         unseen_relations = frozenset(range(num_rel)) - frozenset(r.tolist())
         if unseen_entities or unseen_relations:
             warnings.warn(
@@ -423,21 +429,19 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
                       cap_per_hop: int = 32, seed: int = 0) -> NeighborhoodSubgraph:
     """Breadth-first neighborhood of ``head`` up to ``k`` hops.
 
-    Discovery treats train edges as undirected (incoming plus outgoing); the
-    returned arrows keep original directions. When a hop frontier exceeds
-    ``cap_per_hop``, a seeded uniform subsample is kept and the subgraph is
-    marked truncated.
+    Discovery treats train edges as undirected (incoming plus outgoing).
+    When a hop frontier exceeds ``cap_per_hop``, a seeded uniform subsample
+    is kept and the subgraph is marked truncated.
 
     A neighborhood that is not truncated made no draw, so it is the same for
     every seed: the first call stores it in ``kg.neighborhoods`` and later
     calls with the same (head, k, cap_per_hop) return it without sampling.
     Every call returns its own ``nodes`` list; a stored neighborhood's
-    ``arrows`` and ``hop_of`` are shared and read-only.
+    ``hop_of`` is shared and read-only.
     """
     stored = kg.neighborhoods.get((head, k, cap_per_hop))
     if stored is not None:
-        return NeighborhoodSubgraph(list(stored.nodes), stored.arrows,
-                                    stored.hop_of, False)
+        return NeighborhoodSubgraph(list(stored.nodes), stored.hop_of, False)
     if not 0 <= head < kg.num_entities:
         raise KeyError(f"unknown entity id {head}")
     if k < 1:
@@ -446,19 +450,16 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
         raise ValueError(f"cap_per_hop must be >= 1, got {cap_per_hop}")
     index = kg.neighbor_index
     rng = None  # made at the first truncation: no draw happens before it
-    # position of each entity in the subgraph, -1 while undiscovered
-    position = np.full(kg.num_entities, -1, dtype=np.int64)
-    position[head] = 0
     hops = [np.array([head], dtype=np.int64)]
     truncated = False
     for _ in range(k):
-        frontier = hops[-1]
-        if len(frontier) == 1:
-            found = index.indices[index.indptr[frontier[0]]:index.indptr[frontier[0] + 1]]
-            candidates = found[position[found] < 0]
+        if len(hops) == 1:
+            found = index.indices[index.indptr[head]:index.indptr[head + 1]]
+            candidates = found[found != head]
         else:
             # a mark per entity dedupes and sorts the neighbors without a sort
             mark = np.zeros(kg.num_entities, dtype=bool)
+            frontier = hops[-1]
             rows = _range_slots(index.indptr[frontier], index.indptr[frontier + 1])[0]
             mark[index.indices[rows]] = True
             mark[np.concatenate(hops)] = False
@@ -468,32 +469,68 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
             keep = rng.choice(len(candidates), size=cap_per_hop, replace=False)
             candidates = np.sort(candidates[keep])
             truncated = True
-        position[candidates] = np.arange(len(candidates)) + sum(map(len, hops))
         hops.append(candidates)
         if not len(candidates):
             break
 
-    nodes = np.concatenate(hops)
-    m = len(nodes)
-    i, j, _ = _out_links(index, nodes, position)
-    arrows = np.stack(np.divmod(_sorted_unique(i * m + j), m), axis=1)
+    nodes = np.concatenate(hops).tolist()
     hop_of = np.repeat(np.arange(len(hops)), [len(hop) for hop in hops])
-    sub = NeighborhoodSubgraph(nodes=nodes.tolist(), arrows=arrows,
-                               hop_of=hop_of, truncated=truncated)
     if not truncated:
-        arrows.flags.writeable = hop_of.flags.writeable = False
+        hop_of.flags.writeable = False
         kg.neighborhoods[head, k, cap_per_hop] = NeighborhoodSubgraph(
-            list(sub.nodes), arrows, hop_of, False)
-    return sub
+            list(nodes), hop_of, False)
+    return NeighborhoodSubgraph(nodes=nodes, hop_of=hop_of, truncated=truncated)
+
+
+def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgraph]
+                      ) -> tuple[np.ndarray, list[int]]:
+    """Every arrow of a batch of subgraphs, linked in one pass.
+
+    The subgraphs' nodes are stacked as consecutive runs of rows; returns an
+    (m, 2) int array holding each (i, j) once iff some train triple links
+    the entities at rows i -> j of one subgraph (original direction;
+    synthesized inverse relations add no arrows), sorted by i then j, plus
+    each subgraph's first row (the position of its head in the stacked X).
+    Each stacked node's arrow row is scanned once, and an entry is kept
+    when its other end is in the same subgraph.
+    """
+    if not subgraphs:
+        raise ValueError("cannot combine zero subgraphs")
+    sizes = [sub.num_nodes for sub in subgraphs]
+    nodes = np.fromiter(itertools.chain.from_iterable(sub.nodes for sub in subgraphs),
+                        np.int64, sum(sizes))
+    n = len(nodes)
+    # (subgraph, entity) key of each row, distinct because a subgraph holds
+    # each entity once; sorted, it answers which row holds an entity
+    base = np.repeat(np.arange(len(sizes)) * kg.num_entities, sizes)
+    keys = base + nodes
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    index = kg.neighbor_index
+    slots, counts = _range_slots(index.arrow_indptr[nodes], index.arrow_indptr[nodes + 1])
+    entries = index.arrow_entries[slots]
+    rows = np.repeat(np.arange(n), counts)
+    wanted = base[rows] + (entries >> 1)
+    at = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
+    linked = sorted_keys[at] == wanted
+    mine, theirs = rows[linked], order[at[linked]]
+    incoming = (entries[linked] & 1).astype(bool)
+    cells = np.where(incoming, theirs * n + mine, mine * n + theirs)
+    arrows = np.stack(np.divmod(np.sort(cells), n), axis=1)
+    return arrows, np.cumsum([0] + sizes[:-1]).tolist()
 
 
 def subgraph_edges(kg: KnowledgeGraph,
                    sub: NeighborhoodSubgraph) -> list[tuple[int, int, int]]:
-    """(i, j, relation) of each distinct train triple nodes[i] -> nodes[j]
-    behind ``sub.arrows``, by i then (relation, tail)."""
+    """(i, j, relation) of each distinct train triple nodes[i] -> nodes[j],
+    by i then (relation, tail)."""
+    index = kg.neighbor_index
     nodes = np.asarray(sub.nodes, dtype=np.int64)
     position = np.full(kg.num_entities, -1, dtype=np.int64)
     position[nodes] = np.arange(len(nodes))
-    i, j, slots = _out_links(kg.neighbor_index, nodes, position)
-    relations = kg.neighbor_index.out_relations[slots]
-    return list(zip(i.tolist(), j.tolist(), relations.tolist()))
+    slots, counts = _range_slots(index.out_indptr[nodes], index.out_indptr[nodes + 1])
+    j = position[index.out_tails[slots]]
+    linked = j >= 0
+    i = np.repeat(np.arange(len(nodes)), counts)[linked]
+    return list(zip(i.tolist(), j[linked].tolist(),
+                    index.out_relations[slots[linked]].tolist()))

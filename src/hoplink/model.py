@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_dict
 from .gnn import GraphBatch, GraphEncoder, combine_adjacency
 from .kg import KnowledgeGraph, NeighborhoodSubgraph, khop_neighborhood
@@ -165,7 +165,7 @@ class KgcModel:
                               return_inverse=True)
         table = (self.encode_entities(kg, ids) if entities is None
                  else ad.constant(entities[ids]))
-        arrows, offsets = combine_adjacency(subs)
+        arrows, offsets = combine_adjacency(kg, subs)
         # X gathers rows of [H; table]: head i (row i) goes in front of its
         # own neighbors, after the offsets[i] - i neighbors of earlier subgraphs
         b = len(queries)
@@ -212,9 +212,14 @@ def save_model(path, model: KgcModel) -> None:
 
 
 def load_model(path) -> KgcModel:
+    """Rebuild a saved model; a checkpoint whose tensors do not fit its own
+    config (missing, extra or misshapen) raises ``CheckpointError``."""
     config_dict, vocab, tensors = load_checkpoint(path)
     config = config_from_dict(config_dict)
     tokenizer = Tokenizer(token_to_id=vocab, max_len=config.max_len)
     model = KgcModel(config, tokenizer)
-    model.load_state_arrays(tensors)
+    try:
+        model.load_state_arrays(tensors)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from None
     return model

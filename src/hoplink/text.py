@@ -74,12 +74,9 @@ def build_vocab(kg: KnowledgeGraph, min_frequency: int = 1,
     tokens first, then the surviving tokens in lexicographic order, so the
     mapping is stable across runs and machines.
     """
-    counts: Counter[str] = Counter()
-    for rec in kg.entities:
-        counts.update(tokenize(rec.name))
-        counts.update(tokenize(rec.description))
-    for label in kg.relation_labels:
-        counts.update(tokenize(label))
+    texts = [text for rec in kg.entities for text in (rec.name, rec.description)]
+    counts = Counter(itertools.chain.from_iterable(
+        map(tokenize, texts + kg.relation_labels)))
     token_to_id = {tok: tid for tok, tid in RESERVED}
     kept = sorted(t for t, c in counts.items() if c >= min_frequency)
     for tok in kept:

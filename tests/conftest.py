@@ -1,8 +1,25 @@
-"""Shared toy graphs for the model, training, and evaluation tests."""
+"""Shared toy graphs for the model, training, and evaluation tests, and
+the set-based arrow oracle."""
 
+import numpy as np
 import pytest
 
 from hoplink.kg import KnowledgeGraph, add_inverse_relations
+
+
+def reference_arrows(kg, subgraphs):
+    """Set-based oracle of ``combine_adjacency``: each subgraph's (i, j)
+    with a train triple nodes[i] -> nodes[j], in row-major order, shifted
+    by the subgraph's first stacked row; and those first rows."""
+    pairs = {(h, t) for h, _, t in kg.splits["train"]}
+    arrows, offsets, offset = [], [], 0
+    for sub in subgraphs:
+        offsets.append(offset)
+        row = {e: offset + i for i, e in enumerate(sub.nodes)}
+        arrows += sorted((row[u], row[v]) for u, v in pairs
+                         if u in row and v in row)
+        offset += len(sub.nodes)
+    return np.array(arrows, dtype=np.int64).reshape(-1, 2), offsets
 
 
 def chain_graph() -> KnowledgeGraph:

@@ -227,6 +227,26 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing-tensor", "state mismatch: missing ['gnn.l0_h0_adst']"),
+        ("tensor-row-short", "shape mismatch for gnn.l0_h0_adst"),
+        ("config-dim-16", "shape mismatch for text.embeddings")])
+    def test_tensors_that_do_not_fit_the_config_exit_one(
+            self, trained_run, tmp_path, capsys, case, message):
+        config, vocab, tensors = load_checkpoint(trained_run["checkpoint"])
+        if case == "missing-tensor":
+            del tensors["gnn.l0_h0_adst"]
+        elif case == "tensor-row-short":
+            tensors["gnn.l0_h0_adst"] = tensors["gnn.l0_h0_adst"][:-1]
+        else:
+            config = {**config, "dim": 16}
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, config, vocab, tensors)
+        for command in (["eval"], ["explain", "--head", "x", "--relation", "y"]):
+            assert main([*command, "--checkpoint", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert message in err and "runtime failure" not in err
+
     def test_unrecognized_argument_exits_one(self, trained_run):
         assert main(["eval", "--checkpoint", str(trained_run["checkpoint"]),
                      "--shiny"]) == 1

@@ -11,14 +11,12 @@ from hoplink.gnn import (
     GraphBatch,
     GraphEncoder,
     GraphEncoderConfig,
-    combine_adjacency,
     gat_head,
     gcn_layer,
     sage_layer,
 )
 from hoplink.cli import neighbor_order
 from hoplink.config import RunConfig
-from hoplink.kg import NeighborhoodSubgraph
 from hoplink.model import KgcModel
 from hoplink.text import build_vocab
 from hoplink.vgae import Vgae
@@ -26,12 +24,13 @@ from hoplink.vgae import Vgae
 from conftest import dozen_graph
 
 
-def make_subgraph(A):
-    A = np.asarray(A, dtype=np.float64)
-    return NeighborhoodSubgraph(nodes=list(range(len(A))),
-                                arrows=np.argwhere(A > 0),
-                                hop_of=np.zeros(len(A), dtype=np.int64),
-                                truncated=False)
+def stack_blocks(blocks):
+    """Arrows of dense blocks laid out as consecutive runs of rows, in
+    row-major order, and each block's first row."""
+    offsets = np.cumsum([0] + [len(A) for A in blocks[:-1]]).tolist()
+    arrows = np.concatenate([np.argwhere(np.asarray(A) > 0) + offset
+                             for A, offset in zip(blocks, offsets)])
+    return arrows, offsets
 
 
 def graph_of(A):
@@ -145,7 +144,7 @@ def stacked_batch(subs):
         for i, _, j in triples:
             A[i, j] = 1.0
         blocks.append(A)
-    arrows, offsets = combine_adjacency([make_subgraph(b) for b in blocks])
+    arrows, offsets = stack_blocks(blocks)
     A = block_diag(*blocks)
     return A, GraphBatch(arrows, len(A)), offsets
 
@@ -449,7 +448,7 @@ class TestEncodeNeighborhood:
             np.fill_diagonal(A, 0)
             subs.append(A)
             feats.append(rng.normal(size=(n, 6)))
-        arrows, offsets = combine_adjacency([make_subgraph(A) for A in subs])
+        arrows, offsets = stack_blocks(subs)
         assert offsets == [0, 3, 8]
         graph = GraphBatch(arrows, 12)
         batched = enc.encode(Tensor(np.vstack(feats)), graph, offsets).values

@@ -17,6 +17,7 @@ from hoplink.kg import (
     Triple,
     add_inverse_relations,
     build_filter_index,
+    combine_adjacency,
     dataset_counts,
     khop_neighborhood,
     known_tails,
@@ -30,6 +31,8 @@ from hoplink.kg import (
 from hoplink.model import save_model
 from hoplink.synth import generate_synthetic_kg
 from hoplink.training import Trainer
+
+from conftest import reference_arrows
 
 
 def toy_kg(train, valid=(), test=(), texts=None):
@@ -395,14 +398,15 @@ class TestKhopNeighborhood:
         expected = np.zeros((3, 3))
         expected[idx["a"], idx["b"]] = 1
         expected[idx["b"], idx["c"]] = 1
-        np.testing.assert_array_equal(sub.arrows, np.argwhere(expected))
+        np.testing.assert_array_equal(combine_adjacency(kg, [sub])[0],
+                                      np.argwhere(expected))
         assert not sub.truncated
 
     def test_isolated_node(self):
         kg = toy_kg([("a", "r", "b")], valid=[("c", "r", "a")])
         sub = khop_neighborhood(kg, kg.entity_ids["c"], k=3)
         assert sub.nodes == [kg.entity_ids["c"]]
-        assert sub.arrows.shape == (0, 2)
+        assert combine_adjacency(kg, [sub])[0].shape == (0, 2)
 
     def test_star_truncates_at_cap(self):
         kg = toy_kg([("hub", "r", f"leaf{i}") for i in range(100)])
@@ -425,7 +429,7 @@ class TestKhopNeighborhood:
         add_inverse_relations(kg)
         sub = khop_neighborhood(kg, kg.entity_ids["a"], k=1)
         assert sub.num_nodes == 2
-        np.testing.assert_array_equal(sub.arrows, [[0, 1]])
+        np.testing.assert_array_equal(combine_adjacency(kg, [sub])[0], [[0, 1]])
 
     def test_unknown_head_and_bad_args(self):
         kg = toy_kg(CHAIN)
@@ -468,7 +472,7 @@ class TestKhopNeighborhood:
             directed = {(h, t) for h, _, t in id_triples}
             expected = [[i, j] for i, u in enumerate(sub.nodes)
                         for j, v in enumerate(sub.nodes) if (u, v) in directed]
-            assert sub.arrows.tolist() == expected
+            assert combine_adjacency(kg, [sub])[0].tolist() == expected
 
     def test_one_hop_equals_neighbor_union(self):
         rng = np.random.default_rng(7)
@@ -537,9 +541,11 @@ def assert_same_subgraph(kg, got, want):
     assert got.hop_of.dtype == np.int64
     np.testing.assert_array_equal(got.hop_of, want.hop_of)
     assert got.truncated == want.truncated
-    assert got.arrows.dtype == np.int64
-    assert got.arrows.shape == want.arrows.shape
-    assert got.arrows.tolist() == want.arrows.tolist()
+    arrows, offsets = combine_adjacency(kg, [got])
+    assert offsets == [0]
+    assert arrows.dtype == np.int64
+    assert arrows.shape == want.arrows.shape
+    assert arrows.tolist() == want.arrows.tolist()
     assert subgraph_edges(kg, got) == want.edges
 
 
@@ -633,6 +639,131 @@ class TestCsrSamplerMatchesSetOracle:
         assert index.indices[row].tolist() == sorted([e["e0"], e["e2"]])
 
 
+def skewed_rows(seed, n=300, size=1200):
+    """Train rows of n entities whose popularity falls off as 1 / rank."""
+    rng = np.random.default_rng(seed)
+    weight = 1.0 / np.arange(1, n + 1)
+    weight /= weight.sum()
+    return [(int(h), int(r), int(t)) for h, r, t in zip(
+        rng.choice(n, size, p=weight), rng.integers(0, 4, size),
+        rng.choice(n, size, p=weight))]
+
+
+class TestArrowIndex:
+    """The degree-ordered arrow rows hold each distinct directed train pair
+    exactly once, relations dropped, in the row of its end that is lower by
+    (undirected degree, id)."""
+
+    @staticmethod
+    def entries(kg):
+        """(row, other end, incoming bit) of every arrow entry, in order."""
+        index = kg.neighbor_index
+        rows = np.repeat(np.arange(kg.num_entities), np.diff(index.arrow_indptr))
+        return list(zip(rows.tolist(), (index.arrow_entries >> 1).tolist(),
+                        (index.arrow_entries & 1).tolist()))
+
+    @staticmethod
+    def expected(kg):
+        neighbors = defaultdict(set)
+        pairs = {(tr.head, tr.tail) for tr in kg.splits["train"]}
+        for h, t in pairs:
+            neighbors[h].add(t)
+            neighbors[t].add(h)
+
+        def rank(e):
+            return len(neighbors[e]), e
+
+        return sorted((h, t, 0) if rank(h) <= rank(t) else (t, h, 1)
+                      for h, t in pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=id_rows, inverse=st.booleans())
+    @example(rows=[(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0), (1, 0, 0)],
+             inverse=False)          # a self-loop and a two-way pair, 2 relations each
+    def test_each_pair_once_in_its_lower_ranked_row(self, rows, inverse):
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse)
+        assert self.entries(kg) == self.expected(kg)
+
+    def test_skewed_graph(self):
+        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17), inverse=True)
+        assert self.entries(kg) == self.expected(kg)
+        index = kg.neighbor_index
+        # hub rows hold few entries: far fewer than the longest out-row
+        assert np.diff(index.arrow_indptr).max() * 4 < np.diff(index.out_indptr).max()
+
+    def test_a_star_leaves_the_hub_row_empty(self):
+        kg = toy_kg([("hub", "r", f"leaf{i}") for i in range(10)]
+                    + [("leaf0", "s", "hub")])
+        index, hub = kg.neighbor_index, kg.entity_ids["hub"]
+        assert index.arrow_indptr[hub + 1] == index.arrow_indptr[hub]
+        assert np.diff(index.arrow_indptr).tolist().count(1) == 9
+        leaf0 = kg.entity_ids["leaf0"]
+        row = index.arrow_entries[index.arrow_indptr[leaf0]:index.arrow_indptr[leaf0 + 1]]
+        assert row.tolist() == [2 * hub, 2 * hub + 1]
+
+    def test_arrays_are_read_only(self):
+        index = toy_kg(CHAIN).neighbor_index
+        for array in (index.arrow_indptr, index.arrow_entries):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+class TestCombineAdjacency:
+    """One pass over a batch's arrow rows gives the arrows of the set-based
+    reference, subgraph by subgraph, stacked with their first rows."""
+
+    @staticmethod
+    def assert_matches_reference(kg, subs):
+        arrows, offsets = combine_adjacency(kg, subs)
+        want, want_offsets = reference_arrows(kg, subs)
+        assert offsets == want_offsets
+        assert all(type(offset) is int for offset in offsets)
+        assert arrows.dtype == np.int64 and arrows.flags.c_contiguous
+        assert arrows.shape == want.shape
+        assert arrows.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=id_rows, data=st.data(), inverse=st.booleans(),
+           shapes=st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 4, 32])),
+                           min_size=1, max_size=3))
+    @example(rows=[(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 0), (2, 0, 2)],
+             data=None, inverse=False, shapes=[(2, 32)])
+    def test_batches_match_the_reference(self, rows, data, inverse, shapes):
+        # "lone" (valid only) is a head without train edges
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse)
+        if data is None:    # every head twice, self-loops and two-way pairs
+            batch = [(head, 0) for head in 2 * list(range(kg.num_entities))]
+        else:
+            batch = data.draw(st.lists(st.tuples(
+                st.integers(0, kg.num_entities - 1), st.integers(0, 2**16)),
+                min_size=1, max_size=8))
+        for k, cap in shapes:
+            # the memo holds some of the batch's draw-free heads already
+            for head, _ in batch[::2]:
+                khop_neighborhood(kg, head, k, cap, seed=7)
+            self.assert_matches_reference(
+                kg, [khop_neighborhood(kg, head, k, cap, seed)
+                     for head, seed in batch])
+
+    def test_hub_batches_on_a_skewed_graph(self):
+        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17), inverse=True)
+        heads = np.random.default_rng(5).integers(0, kg.num_entities, 96).tolist()
+        heads[1] = heads[0]
+        linked = 0
+        for k in (1, 2, 3):
+            for cap in (4, 32, 256):
+                for start in range(0, len(heads), 32):
+                    subs = [khop_neighborhood(kg, head, k, cap, seed=i)
+                            for i, head in enumerate(heads[start:start + 32])]
+                    self.assert_matches_reference(kg, subs)
+                    linked += len(combine_adjacency(kg, subs)[0])
+        assert linked > 10_000, linked
+
+    def test_zero_subgraphs_rejected(self):
+        with pytest.raises(ValueError, match="zero subgraphs"):
+            combine_adjacency(toy_kg(CHAIN), [])
+
+
 class TestNeighborhoodMemo:
     """``khop_neighborhood`` stores each neighborhood that made no draw on
     the graph; what a call returns must not depend on what the memo holds."""
@@ -681,9 +812,7 @@ class TestNeighborhoodMemo:
         second = khop_neighborhood(kg, head, k=2)
         assert second.nodes == [kg.entity_ids[e] for e in "abc"]
         assert second.nodes is not kg.neighborhoods[head, 2, 32].nodes
-        assert second.arrows is first.arrows
-        with pytest.raises(ValueError, match="read-only"):
-            second.arrows[0, 0] = 1
+        assert second.hop_of is first.hop_of
         with pytest.raises(ValueError, match="read-only"):
             second.hop_of[0] = 1
 

@@ -52,6 +52,8 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
                  "vgae.edge_loss", "training.batch_edge_loss",
                  "autodiff.backward", "evaluation.query_scores"):
         assert calls[name] > 0, name
+    # one linking pass per encoded batch, never one per subgraph
+    assert calls["gnn.combine_adjacency"] == calls["model.encode_queries"]
     # a training step masks its whole batch at once, never per subgraph
     assert calls["vgae.mask_edges"] == calls["vgae.edge_loss"]
     # one entity table per training step and one entity matrix per evaluate

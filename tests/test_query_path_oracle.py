@@ -2,8 +2,9 @@
 
 The oracle below is that path, kept here as the reference: the tail tower
 encodes one row per neighbor occurrence, a second tail-tower call encodes
-the gold tails, and a Python loop builds the permutation that lays each
-subgraph's rows out head first. The entity-table path encodes each distinct
+the gold tails, a Python loop builds the permutation that lays each
+subgraph's rows out head first, and the arrows come from the set-based
+reference of ``combine_adjacency``. The entity-table path encodes each distinct
 entity once and gathers its rows, so values agree and gradients agree to
 rounding: repeated rows' gradients are summed in another order.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from hoplink import autodiff as ad
 from hoplink.config import RunConfig
-from hoplink.gnn import GraphBatch, combine_adjacency
+from hoplink.gnn import GraphBatch
 from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
@@ -28,6 +29,8 @@ from hoplink.seeding import derive_seed
 from hoplink.synth import generate_synthetic_kg
 from hoplink.text import build_vocab
 from hoplink.training import info_nce_loss
+
+from conftest import reference_arrows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,7 +49,7 @@ def oracle_encode(model, kg, queries, seeds, golds, entities=None):
         stacked = ad.concat_rows([H, N])
     else:
         stacked = H
-    arrows, offsets = combine_adjacency(subs)
+    arrows, offsets = reference_arrows(kg, subs)
     perm = []
     for i, (sub, offset) in enumerate(zip(subs, offsets)):
         first = len(queries) + offset - i
