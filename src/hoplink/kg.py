@@ -33,9 +33,12 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .text import TokenTable
 
 SPLITS = ("train", "valid", "test")
 
@@ -139,7 +142,7 @@ def _range_slots(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
     length; the ranges may be the rows of a CSR index."""
     counts = stops - starts
     ends = np.cumsum(counts)
-    slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    slots = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
     return slots, counts
 
 
@@ -155,12 +158,17 @@ class KnowledgeGraph:
     neighbor_index: NeighborIndex
     unseen_entities: frozenset[int]
     unseen_relations: frozenset[int]
+    # the same two sets as read-only flags by entity and base-relation id
+    entity_unseen: np.ndarray
+    relation_unseen: np.ndarray
     inverses_added: bool = False
     # sorted fact_keys of every split's triples and their inverses
     filter_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     # draw-free neighborhoods by (head, k, cap_per_hop), see khop_neighborhood
     neighborhoods: dict[tuple[int, int, int], NeighborhoodSubgraph] = field(
         default_factory=dict, compare=False, repr=False)
+    # every entity text and relation label tokenized once, see text.token_table
+    token_table: TokenTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_entities(self) -> int:
@@ -169,9 +177,8 @@ class KnowledgeGraph:
     def query_is_unseen(self, heads, relations):
         """Whether each query (head, relation) touches an entity or base
         relation absent from train; a bool for one query, else a bool array."""
-        unseen = (np.isin(heads, list(self.unseen_entities))
-                  | np.isin(np.remainder(relations, self.num_base_relations),
-                            list(self.unseen_relations)))
+        unseen = (self.entity_unseen[heads]
+                  | self.relation_unseen[np.remainder(relations, self.num_base_relations)])
         return unseen if unseen.ndim else bool(unseen)
 
     def degree(self, entity: int) -> int:
@@ -235,8 +242,11 @@ class KnowledgeGraph:
                               *_csr(owner * (2 * n) + 2 * other + incoming, 2 * n, n))
 
         # an entity is in a train triple iff it has a neighbor (maybe itself)
-        unseen_entities = frozenset(np.flatnonzero(degree == 0).tolist())
-        unseen_relations = frozenset(range(num_rel)) - frozenset(r.tolist())
+        entity_unseen = degree == 0
+        relation_unseen = np.bincount(r, minlength=num_rel) == 0
+        entity_unseen.flags.writeable = relation_unseen.flags.writeable = False
+        unseen_entities = frozenset(np.flatnonzero(entity_unseen).tolist())
+        unseen_relations = frozenset(np.flatnonzero(relation_unseen).tolist())
         if unseen_entities or unseen_relations:
             warnings.warn(
                 f"{len(unseen_entities)} entities and {len(unseen_relations)} "
@@ -250,7 +260,8 @@ class KnowledgeGraph:
                  num_base_relations=len(relation_labels), splits=splits,
                  neighbor_index=index,
                  unseen_entities=unseen_entities,
-                 unseen_relations=unseen_relations)
+                 unseen_relations=unseen_relations,
+                 entity_unseen=entity_unseen, relation_unseen=relation_unseen)
         build_filter_index(kg, heads, rels, tails)
         return kg
 

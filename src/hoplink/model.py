@@ -25,7 +25,7 @@ from .config import RunConfig, config_from_dict, config_to_dict
 from .gnn import GraphBatch, GraphEncoder, combine_adjacency
 from .kg import KnowledgeGraph, NeighborhoodSubgraph, khop_neighborhood
 from .seeding import derive_rng, derive_seed
-from .text import TextEncoder, Tokenizer, bag_matrix
+from .text import TextEncoder, TextIds, Tokenizer, token_table
 from .vgae import Vgae
 
 MAX_INV_TAU = 1000.0  # tau is kept inside [0.001, 1]
@@ -63,8 +63,10 @@ class KgcModel:
         if config.learn_tau:
             self.log_inv_tau = ad.parameter(
                 np.array([math.log(1.0 / config.tau)]))
-        # the graph itself, not its id: CPython reuses a freed graph's id
-        self._bag_cache: tuple[KnowledgeGraph, object] | None = None
+        # keyed on the graph's token table itself, not on the graph's id,
+        # which CPython reuses once a graph is freed: a table belongs to one
+        # graph, and holding it here keeps it from being freed
+        self._text_ids: TextIds | None = None
 
     # -- parameters -----------------------------------------------------------
 
@@ -95,27 +97,21 @@ class KgcModel:
 
     # -- entity text encodings ------------------------------------------------
 
-    def _entity_bag(self, kg: KnowledgeGraph):
-        cached = self._bag_cache
-        if cached is not None and cached[0] is kg:
-            return cached[1]
-        bag = bag_matrix([self.tokenizer.tail_ids(rec.name, rec.description)
-                          for rec in kg.entities], self.tokenizer.vocab_size)
-        self._bag_cache = (kg, bag)
-        return bag
+    def text_ids(self, kg: KnowledgeGraph) -> TextIds:
+        """The graph's token table in this model's vocabulary, mapped once."""
+        table = token_table(kg)
+        if self._text_ids is None or self._text_ids.table is not table:
+            self._text_ids = TextIds(table, self.tokenizer)
+        return self._text_ids
 
     def encode_entities(self, kg: KnowledgeGraph, ids: Sequence[int]) -> Tensor:
         """Tail-tower encodings for the given entity ids (gradients flow)."""
-        if self.config.text_mode == "mean_pool":
-            return self.text.encode_from_bag(self._entity_bag(kg)[ids], "tail")
-        items = [(kg.entities[e].name, kg.entities[e].description)
-                 for e in ids]
-        return self.text.encode_tails(items)
+        return self.text.encode_tails(*self.text_ids(kg).tails(ids))
 
     def entity_matrix(self, kg: KnowledgeGraph) -> np.ndarray:
         """Every entity's tail encoding (E x d), built without gradients."""
         with ad.no_grad():
-            return self.encode_entities(kg, list(range(kg.num_entities))).values
+            return self.encode_entities(kg, np.arange(kg.num_entities)).values
 
     def tail_matrix(self, kg: KnowledgeGraph,
                     entities: np.ndarray | None = None
@@ -156,9 +152,8 @@ class KgcModel:
             raise ValueError("one neighborhood seed per query is required")
         subs = [self.neighborhood(kg, h, seed)
                 for (h, _), seed in zip(queries, seeds)]
-        head_items = [(kg.entities[h].name, kg.entities[h].description,
-                       kg.relation_labels[r]) for h, r in queries]
-        H = self.text.encode_heads(head_items)
+        heads, relations = np.asarray(queries, dtype=np.int64).reshape(-1, 2).T
+        H = self.text.encode_heads(*self.text_ids(kg).heads(heads, relations))
 
         neighbors = [e for sub in subs for e in sub.nodes[1:]]
         ids, rows = np.unique(np.array(neighbors + list(golds), dtype=np.int64),

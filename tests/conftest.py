@@ -1,10 +1,50 @@
-"""Shared toy graphs for the model, training, and evaluation tests, and
-the set-based arrow oracle."""
+"""Shared toy graphs for the model, training, and evaluation tests, the
+set-based arrow oracle, and the per-item token rules that the graph's token
+table replaced, kept as the text towers' input oracle."""
 
 import numpy as np
 import pytest
 
 from hoplink.kg import KnowledgeGraph, add_inverse_relations
+from hoplink.text import SEP, UNK, tokenize
+
+
+def token_ids(tokenizer, text):
+    return [tokenizer.token_to_id.get(tok, UNK) for tok in tokenize(text)]
+
+
+def tail_ids(tokenizer, name, desc):
+    """Token ids for [name, desc]; empty when both are."""
+    name_ids = token_ids(tokenizer, name)
+    budget = max(0, tokenizer.max_len - len(name_ids))
+    return name_ids + token_ids(tokenizer, desc)[:budget]
+
+
+def head_ids(tokenizer, name, desc, relation_phrase):
+    """Token ids for [name, desc, SEP, relation]; desc is cut first, and the
+    name and relation segments are never dropped."""
+    name_ids = token_ids(tokenizer, name)
+    rel_ids = token_ids(tokenizer, relation_phrase)
+    budget = max(0, tokenizer.max_len - len(name_ids) - len(rel_ids) - 1)
+    return name_ids + token_ids(tokenizer, desc)[:budget] + [SEP] + rel_ids
+
+
+def packed(ids_list):
+    """(ids, lengths) of a list of id sequences, the towers' batch form."""
+    lengths = np.array([len(ids) for ids in ids_list], dtype=np.int64)
+    return np.array([i for ids in ids_list for i in ids], dtype=np.int64), lengths
+
+
+def encode_heads(encoder, items):
+    """Head-tower encodings of (name, description, relation phrase) texts."""
+    return encoder.encode_heads(*packed([head_ids(encoder.tokenizer, *item)
+                                         for item in items]))
+
+
+def encode_tails(encoder, items):
+    """Tail-tower encodings of (name, description) texts."""
+    return encoder.encode_tails(*packed([tail_ids(encoder.tokenizer, *item)
+                                         for item in items]))
 
 
 def reference_arrows(kg, subgraphs):

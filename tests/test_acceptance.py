@@ -306,6 +306,8 @@ def combined_gradient_error() -> float:
 def count_based_ranks(model: KgcModel, kg: KnowledgeGraph,
                       split: str) -> list[int]:
     """Rank by counting admissible candidates scoring >= the gold tail."""
+    from conftest import encode_tails
+
     known: dict[tuple[int, int], set[int]] = defaultdict(set)
     for triples in kg.splits.values():
         for tr in triples:
@@ -313,7 +315,7 @@ def count_based_ranks(model: KgcModel, kg: KnowledgeGraph,
             known[(tr.tail, tr.relation + kg.num_base_relations)].add(tr.head)
 
     with ad.no_grad():
-        raw = [model.text.encode_tails([(rec.name, rec.description)]).values[0]
+        raw = [encode_tails(model.text, [(rec.name, rec.description)]).values[0]
                for rec in kg.entities]
     # forward then inverse query of each triple, built here rather than
     # taken from query_columns; unseen by the graph's train-split sets

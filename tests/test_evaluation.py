@@ -23,7 +23,7 @@ from hoplink.kg import (
 from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.text import build_vocab
 
-from conftest import dozen_graph
+from conftest import dozen_graph, encode_tails
 
 
 def make_model(kg, **overrides) -> KgcModel:
@@ -143,8 +143,8 @@ def brute_force_ranks(model, kg, split):
     tails = []
     for rec in kg.entities:
         with ad.no_grad():
-            tails.append(model.text.encode_tails(
-                [(rec.name, rec.description)]).values[0])
+            tails.append(encode_tails(
+                model.text, [(rec.name, rec.description)]).values[0])
     known = {}
     for triples in kg.splits.values():
         for tr in triples:

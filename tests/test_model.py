@@ -22,7 +22,7 @@ from hoplink.model import (
 from hoplink.synth import generate_synthetic_kg
 from hoplink.text import build_vocab
 
-from conftest import chain_graph, dozen_graph
+from conftest import chain_graph, dozen_graph, encode_heads
 
 
 def make_model(kg, **overrides) -> KgcModel:
@@ -116,7 +116,7 @@ class TestQueryEncoding:
         batch = model.encode_queries(chain_kg, pairs, [1, 2])
         items = [(chain_kg.entities[h].name, chain_kg.entities[h].description,
                   chain_kg.relation_labels[r]) for h, r in pairs]
-        H = model.text.encode_heads(items)
+        H = encode_heads(model.text, items)
         for i, offset in enumerate(batch.offsets):
             np.testing.assert_array_equal(batch.X.values[offset], H.values[i])
 

@@ -52,8 +52,10 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
                  "vgae.edge_loss", "training.batch_edge_loss",
                  "autodiff.backward", "evaluation.query_scores"):
         assert calls[name] > 0, name
-    # one linking pass per encoded batch, never one per subgraph
+    # one linking pass and one head-tower call per encoded batch, never one
+    # per subgraph or per query
     assert calls["gnn.combine_adjacency"] == calls["model.encode_queries"]
+    assert calls["text.encode_heads"] == calls["model.encode_queries"]
     # a training step masks its whole batch at once, never per subgraph
     assert calls["vgae.mask_edges"] == calls["vgae.edge_loss"]
     # one entity table per training step and one entity matrix per evaluate
@@ -64,6 +66,9 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
     assert calls["text.encode_entities"] == (calls["autodiff.backward"]
                                              + evaluations)
     metrics = tracer.layer_metrics(1, {})
+    # the rows the text towers encode: what tokenizing each batch's texts
+    # gave before the graph's token table, one per head and entity-table row
+    assert metrics["text.rows_encoded"] == 1234
     assert metrics["kg.subgraph_nodes.mean"] > 0
     assert metrics["gnn.stacked_nodes.mean"] > 0
     assert metrics["training.steps"] > 0

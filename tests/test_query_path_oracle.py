@@ -30,7 +30,7 @@ from hoplink.synth import generate_synthetic_kg
 from hoplink.text import build_vocab
 from hoplink.training import info_nce_loss
 
-from conftest import reference_arrows
+from conftest import encode_heads, reference_arrows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,7 +39,7 @@ def oracle_encode(model, kg, queries, seeds, golds, entities=None):
     """The per-occurrence path: returns (X, e_hr, gold rows)."""
     subs = [model.neighborhood(kg, h, seed)
             for (h, _), seed in zip(queries, seeds)]
-    H = model.text.encode_heads([
+    H = encode_heads(model.text, [
         (kg.entities[h].name, kg.entities[h].description,
          kg.relation_labels[r]) for h, r in queries])
     neighbor_ids = [e for sub in subs for e in sub.nodes[1:]]

@@ -19,6 +19,8 @@ from hoplink.kg import KnowledgeGraph
 from hoplink.synth import generate_synthetic_kg
 from hoplink.text import TextEncoder, TextEncoderConfig, Tokenizer, build_vocab
 
+from conftest import encode_heads, encode_tails, head_ids, tail_ids
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -74,10 +76,10 @@ def values_and_grads(enc, encode):
 def assert_matches_oracle(enc, heads=(), tails=()):
     tok = enc.tokenizer
     for tower, batched, ids_list in (
-            ("head", lambda: enc.encode_heads(heads),
-             [tok.head_ids(*item) for item in heads]),
-            ("tail", lambda: enc.encode_tails(tails),
-             [tok.tail_ids(*item) for item in tails])):
+            ("head", lambda: encode_heads(enc, heads),
+             [head_ids(tok, *item) for item in heads]),
+            ("tail", lambda: encode_tails(enc, tails),
+             [tail_ids(tok, *item) for item in tails])):
         want, want_grads = values_and_grads(
             enc, lambda: oracle_tower(enc, ids_list, tower))
         got, got_grads = values_and_grads(enc, batched)
@@ -122,7 +124,7 @@ def test_mixed_lengths_with_empty_and_one_token_sequences():
     enc = transformer(small_tokenizer(), dim=8, layers=2, heads=2, seed=4)
     tails = [("apple", "red fruit"), ("", ""), ("tree", ""), ("", ""),
              ("green", "apple tree of red fruit"), ("red", ""), ("tree", "apple")]
-    assert sorted({len(enc.tokenizer.tail_ids(*t)) for t in tails}) == [0, 1, 2, 3, 6]
+    assert sorted({len(tail_ids(enc.tokenizer, *t)) for t in tails}) == [0, 1, 2, 3, 6]
     heads = [("", "", ""), ("apple", "", "rel"), ("tree", "green", "rel of")]
     assert_matches_oracle(enc, heads, tails)
 
@@ -130,7 +132,7 @@ def test_mixed_lengths_with_empty_and_one_token_sequences():
 def test_a_batch_of_only_empty_sequences():
     enc = transformer(small_tokenizer(), dim=8, heads=2, seed=5)
     assert_matches_oracle(enc, tails=[("", "")] * 3)
-    out = enc.encode_tails([("", "")] * 3)
+    out = encode_tails(enc, [("", "")] * 3)
     np.testing.assert_array_equal(out.values, np.zeros((3, 8)))
 
 
