@@ -1,13 +1,14 @@
 """Neighborhood encoders: GCN, GAT, and GraphSAGE layers over a subgraph.
 
 All variants map an n x d feature matrix to n x d, so they are drop-in
-interchangeable. They read one ``GraphBatch`` of the batch's symmetrized
-arrows and aggregate through one sparse product, ``ad.sparse_matmul``: GCN
-and SAGE by a fixed operator, GAT by the edge pattern filled with per-edge
-scores softmax-normalized over each node's incoming edges. The final layer
-computes only the readout rows: ``GraphBatch.rows`` restricts the edges to
-those into the rows each query reads. Edge direction is preserved upstream
-for edge reconstruction. Layers carry no bias terms.
+interchangeable. They read one ``GraphBatch``, the batch's layout and its
+symmetrized arrows, and aggregate through one sparse product,
+``ad.sparse_matmul``: GCN and SAGE by a fixed operator, GAT by the edge
+pattern filled with per-edge scores softmax-normalized over each node's
+incoming edges. The final layer computes only the readout rows:
+``GraphBatch.rows`` restricts the edges to those into the rows each query
+reads. Edge direction is preserved upstream for edge reconstruction. Layers
+carry no bias terms.
 """
 
 from __future__ import annotations
@@ -57,20 +58,35 @@ class GraphEncoderConfig:
 
 
 class GraphBatch:
-    """A batch's stacked subgraphs as one edge index, shared by every layer.
+    """A batch's stacked subgraphs as one edge index, shared by every layer,
+    the edge mask and the visible graph.
 
-    ``arrows`` (m x 2) are directed (i, j) pairs over the stacked node rows.
-    The encoders see max(A, A^T) + I: its edges j -> i are ``src``/``dst``,
-    sorted by dst then src, and node i's incoming edges fill positions
-    indptr[i] to indptr[i + 1] - 1 (never empty, thanks to the self-loop).
+    Subgraph k owns the ``sizes[k]`` consecutive node rows from
+    ``offsets[k]`` (its head row) and the k-th run of ``arrows`` (m x 2),
+    directed (i, j) pairs over those rows; ``owner`` holds each arrow's
+    subgraph. The encoders see max(A, A^T) + I: its edges j -> i are
+    ``src``/``dst``, sorted by dst then src, and node i's incoming edges
+    fill positions indptr[i] to indptr[i + 1] - 1 (never empty, thanks to
+    the self-loop).
     """
 
-    def __init__(self, arrows: np.ndarray, num_nodes: int):
-        n = self.num_nodes = num_nodes
+    def __init__(self, arrows: np.ndarray, sizes):
+        sizes = self.sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+        if len(sizes) == 0 or (sizes < 1).any():
+            raise ShapeError(f"subgraph sizes must be positive and non-empty, "
+                             f"got {sizes.tolist()}")
+        ends = np.cumsum(sizes)
+        self.offsets = ends - sizes
+        n = self.num_nodes = int(ends[-1])
         arrows = self.arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
         if arrows.size and (arrows.min() < 0 or arrows.max() >= n):
-            raise ShapeError(f"arrow endpoint outside {n} nodes")
+            raise ShapeError(f"arrow endpoint outside {n} stacked rows")
         i, j = arrows[:, 0], arrows[:, 1]
+        owner = self.owner = np.searchsorted(ends, i, side="right")
+        if (owner != np.searchsorted(ends, j, side="right")).any():
+            raise ShapeError("arrow crosses from one subgraph's rows into another's")
+        if (np.diff(owner) < 0).any():
+            raise ShapeError("arrows are not grouped by subgraph in batch order")
         keys = np.sort(np.concatenate([i * n + j, j * n + i,
                                        np.arange(n) * (n + 1)]))
         keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]

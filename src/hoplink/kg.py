@@ -96,7 +96,7 @@ class NeighborhoodSubgraph:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborIndex:
     """CSR (compressed sparse row) rows per entity: row e of (``indptr``,
     ``indices``) holds e's undirected train neighbors, sorted and unique (e
@@ -146,7 +146,7 @@ def _range_slots(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
     return slots, counts
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
     entity_ids: dict[str, int]
     entity_labels: list[str]
@@ -156,9 +156,8 @@ class KnowledgeGraph:
     num_base_relations: int
     splits: dict[str, list[Triple]]
     neighbor_index: NeighborIndex
-    unseen_entities: frozenset[int]
-    unseen_relations: frozenset[int]
-    # the same two sets as read-only flags by entity and base-relation id
+    # read-only flags, by entity and base-relation id, of those absent from
+    # the train split
     entity_unseen: np.ndarray
     relation_unseen: np.ndarray
     inverses_added: bool = False
@@ -166,9 +165,9 @@ class KnowledgeGraph:
     filter_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     # draw-free neighborhoods by (head, k, cap_per_hop), see khop_neighborhood
     neighborhoods: dict[tuple[int, int, int], NeighborhoodSubgraph] = field(
-        default_factory=dict, compare=False, repr=False)
+        default_factory=dict, repr=False)
     # every entity text and relation label tokenized once, see text.token_table
-    token_table: TokenTable | None = field(default=None, compare=False, repr=False)
+    token_table: TokenTable | None = field(default=None, repr=False)
 
     @property
     def num_entities(self) -> int:
@@ -245,11 +244,9 @@ class KnowledgeGraph:
         entity_unseen = degree == 0
         relation_unseen = np.bincount(r, minlength=num_rel) == 0
         entity_unseen.flags.writeable = relation_unseen.flags.writeable = False
-        unseen_entities = frozenset(np.flatnonzero(entity_unseen).tolist())
-        unseen_relations = frozenset(np.flatnonzero(relation_unseen).tolist())
-        if unseen_entities or unseen_relations:
+        if entity_unseen.any() or relation_unseen.any():
             warnings.warn(
-                f"{len(unseen_entities)} entities and {len(unseen_relations)} "
+                f"{entity_unseen.sum()} entities and {relation_unseen.sum()} "
                 "relations appear only in valid/test; queries touching them "
                 "will be scored as failures",
                 TransductiveWarning, stacklevel=2)
@@ -258,10 +255,8 @@ class KnowledgeGraph:
                  entities=entities, relation_ids=relation_ids,
                  relation_labels=relation_labels,
                  num_base_relations=len(relation_labels), splits=splits,
-                 neighbor_index=index,
-                 unseen_entities=unseen_entities,
-                 unseen_relations=unseen_relations,
-                 entity_unseen=entity_unseen, relation_unseen=relation_unseen)
+                 neighbor_index=index, entity_unseen=entity_unseen,
+                 relation_unseen=relation_unseen)
         build_filter_index(kg, heads, rels, tails)
         return kg
 
@@ -495,13 +490,13 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
 
 def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgraph]
                       ) -> tuple[np.ndarray, list[int]]:
-    """Every arrow of a batch of subgraphs, linked in one pass.
+    """Every arrow of a batch of subgraphs, linked in one pass, and the
+    subgraphs' sizes: together, the arguments of ``gnn.GraphBatch``.
 
     The subgraphs' nodes are stacked as consecutive runs of rows; returns an
     (m, 2) int array holding each (i, j) once iff some train triple links
     the entities at rows i -> j of one subgraph (original direction;
-    synthesized inverse relations add no arrows), sorted by i then j, plus
-    each subgraph's first row (the position of its head in the stacked X).
+    synthesized inverse relations add no arrows), sorted by i then j.
     Each stacked node's arrow row is scanned once, and an entry is kept
     when its other end is in the same subgraph.
     """
@@ -528,7 +523,7 @@ def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgra
     incoming = (entries[linked] & 1).astype(bool)
     cells = np.where(incoming, theirs * n + mine, mine * n + theirs)
     arrows = np.stack(np.divmod(np.sort(cells), n), axis=1)
-    return arrows, np.cumsum([0] + sizes[:-1]).tolist()
+    return arrows, sizes
 
 
 def subgraph_edges(kg: KnowledgeGraph,

@@ -38,9 +38,8 @@ class QueryBatch:
 
     e_hr: Tensor                 # b x d query vectors
     X: Tensor                    # stacked node features, one run per subgraph
-    offsets: list[int]           # row offset of each subgraph's head in X
     subgraphs: list[NeighborhoodSubgraph]
-    graph: GraphBatch            # the subgraphs' arrows over X's rows
+    graph: GraphBatch            # the subgraphs' layout and arrows over X's rows
     gold: Tensor | None = None   # entity-table rows of the requested golds
 
 
@@ -160,19 +159,18 @@ class KgcModel:
                               return_inverse=True)
         table = (self.encode_entities(kg, ids) if entities is None
                  else ad.constant(entities[ids]))
-        arrows, offsets = combine_adjacency(kg, subs)
+        graph = GraphBatch(*combine_adjacency(kg, subs))
         # X gathers rows of [H; table]: head i (row i) goes in front of its
         # own neighbors, after the offsets[i] - i neighbors of earlier subgraphs
         b = len(queries)
         index = np.insert(b + rows[:len(neighbors)],
-                          np.subtract(offsets, np.arange(b)), np.arange(b))
+                          graph.offsets - np.arange(b), np.arange(b))
         X = ad.gather_rows(ad.concat_rows([H, table]), index)
-        graph = GraphBatch(arrows, X.shape[0])
-        e_hr = self.gnn.encode(X, graph, offsets)
+        e_hr = self.gnn.encode(X, graph, graph.offsets)
         gold = (ad.gather_rows(table, rows[len(neighbors):]) if len(golds)
                 else None)
-        return QueryBatch(e_hr=e_hr, X=X, offsets=offsets, subgraphs=subs,
-                          graph=graph, gold=gold)
+        return QueryBatch(e_hr=e_hr, X=X, subgraphs=subs, graph=graph,
+                          gold=gold)
 
     # -- state ------------------------------------------------------------------
 

@@ -15,12 +15,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, ShapeError, Tensor
 from .config import ConfigError, RunConfig
-from .gnn import GraphBatch
 from .kg import KnowledgeGraph, add_inverse_relations, query_columns
 from .model import KgcModel, QueryBatch
 from .seeding import derive_rng, derive_seed
 from .text import build_vocab
-from .vgae import EdgeMask, edge_loss, mask_edges, reparameterize
+from .vgae import EdgeMask, edge_loss, mask_edges, reparameterize, visible_graph
 
 
 class DegenerateBatchError(ValueError):
@@ -89,21 +88,16 @@ def batch_edge_loss(model: KgcModel, batch: QueryBatch, mask: EdgeMask,
                     noise_seed: int) -> Tensor:
     """Edge-reconstruction loss over a batch's subgraphs, averaged per query.
 
-    All subgraphs share one encoder pass over the batch's arrows minus the
-    masked positives, hidden in both directions because ``GraphBatch`` links
-    an arrow's nodes both ways. Subgraphs with no edges contribute 0.
+    All subgraphs share one encoder pass over the batch's visible graph,
+    its arrows minus the masked positives. Subgraphs with no edges
+    contribute 0.
     """
     if model.vgae is None:
         raise ValueError("model was built without an edge decoder")
-    n = batch.graph.num_nodes
-    held = mask.positives
-    hidden = np.concatenate([held @ np.array([n, 1]), held @ np.array([1, n])])
-    arrows = batch.graph.arrows
-    visible = arrows[~np.isin(arrows @ np.array([n, 1]), hidden)]
-    state = model.vgae.encode(batch.X, GraphBatch(visible, n))
+    visible = visible_graph(batch.graph, mask)
+    state = model.vgae.encode(batch.X, visible)
     z = reparameterize(state, noise_seed)
-    return edge_loss(state, z, mask,
-                     [sub.num_nodes for sub in batch.subgraphs])
+    return edge_loss(state, z, mask, visible)
 
 
 class Trainer:
@@ -158,8 +152,7 @@ class Trainer:
 
         if model.vgae is not None:
             mask = mask_edges(
-                batch.graph.arrows, [sub.num_nodes for sub in batch.subgraphs],
-                cfg.mask_ratio,
+                batch.graph, cfg.mask_ratio,
                 derive_seed(cfg.seed, f"mask:{epoch}:{batch_index}"))
             noise_seed = derive_seed(cfg.seed, f"noise:{epoch}:{batch_index}")
             edge_term = batch_edge_loss(model, batch, mask, noise_seed)

@@ -34,11 +34,9 @@ class VgaeState:
     log_sigma: Tensor
 
 
-def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
-               seed: int) -> EdgeMask:
-    """Draw one batch's edge masks from one ``default_rng(seed)``. The
-    subgraphs are stacked row-wise: subgraph k owns the next ``sizes[k]``
-    rows and the run of ``arrows`` whose sources lie in them.
+def mask_edges(graph: GraphBatch, ratio: float, seed: int) -> EdgeMask:
+    """Draw one batch's edge masks from one ``default_rng(seed)``; subgraph
+    k owns ``graph``'s k-th run of rows and of arrows.
 
     Subgraph k holds out ceil(ratio * m_k) of its m_k directed arrows: after
     one lexsort of the arrows by subgraph, then by a uniform key, the first
@@ -54,21 +52,8 @@ def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
     no negatives."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
-    arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    if len(sizes) == 0 or (sizes < 1).any():
-        raise ShapeError(f"subgraph sizes must be positive and non-empty, "
-                         f"got {sizes.tolist()}")
-    ends = np.cumsum(sizes)
-    row_start = ends - sizes
-    src, dst = arrows[:, 0], arrows[:, 1]
-    if len(arrows) and (arrows.min() < 0 or arrows.max() >= ends[-1]):
-        raise ShapeError(f"arrow endpoint outside {int(ends[-1])} stacked rows")
-    owner = np.searchsorted(ends, src, side="right")
-    if (owner != np.searchsorted(ends, dst, side="right")).any():
-        raise ShapeError("arrow crosses from one subgraph's rows into another's")
-    if (np.diff(owner) < 0).any():
-        raise ShapeError("arrows are not grouped by subgraph in batch order")
+    arrows, owner = graph.arrows, graph.owner
+    sizes, row_start = graph.sizes, graph.offsets
 
     rng = np.random.default_rng(seed)
     m = np.bincount(owner, minlength=len(sizes))
@@ -78,19 +63,17 @@ def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
     place = np.arange(len(arrows)) - (np.cumsum(m) - m)[owner]
     positives = arrows[np.sort(order[place < n_mask[owner]])]
 
-    # subgraph k's cells (i, j) are keyed cell_start[k] + i_k * n_k + j_k
+    # the taken cells are the graph's (dst, src) edges, diagonal included;
+    # subgraph k's cell (i, j) is keyed cell_start[k] + i_k * n_k + j_k, so
+    # edges sorted by (dst, src) over consecutive rows give sorted keys
     cells = sizes * sizes
     cell_start = np.cumsum(cells) - cells
-    n, base = sizes[owner], cell_start[owner]
-    i, j = src - row_start[owner], dst - row_start[owner]
-    diag_owner = np.repeat(np.arange(len(sizes)), sizes)
-    diag = np.arange(len(diag_owner)) - row_start[diag_owner]
-    taken = np.sort(np.concatenate([
-        base + i * n + j, base + j * n + i,
-        cell_start[diag_owner] + diag * (sizes[diag_owner] + 1)]))
-    taken = taken[np.concatenate([[True], taken[1:] != taken[:-1]])]
-    n_free = cells - np.diff(np.searchsorted(taken, np.append(cell_start,
-                                                              cells.sum())))
+    n_edges = np.diff(graph.indptr[np.append(row_start, graph.num_nodes)])
+    edge_owner = np.repeat(np.arange(len(sizes)), n_edges)
+    edge_first = row_start[edge_owner]
+    taken = (cell_start[edge_owner] + (graph.dst - edge_first) * sizes[edge_owner]
+             + graph.src - edge_first)
+    n_free = cells - n_edges
     n_neg = np.where(n_free > 0, n_mask, 0)
     neg_owner = np.repeat(np.arange(len(sizes)), n_neg)
     # ranks of subgraph k lie in its own range, so one sort orders them
@@ -106,6 +89,18 @@ def mask_edges(arrows: np.ndarray, sizes: list[int], ratio: float,
     first = row_start[neg_owner]
     negatives = np.stack([local_i + first, local_j + first], axis=1)
     return EdgeMask(positives, negatives, n_mask, n_neg)
+
+
+def visible_graph(graph: GraphBatch, mask: EdgeMask) -> GraphBatch:
+    """``graph`` without ``mask``'s held-out arrows. An arrow is hidden both
+    ways, since ``GraphBatch`` links an arrow's nodes both ways: held
+    (i, j) also removes an arrow (j, i)."""
+    n = graph.num_nodes
+    held = mask.positives
+    hidden = np.concatenate([held @ np.array([n, 1]), held @ np.array([1, n])])
+    arrows = graph.arrows
+    return GraphBatch(arrows[~np.isin(arrows @ np.array([n, 1]), hidden)],
+                      graph.sizes)
 
 
 class Vgae:
@@ -149,9 +144,9 @@ def _kl_cells(state: VgaeState) -> Tensor:
 
 
 def edge_loss(state: VgaeState, Z: Tensor, mask: EdgeMask,
-              sizes: list[int]) -> Tensor:
-    """Edge-reconstruction loss of subgraphs stacked row-wise, averaged over
-    the subgraphs: subgraph k fills the next ``sizes[k]`` rows and owns the
+              graph: GraphBatch) -> Tensor:
+    """Edge-reconstruction loss of ``graph``'s subgraphs, averaged over
+    them: subgraph k fills the next ``graph.sizes[k]`` rows and owns the
     k-th run of ``mask``'s positives and negatives, given over stacked rows.
 
     A subgraph with positives adds the mean binary cross-entropy over its
@@ -159,11 +154,10 @@ def edge_loss(state: VgaeState, Z: Tensor, mask: EdgeMask,
     without adds 0. All pairs are scored in one pass and the KL is one
     row-weighted sum. The result carries skipped=True when the mask is
     empty."""
-    if (not len(sizes) or len(mask.pos_counts) != len(sizes)
-            or sum(sizes) != Z.shape[0]):
+    sizes = graph.sizes
+    if len(mask.pos_counts) != len(sizes) or graph.num_nodes != Z.shape[0]:
         raise ShapeError(f"a mask of {len(mask.pos_counts)} subgraphs over "
-                         f"sizes {sizes} does not tile {Z.shape[0]} rows")
-    sizes = np.asarray(sizes, dtype=np.int64)
+                         f"sizes {sizes.tolist()} does not tile {Z.shape[0]} rows")
     n_pos, n_neg = mask.pos_counts, mask.neg_counts
     used = n_pos > 0
     share = 1.0 / len(sizes)

@@ -1,12 +1,15 @@
 """Shared toy graphs for the model, training, and evaluation tests, the
-set-based arrow oracle, and the per-item token rules that the graph's token
-table replaced, kept as the text towers' input oracle."""
+set-based arrow oracle, the per-item token rules that the graph's token
+table replaced, kept as the text towers' input oracle, and the edge mask
+that drew from a bare arrow list, kept as the reference of its draws."""
 
 import numpy as np
 import pytest
 
+from hoplink.autodiff import ShapeError
 from hoplink.kg import KnowledgeGraph, add_inverse_relations
 from hoplink.text import SEP, UNK, tokenize
+from hoplink.vgae import EdgeMask
 
 
 def token_ids(tokenizer, text):
@@ -60,6 +63,66 @@ def reference_arrows(kg, subgraphs):
                          if u in row and v in row)
         offset += len(sub.nodes)
     return np.array(arrows, dtype=np.int64).reshape(-1, 2), offsets
+
+
+def reference_mask_edges(arrows, sizes, ratio, seed):
+    """``vgae.mask_edges`` as it was when it took the arrows and sizes
+    itself and symmetrized, sorted and deduplicated the taken cells in its
+    own cell space: the reference its draws must match bit for bit."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
+    arrows = np.asarray(arrows, dtype=np.int64).reshape(-1, 2)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    if len(sizes) == 0 or (sizes < 1).any():
+        raise ShapeError(f"subgraph sizes must be positive and non-empty, "
+                         f"got {sizes.tolist()}")
+    ends = np.cumsum(sizes)
+    row_start = ends - sizes
+    src, dst = arrows[:, 0], arrows[:, 1]
+    if len(arrows) and (arrows.min() < 0 or arrows.max() >= ends[-1]):
+        raise ShapeError(f"arrow endpoint outside {int(ends[-1])} stacked rows")
+    owner = np.searchsorted(ends, src, side="right")
+    if (owner != np.searchsorted(ends, dst, side="right")).any():
+        raise ShapeError("arrow crosses from one subgraph's rows into another's")
+    if (np.diff(owner) < 0).any():
+        raise ShapeError("arrows are not grouped by subgraph in batch order")
+
+    rng = np.random.default_rng(seed)
+    m = np.bincount(owner, minlength=len(sizes))
+    n_mask = np.ceil(ratio * m).astype(np.int64)
+    # owner is sorted, so the lexsort keeps each subgraph's run in place
+    order = np.lexsort((rng.random(len(arrows)), owner))
+    place = np.arange(len(arrows)) - (np.cumsum(m) - m)[owner]
+    positives = arrows[np.sort(order[place < n_mask[owner]])]
+
+    # subgraph k's cells (i, j) are keyed cell_start[k] + i_k * n_k + j_k
+    cells = sizes * sizes
+    cell_start = np.cumsum(cells) - cells
+    n, base = sizes[owner], cell_start[owner]
+    i, j = src - row_start[owner], dst - row_start[owner]
+    diag_owner = np.repeat(np.arange(len(sizes)), sizes)
+    diag = np.arange(len(diag_owner)) - row_start[diag_owner]
+    taken = np.sort(np.concatenate([
+        base + i * n + j, base + j * n + i,
+        cell_start[diag_owner] + diag * (sizes[diag_owner] + 1)]))
+    taken = taken[np.concatenate([[True], taken[1:] != taken[:-1]])]
+    n_free = cells - np.diff(np.searchsorted(taken, np.append(cell_start,
+                                                              cells.sum())))
+    n_neg = np.where(n_free > 0, n_mask, 0)
+    neg_owner = np.repeat(np.arange(len(sizes)), n_neg)
+    # ranks of subgraph k lie in its own range, so one sort orders them
+    # within every subgraph and keeps the subgraphs in batch order
+    rank = np.sort(rng.integers(0, n_free[neg_owner])
+                   + (np.cumsum(n_free) - n_free)[neg_owner])
+    # the R-th free cell c (not taken, not diagonal) has exactly R free cells
+    # before it, so c = R + #(taken cells <= c)
+    cell = rank + np.searchsorted(taken - np.arange(len(taken)), rank,
+                                  side="right")
+    local_i, local_j = np.divmod(cell - cell_start[neg_owner],
+                                 sizes[neg_owner])
+    first = row_start[neg_owner]
+    negatives = np.stack([local_i + first, local_j + first], axis=1)
+    return EdgeMask(positives, negatives, n_mask, n_neg)
 
 
 def chain_graph() -> KnowledgeGraph:

@@ -31,7 +31,7 @@ from hoplink.synth import write_synthetic_dataset
 from hoplink.text import build_vocab
 from hoplink.training import Trainer, combined_loss, info_nce_loss
 from hoplink.vgae import EdgeMask, Vgae, VgaeState, edge_loss, mask_edges, \
-    reparameterize
+    reparameterize, visible_graph
 
 REPO = Path(__file__).resolve().parent.parent
 TESTS = Path(__file__).resolve().parent
@@ -208,7 +208,7 @@ def test_criterion_2_gradient_correctness():
         worst[name] = err
 
     A = small_graph()
-    graph = GraphBatch(np.argwhere(A > 0), len(A))
+    graph = GraphBatch(np.argwhere(A > 0), [len(A)])
     rng = np.random.default_rng(31)
     X0 = rng.normal(size=(5, 4)) * 0.7
     for variant in ("gcn", "sage", "gat"):
@@ -233,15 +233,14 @@ def test_criterion_2_gradient_correctness():
     worst["info_nce"] = err
 
     vgae = Vgae(4, np.random.default_rng(8), latent_dim=3)
-    mask = mask_edges(graph.arrows, [len(A)], 0.3, 5)
+    mask = mask_edges(graph, 0.3, 5)
     assert not mask.empty
-    held = (graph.arrows[:, None] == mask.positives[None]).all(-1).any(1)
-    visible = graph.arrows[~held]
+    visible = visible_graph(graph, mask)
 
     def f_vgae(x):
-        state = vgae.encode(x, GraphBatch(visible, len(A)))
+        state = vgae.encode(x, visible)
         z = reparameterize(state, seed=11)
-        return edge_loss(state, z, mask, [len(A)])
+        return edge_loss(state, z, mask, visible)
 
     err = finite_diff_check(f_vgae, ad.parameter(X0.copy()))
     assert err < 1e-4, f"edge loss: max relative error {err:.2e}"
@@ -286,8 +285,7 @@ def combined_gradient_error() -> float:
         batch = model.encode_queries(kg, pairs, seeds)
         gold = model.encode_entities(kg, golds)
         kg_term = info_nce_loss(batch.e_hr, gold, model.temperature_scale())
-        mask = mask_edges(batch.graph.arrows,
-                          [sub.num_nodes for sub in batch.subgraphs], 0.3, 60)
+        mask = mask_edges(batch.graph, 0.3, 60)
         from hoplink.training import batch_edge_loss
         edge_term = batch_edge_loss(model, batch, mask, noise_seed=77)
         return combined_loss(kg_term, edge_term, config.lambda_weight)
@@ -318,14 +316,14 @@ def count_based_ranks(model: KgcModel, kg: KnowledgeGraph,
         raw = [encode_tails(model.text, [(rec.name, rec.description)]).values[0]
                for rec in kg.entities]
     # forward then inverse query of each triple, built here rather than
-    # taken from query_columns; unseen by the graph's train-split sets
+    # taken from query_columns; unseen by the graph's train-split flags
     offset = kg.num_base_relations
     queries = [q for tr in kg.splits[split]
                for q in (tr, (tr.tail, tr.relation + offset, tr.head))]
     ranks = []
     for i, (head, relation, gold) in enumerate(queries):
-        if (head in kg.unseen_entities
-                or relation % offset in kg.unseen_relations):
+        if (kg.entity_unseen[head]
+                or kg.relation_unseen[relation % offset]):
             ranks.append(kg.num_entities)
             continue
         seed = eval_neighborhood_seed(model.config.seed, split, i)
@@ -420,7 +418,7 @@ def test_criterion_4_analytic_losses():
     pair = np.array([[0, 1]])
     kl = edge_loss(state, ad.constant(np.zeros((4, 3))),
                    EdgeMask(pair, pair[:, ::-1], np.array([1]), np.array([1])),
-                   [4]).item() - np.log(2.0)
+                   GraphBatch(pair, [4])).item() - np.log(2.0)
     assert abs(kl) < 1e-12, kl
     verdict(4, f"uniform InfoNCE = ln {b} ± 1e-9; 0.2·1.0 + 0.8·0.5 = 0.6 "
                "± 1e-12; KL(N(0,I) ‖ N(0,I)) = 0 ± 1e-12")

@@ -161,8 +161,8 @@ def brute_force_ranks(model, kg, split):
                               tr.head))
     ranks = []
     for i, q in enumerate(queries):
-        if (q.head in kg.unseen_entities
-                or q.relation % kg.num_base_relations in kg.unseen_relations):
+        if (kg.entity_unseen[q.head]
+                or kg.relation_unseen[q.relation % kg.num_base_relations]):
             ranks.append(kg.num_entities)
             continue
         seed = eval_neighborhood_seed(model.config.seed, split, i)

@@ -34,7 +34,7 @@ def stack_blocks(blocks):
 
 
 def graph_of(A):
-    return GraphBatch(np.argwhere(np.asarray(A) > 0), len(A))
+    return GraphBatch(np.argwhere(np.asarray(A) > 0), [len(A)])
 
 
 def encode_one(enc, A, X):
@@ -146,7 +146,7 @@ def stacked_batch(subs):
         blocks.append(A)
     arrows, offsets = stack_blocks(blocks)
     A = block_diag(*blocks)
-    return A, GraphBatch(arrows, len(A)), offsets
+    return A, GraphBatch(arrows, [len(B) for B in blocks]), offsets
 
 
 def assert_encoders_agree(A, graph, readout, X0, weights, layers, seed):
@@ -224,7 +224,7 @@ class TestEdgeIndexMatchesDenseOracle:
             == [len(graph.dst)] * (layers - 1)
 
     def test_self_loop_arrow_weighs_twice_in_gcn(self):
-        op = GraphBatch(np.array([[0, 0], [0, 1]]), 2).gcn_operator.toarray()
+        op = GraphBatch(np.array([[0, 0], [0, 1]]), [2]).gcn_operator.toarray()
         np.testing.assert_allclose(op, dense_gcn_operator(
             np.array([[1.0, 1.0], [0.0, 0.0]])))
         assert op[0, 0] == pytest.approx(2.0 / 3.0)
@@ -251,7 +251,7 @@ class TestNormalizeAdjacency:
 
     def test_out_of_range_arrow_rejected(self):
         with pytest.raises(ShapeError):
-            GraphBatch(np.array([[0, 2]]), 2)
+            GraphBatch(np.array([[0, 2]]), [2])
 
 
 class TestGraphRows:
@@ -450,7 +450,7 @@ class TestEncodeNeighborhood:
             feats.append(rng.normal(size=(n, 6)))
         arrows, offsets = stack_blocks(subs)
         assert offsets == [0, 3, 8]
-        graph = GraphBatch(arrows, 12)
+        graph = GraphBatch(arrows, [3, 5, 4])
         batched = enc.encode(Tensor(np.vstack(feats)), graph, offsets).values
         for row, (A, X) in enumerate(zip(subs, feats)):
             single = enc.encode(Tensor(X), graph_of(A), [0]).values
@@ -487,7 +487,7 @@ class TestExplainNeighborOrder:
         A = np.zeros((graph.num_nodes, graph.num_nodes))
         A[graph.arrows[:, 0], graph.arrows[:, 1]] = 1.0
         attention = []
-        dense_encode(model.gnn, batch.X, A, batch.offsets, attention)
+        dense_encode(model.gnn, batch.X, A, batch.graph.offsets, attention)
         into_head = attention[-1][0]
         want = sorted(range(1, batch.subgraphs[0].num_nodes),
                       key=lambda i: (-into_head[i], i))

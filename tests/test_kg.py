@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hoplink.model as model_module
 from hoplink.config import RunConfig
+from hoplink.gnn import GraphBatch
 from hoplink.kg import (
     DatasetError,
     KnowledgeGraph,
@@ -106,10 +107,19 @@ class TestLoading:
             kg = KnowledgeGraph.build(
                 {"train": [("a", "r", "b")], "valid": [("a", "s", "c")], "test": []},
                 {e: (e, "") for e in "abc"})
-        assert kg.entity_ids["c"] in kg.unseen_entities
-        assert kg.relation_ids["s"] in kg.unseen_relations
+        assert kg.entity_unseen[kg.entity_ids["c"]]
+        assert kg.relation_unseen[kg.relation_ids["s"]]
         assert kg.query_is_unseen(kg.entity_ids["c"], kg.relation_ids["r"])
         assert not kg.query_is_unseen(kg.entity_ids["a"], kg.relation_ids["r"])
+
+    def test_graphs_and_indexes_compare_by_identity(self):
+        # their fields are numpy arrays, whose == cannot give one truth value
+        kg_a, kg_b = (KnowledgeGraph.build(*generate_synthetic_kg(0))
+                      for _ in range(2))
+        assert kg_a == kg_a and kg_a != kg_b
+        index_a, index_b = kg_a.neighbor_index, kg_b.neighbor_index
+        assert index_a == index_a and index_a != index_b
+        assert len({kg_a, kg_b, index_a, index_b, index_a}) == 4
 
     def test_unseen_sets_match_the_train_split(self):
         rng = np.random.default_rng(5)
@@ -121,9 +131,11 @@ class TestLoading:
             kg = toy_kg(*split)
             train = kg.splits["train"]
             ends = {tr.head for tr in train} | {tr.tail for tr in train}
-            assert kg.unseen_entities == set(range(kg.num_entities)) - ends
-            assert kg.unseen_relations == (set(range(len(kg.relation_labels)))
-                                           - {tr.relation for tr in train})
+            assert (set(np.flatnonzero(kg.entity_unseen).tolist())
+                    == set(range(kg.num_entities)) - ends)
+            assert (set(np.flatnonzero(kg.relation_unseen).tolist())
+                    == (set(range(len(kg.relation_labels)))
+                        - {tr.relation for tr in train}))
 
     def test_manifest_mismatch_lists_each_diff(self):
         kg = toy_kg(CHAIN)
@@ -230,7 +242,7 @@ def unseen_oracle(kg, head, relation):
     base = relation
     if relation >= kg.num_base_relations:
         base -= kg.num_base_relations
-    return head in kg.unseen_entities or base in kg.unseen_relations
+    return bool(kg.entity_unseen[head] or kg.relation_unseen[base])
 
 
 def unseen_head_kg():
@@ -260,7 +272,7 @@ class TestQueryColumns:
 
     def test_vectorized_unseen_matches_the_scalar_rule(self):
         kg = unseen_head_kg()
-        assert kg.unseen_entities and kg.unseen_relations
+        assert kg.entity_unseen.any() and kg.relation_unseen.any()
         for split in ("train", "valid", "test"):
             rows = query_columns(kg, split)
             got = kg.query_is_unseen(rows[:, 0], rows[:, 1])
@@ -541,8 +553,8 @@ def assert_same_subgraph(kg, got, want):
     assert got.hop_of.dtype == np.int64
     np.testing.assert_array_equal(got.hop_of, want.hop_of)
     assert got.truncated == want.truncated
-    arrows, offsets = combine_adjacency(kg, [got])
-    assert offsets == [0]
+    arrows, sizes = combine_adjacency(kg, [got])
+    assert sizes == [got.num_nodes]
     assert arrows.dtype == np.int64
     assert arrows.shape == want.arrows.shape
     assert arrows.tolist() == want.arrows.tolist()
@@ -710,14 +722,14 @@ class TestArrowIndex:
 
 class TestCombineAdjacency:
     """One pass over a batch's arrow rows gives the arrows of the set-based
-    reference, subgraph by subgraph, stacked with their first rows."""
+    reference, subgraph by subgraph, stacked at their first rows."""
 
     @staticmethod
     def assert_matches_reference(kg, subs):
-        arrows, offsets = combine_adjacency(kg, subs)
+        arrows, sizes = combine_adjacency(kg, subs)
         want, want_offsets = reference_arrows(kg, subs)
-        assert offsets == want_offsets
-        assert all(type(offset) is int for offset in offsets)
+        assert sizes == [sub.num_nodes for sub in subs]
+        assert GraphBatch(arrows, sizes).offsets.tolist() == want_offsets
         assert arrows.dtype == np.int64 and arrows.flags.c_contiguous
         assert arrows.shape == want.shape
         assert arrows.tolist() == want.tolist()

@@ -117,7 +117,7 @@ class TestQueryEncoding:
         items = [(chain_kg.entities[h].name, chain_kg.entities[h].description,
                   chain_kg.relation_labels[r]) for h, r in pairs]
         H = encode_heads(model.text, items)
-        for i, offset in enumerate(batch.offsets):
+        for i, offset in enumerate(batch.graph.offsets):
             np.testing.assert_array_equal(batch.X.values[offset], H.values[i])
 
     def test_neighbor_rows_use_the_tail_tower(self, chain_kg):

@@ -55,7 +55,8 @@ def oracle_encode(model, kg, queries, seeds, golds, entities=None):
         first = len(queries) + offset - i
         perm += [i, *range(first, first + sub.num_nodes - 1)]
     X = ad.gather_rows(stacked, perm)
-    e_hr = model.gnn.encode(X, GraphBatch(arrows, X.shape[0]), offsets)
+    sizes = [sub.num_nodes for sub in subs]
+    e_hr = model.gnn.encode(X, GraphBatch(arrows, sizes), offsets)
     return X, e_hr, model.encode_entities(kg, golds)
 
 

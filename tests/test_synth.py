@@ -53,8 +53,8 @@ class TestGeneratedStructure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning fails the test
             kg = KnowledgeGraph.build(splits, texts)
-        assert not kg.unseen_entities
-        assert not kg.unseen_relations
+        assert not kg.entity_unseen.any()
+        assert not kg.relation_unseen.any()
 
     def test_seed_controls_the_holdout(self):
         one = generate_synthetic_kg(0)

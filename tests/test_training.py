@@ -7,6 +7,7 @@ import pytest
 import hoplink.autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor, finite_diff_check
 from hoplink.config import ConfigError, RunConfig
+from hoplink.gnn import GraphBatch
 from hoplink.kg import KnowledgeGraph
 from hoplink.model import KgcModel
 from hoplink.training import (
@@ -170,10 +171,11 @@ def small_config(**overrides) -> RunConfig:
 
 
 def batch_mask(batch, seed, arrows=None):
-    """One mask over the batch's stacked arrows, drawn from one seed."""
-    arrows = batch.graph.arrows if arrows is None else arrows
-    return mask_edges(arrows, [sub.num_nodes for sub in batch.subgraphs],
-                      0.3, seed)
+    """One mask over the batch's stacked arrows, or over ``arrows`` laid out
+    as the batch, drawn from one seed."""
+    graph = (batch.graph if arrows is None
+             else GraphBatch(arrows, batch.graph.sizes))
+    return mask_edges(graph, 0.3, seed)
 
 
 class TestBatchEdgeLoss:

@@ -17,6 +17,8 @@ from hoplink.vgae import (
     reparameterize,
 )
 
+from conftest import reference_mask_edges
+
 
 def ring_graph(n=5):
     A = np.zeros((n, n))
@@ -27,6 +29,17 @@ def ring_graph(n=5):
 
 def arrows_of(A):
     return np.argwhere(A > 0)
+
+
+def graph_of(A):
+    """A one-subgraph batch of A's arrows."""
+    return GraphBatch(arrows_of(A), [len(A)])
+
+
+def lone(n):
+    """A one-subgraph batch of n rows, for a loss that reads only the
+    layout."""
+    return GraphBatch(np.zeros((0, 2), dtype=np.int64), [n])
 
 
 def pairs(*ps):
@@ -72,21 +85,21 @@ class TestMaskEdges:
                  (5, 0), (0, 2), (1, 3), (2, 4), (3, 5)]
         for i, j in pairs:
             A[i, j] = 1.0
-        mask = mask_edges(arrows_of(A), [6], 0.2, 0)
+        mask = mask_edges(graph_of(A), 0.2, 0)
         assert len(mask.positives) == 2
         assert len(mask.negatives) == 2
 
     def test_single_edge_never_unmasked(self):
         A = np.zeros((3, 3))
         A[0, 1] = 1.0
-        mask = mask_edges(arrows_of(A), [3], 0.01, 0)
+        mask = mask_edges(graph_of(A), 0.01, 0)
         assert mask.positives.tolist() == [[0, 1]]
 
     def test_masked_pairs_were_edges_and_negatives_were_not(self):
         rng = np.random.default_rng(3)
         A = (rng.random((10, 10)) > 0.7).astype(float)
         np.fill_diagonal(A, 0)
-        mask = mask_edges(arrows_of(A), [10], 0.3, 7)
+        mask = mask_edges(graph_of(A), 0.3, 7)
         for i, j in mask.positives:
             assert A[i, j] == 1.0
         assert len({tuple(p) for p in mask.positives.tolist()}) == len(
@@ -102,25 +115,25 @@ class TestMaskEdges:
         # the encoder links an arrow's nodes both ways and the decoder scores
         # (j, i) as (i, j), so neither direction of an arrow is a non-edge
         A = (np.random.default_rng(seed).random((n, n)) < fill).astype(float)
-        mask = mask_edges(arrows_of(A), [n], 0.3, seed)
+        mask = mask_edges(graph_of(A), 0.3, seed)
         for i, j in mask.negatives:
             assert A[i, j] == 0.0 and A[j, i] == 0.0
 
     def test_same_seed_same_mask(self):
         A = ring_graph(8)
-        m1 = mask_edges(arrows_of(A), [8], 0.4, 11)
-        m2 = mask_edges(arrows_of(A), [8], 0.4, 11)
+        m1 = mask_edges(graph_of(A), 0.4, 11)
+        m2 = mask_edges(graph_of(A), 0.4, 11)
         np.testing.assert_array_equal(m1.positives, m2.positives)
         np.testing.assert_array_equal(m1.negatives, m2.negatives)
 
     def test_edgeless_graph_gives_skip_mask(self):
-        mask = mask_edges(np.zeros((0, 2), dtype=int), [4], 0.15, 0)
+        mask = mask_edges(lone(4), 0.15, 0)
         assert mask.empty
         assert len(mask.negatives) == 0
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mask_edges(arrows_of(ring_graph()), [5], 0.0, 0)
+            mask_edges(graph_of(ring_graph()), 0.0, 0)
 
     def test_draw_frequencies_match_uniform_rates(self):
         # subgraph 0: a 4-ring (4 arrows, 2 held out, 4 free cells: the
@@ -133,11 +146,12 @@ class TestMaskEdges:
             second[i, j] = 1.0
         subgraphs = [(4, first.ravel() > 0), (5, second.ravel() > 0)]
         arrows = stacked_arrows(subgraphs)
+        graph = GraphBatch(arrows, [4, 5])
         seeds = 2000
         held = np.zeros(len(arrows))
         drawn = {}
         for seed in range(seeds):
-            mask = mask_edges(arrows, [4, 5], 0.4, seed)
+            mask = mask_edges(graph, 0.4, seed)
             assert mask.pos_counts.tolist() == mask.neg_counts.tolist() == [2, 2]
             for pair in map(tuple, mask.positives.tolist()):
                 held[np.flatnonzero((arrows == pair).all(1))] += 1
@@ -167,14 +181,14 @@ class TestEncode:
         for p in model.params.values():
             p.values[:] = 0.0
         state = model.encode(Tensor(np.ones((3, 4))),
-                             GraphBatch(arrows_of(ring_graph(3)), 3))
+                             graph_of(ring_graph(3)))
         np.testing.assert_array_equal(state.mu.values, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.log_sigma.values, np.zeros((3, 2)))
 
     def test_output_shapes(self):
         model = Vgae(6, np.random.default_rng(0))
         state = model.encode(Tensor(np.random.default_rng(1).normal(size=(5, 6))),
-                             GraphBatch(arrows_of(ring_graph(5)), 5))
+                             graph_of(ring_graph(5)))
         assert state.mu.shape == (5, 3)
         assert state.log_sigma.shape == (5, 3)
 
@@ -182,14 +196,14 @@ class TestEncode:
         rng = np.random.default_rng(2)
         model = Vgae(4, np.random.default_rng(3), latent_dim=2)
         A = ring_graph(4)
-        mask = mask_edges(arrows_of(A), [4], 0.3, 5)
-        graph = GraphBatch(visible_arrows(arrows_of(A), mask), 4)
+        mask = mask_edges(graph_of(A), 0.3, 5)
+        graph = GraphBatch(visible_arrows(arrows_of(A), mask), [4])
         X = ad.parameter(rng.normal(size=(4, 4)))
 
         def loss(_):
             state = model.encode(X, graph)
             Z = reparameterize(state, seed=9)
-            return edge_loss(state, Z, mask, [4])
+            return edge_loss(state, Z, mask, graph)
 
         assert ad.finite_diff_check(loss, X, eps=1e-5) < 1e-4
         assert ad.finite_diff_check(loss, model.params["mu"], eps=1e-5) < 1e-4
@@ -227,7 +241,7 @@ def decoded(Z, i, j):
     posterior the KL vanishes and the loss is -log P."""
     zero = VgaeState(Tensor(np.zeros(Z.shape)), Tensor(np.zeros(Z.shape)))
     mask = one_mask(pairs((i, j)), pairs())
-    return math.exp(-edge_loss(zero, Z, mask, [Z.shape[0]]).item())
+    return math.exp(-edge_loss(zero, Z, mask, lone(Z.shape[0])).item())
 
 
 class TestEdgeDecoder:
@@ -262,7 +276,7 @@ def kl_term(state):
     scores softplus(0) = ln 2, so the loss minus ln 2 is all KL."""
     Z = Tensor(np.zeros(state.mu.shape))
     loss = edge_loss(state, Z, one_mask(pairs((0, 1)), pairs((1, 2))),
-                     [state.mu.shape[0]])
+                     lone(state.mu.shape[0]))
     return loss.item() - math.log(2.0)
 
 
@@ -281,13 +295,13 @@ class TestEdgeLoss:
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z = Tensor([[30.0, 0.0], [30.0, 0.0], [-30.0, 0.0]])
         mask = one_mask(pairs((0, 1)), pairs((0, 2)))
-        assert edge_loss(state, Z, mask, [3]).item() < 1e-9
+        assert edge_loss(state, Z, mask, lone(3)).item() < 1e-9
 
     def test_three_node_hand_case(self):
         state = VgaeState(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
         Z_values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         mask = one_mask(pairs((0, 2)), pairs((0, 1)))
-        got = edge_loss(state, Tensor(Z_values), mask, [3])
+        got = edge_loss(state, Tensor(Z_values), mask, lone(3))
         sigmoid = lambda s: 1.0 / (1.0 + np.exp(-s))
         expected = (-np.log(sigmoid(1.0)) - np.log(1.0 - sigmoid(0.0))) / 2.0
         np.testing.assert_allclose(got.item(), expected, atol=1e-9)
@@ -295,7 +309,7 @@ class TestEdgeLoss:
     def test_empty_mask_skips(self):
         state = VgaeState(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
         loss = edge_loss(state, Tensor(np.zeros((2, 2))),
-                         one_mask(pairs(), pairs()), [2])
+                         one_mask(pairs(), pairs()), lone(2))
         assert loss.skipped
         assert loss.item() == 0.0
 
@@ -307,7 +321,7 @@ class TestEdgeLoss:
                               Tensor(rng.normal(size=(n, 2))))
             Z = Tensor(rng.normal(size=(n, 2)))
             mask = one_mask(pairs((0, 1)), pairs((1, 0)))
-            assert edge_loss(state, Z, mask, [n]).item() >= 0.0
+            assert edge_loss(state, Z, mask, lone(n)).item() >= 0.0
 
 
 def per_subgraph_edge_loss(state, Z, masks, sizes):
@@ -362,13 +376,13 @@ SUBGRAPH = st.integers(1, 6).flatmap(lambda n: st.tuples(
 ARROWLESS = (4, [False] * 16)
 ONE_NODE = (1, [False])
 SPECIAL = st.sampled_from([NEAR_COMPLETE, ARROWLESS, ONE_NODE, (1, [True])])
+BATCH = st.lists(st.one_of(SUBGRAPH, SUBGRAPH, SPECIAL), min_size=1, max_size=8)
 
 
 class TestBatchedMaskMatchesPerSubgraphOracle:
     @settings(max_examples=200, deadline=None)
-    @given(subgraphs=st.lists(st.one_of(SUBGRAPH, SUBGRAPH, SPECIAL),
-                              min_size=1, max_size=8),
-           ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**63))
+    @given(subgraphs=BATCH, ratio=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**63))
     @example(subgraphs=[(3, [True, False, True] * 3), ARROWLESS,
                         (2, [False, True, True, False]), ONE_NODE,
                         (4, [i % 3 == 1 for i in range(16)]), NEAR_COMPLETE,
@@ -378,9 +392,10 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
     def test_each_subgraph_gets_its_own_draws(self, subgraphs, ratio, seed):
         sizes = [n for n, _ in subgraphs]
         arrows = stacked_arrows(subgraphs)
-        mask = mask_edges(arrows, sizes, ratio, seed)
+        graph = GraphBatch(arrows, sizes)
+        mask = mask_edges(graph, ratio, seed)
         assert mask.positives.dtype == mask.negatives.dtype == np.int64
-        again = mask_edges(arrows, sizes, ratio, seed)
+        again = mask_edges(graph, ratio, seed)
         np.testing.assert_array_equal(again.positives, mask.positives)
         np.testing.assert_array_equal(again.negatives, mask.negatives)
         for (n, cells), got in zip(subgraphs, split_mask(mask, sizes)):
@@ -401,6 +416,26 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
             assert not (A[i, j] | A[j, i]).any()
             assert (np.diff(i * n + j) >= 0).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(subgraphs=BATCH, ratio=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**63))
+    # self-loops and two-way pairs, which the edge index holds once
+    @example(subgraphs=[(3, [True, True, False, True, False, False,
+                             False, False, True]), ONE_NODE, NEAR_COMPLETE,
+                        ARROWLESS, (1, [True])],
+             ratio=0.3, seed=7)
+    def test_draws_match_the_arrow_list_reference(self, subgraphs, ratio, seed):
+        # the taken cells read off the graph's edge index give the same draws
+        # as symmetrizing, sorting and deduplicating the arrows' own cells
+        sizes = [n for n, _ in subgraphs]
+        arrows = stacked_arrows(subgraphs)
+        got = mask_edges(GraphBatch(arrows, sizes), ratio, seed)
+        want = reference_mask_edges(arrows, sizes, ratio, seed)
+        for field in ("positives", "negatives", "pos_counts", "neg_counts"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+
     @pytest.mark.parametrize("arrows, sizes", [
         ([[0, 1], [3, 5]], [2, 3]),    # endpoint past the 5 rows
         ([[-1, 0]], [2, 3]),           # negative endpoint
@@ -410,14 +445,16 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
         (np.zeros((0, 2)), []),        # no subgraphs
     ])
     def test_malformed_batch_rejected(self, arrows, sizes):
+        # the batch's layout is checked once, where it is built
         with pytest.raises(ShapeError):
-            mask_edges(np.array(arrows), sizes, 0.5, 1)
+            GraphBatch(np.array(arrows), sizes)
 
 
 class TestBatchedEdgeLossMatchesPerSubgraphOracle:
     def losses(self, subgraphs, ratio, seed):
         sizes = [n for n, _ in subgraphs]
-        batched = mask_edges(stacked_arrows(subgraphs), sizes, ratio, seed)
+        graph = GraphBatch(stacked_arrows(subgraphs), sizes)
+        batched = mask_edges(graph, ratio, seed)
         masks = split_mask(batched, sizes)
         rng = np.random.default_rng(seed)
         leaves = [ad.parameter(rng.normal(size=(sum(sizes), 3)))
@@ -428,8 +465,8 @@ class TestBatchedEdgeLossMatchesPerSubgraphOracle:
                 leaf.grad = None
             with Tape():
                 loss = loss_fn(VgaeState(leaves[0], leaves[1]), leaves[2],
-                               batched if loss_fn is edge_loss else masks,
-                               sizes)
+                               *((batched, graph) if loss_fn is edge_loss
+                                 else (masks, sizes)))
                 backward(loss)
             grads = [np.zeros_like(leaf.values) if leaf.grad is None
                      else leaf.grad for leaf in leaves]
@@ -483,9 +520,9 @@ class TestToyTraining:
                 for j in block:
                     if i != j:
                         A[i, j] = 1.0
-        mask = mask_edges(arrows_of(A), [n], 0.3, 1)
+        mask = mask_edges(graph_of(A), 0.3, 1)
         assert len(mask.positives) == 8
-        graph = GraphBatch(visible_arrows(arrows_of(A), mask), n)
+        graph = GraphBatch(visible_arrows(arrows_of(A), mask), [n])
 
         X = ad.constant(np.random.default_rng(0).normal(size=(n, 8)))
         model = Vgae(8, np.random.default_rng(3), latent_dim=4)
@@ -498,7 +535,7 @@ class TestToyTraining:
             with Tape():
                 state = model.encode(X, graph)
                 Z = reparameterize(state, seed=step)
-                loss = edge_loss(state, Z, mask, [n])
+                loss = edge_loss(state, Z, mask, graph)
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
