@@ -11,6 +11,10 @@ from .gnn import GraphEncoderConfig
 from .text import TextEncoderConfig
 
 
+# a learnable tau is kept inside [1 / MAX_INV_TAU, 1]
+MAX_INV_TAU = 1000.0
+
+
 class ConfigError(Exception):
     pass
 
@@ -50,6 +54,10 @@ class RunConfig:
                 f"lambda must lie in [0, 1], got {self.lambda_weight}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        # outside this range the clamp on the learned tau passes no gradient
+        if self.learn_tau and not 1.0 / MAX_INV_TAU <= self.tau <= 1.0:
+            raise ConfigError(f"a learnable tau must lie in "
+                              f"[{1.0 / MAX_INV_TAU}, 1], got {self.tau}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.epochs < 0 or self.batch_size < 2:

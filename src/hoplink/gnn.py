@@ -5,10 +5,10 @@ interchangeable. They read one ``GraphBatch``, the batch's layout and its
 symmetrized arrows, and aggregate through one sparse product,
 ``ad.sparse_matmul``: GCN and SAGE by a fixed operator, GAT by the edge
 pattern filled with per-edge scores softmax-normalized over each node's
-incoming edges. The final layer computes only the readout rows:
-``GraphBatch.rows`` restricts the edges to those into the rows each query
-reads. Edge direction is preserved upstream for edge reconstruction. Layers
-carry no bias terms.
+incoming edges. The final layer computes only the readout rows: every
+variant takes the readout rows of its CSR matrix, a row slice that keeps
+each row's edges in graph order. Edge direction is preserved upstream for
+edge reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .kg import _sorted_unique
 # combine_adjacency stays importable here: perfbench's tracer wraps it by name
 from .kg import combine_adjacency  # noqa: F401
 
@@ -87,9 +88,8 @@ class GraphBatch:
             raise ShapeError("arrow crosses from one subgraph's rows into another's")
         if (np.diff(owner) < 0).any():
             raise ShapeError("arrows are not grouped by subgraph in batch order")
-        keys = np.sort(np.concatenate([i * n + j, j * n + i,
-                                       np.arange(n) * (n + 1)]))
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        keys = _sorted_unique(np.concatenate([i * n + j, j * n + i,
+                                              np.arange(n) * (n + 1)]))
         self.dst, self.src = np.divmod(keys, n)
         self.indptr = np.searchsorted(self.dst, np.arange(n + 1))
 
@@ -111,9 +111,7 @@ class GraphBatch:
     def pattern(self) -> sp.csr_matrix:
         """The edges as a CSR matrix whose entry e is edge e; GAT supplies
         the entries."""
-        n = self.num_nodes
-        return sp.csr_matrix((np.ones(len(self.src)), self.src, self.indptr),
-                             shape=(n, n))
+        return self._csr(np.ones(len(self.src)))
 
     @cached_property
     def gcn_operator(self) -> sp.csr_matrix:
@@ -131,37 +129,6 @@ class GraphBatch:
         deg = np.bincount(self.dst[keep], minlength=self.num_nodes)
         return self._csr(1.0 / np.maximum(deg, 1)[self.dst], keep)
 
-    def rows(self, readout) -> GraphRows:
-        """The edges into the given rows (any order, repeats allowed)."""
-        idx = np.asarray(readout, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ShapeError("readout must be a non-empty flat sequence of rows")
-        if idx.min() < 0 or idx.max() >= self.num_nodes:
-            raise IndexError(f"readout row out of range for {self.num_nodes} "
-                             f"nodes: {idx[(idx < 0) | (idx >= self.num_nodes)][0]}")
-        return GraphRows(self, idx)
-
-
-class GraphRows:
-    """A GraphBatch restricted to the edges into ``rows``, which is all a
-    layer needs to compute only those rows.
-
-    Row k's incoming edges fill positions indptr[k] to indptr[k + 1] - 1 of
-    ``src``/``dst`` (global node ids), in ``graph`` edge order; ``pattern``
-    is the (len(rows) x n) row slice of ``graph.pattern``.
-    """
-
-    def __init__(self, graph: GraphBatch, rows: np.ndarray):
-        self.rows = rows
-        counts = np.diff(graph.indptr)[rows]
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        edges = (np.arange(self.indptr[-1])
-                 + np.repeat(graph.indptr[rows] - self.indptr[:-1], counts))
-        self.dst, self.src = graph.dst[edges], graph.src[edges]
-        self.pattern = sp.csr_matrix(
-            (np.ones(edges.size), self.src, self.indptr),
-            shape=(rows.size, graph.num_nodes))
-
 
 def gcn_layer(X: Tensor, A_hat: sp.spmatrix, W: Tensor, activation=None) -> Tensor:
     out = ad.matmul(ad.sparse_matmul(A_hat, X), W)
@@ -177,18 +144,19 @@ def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None,
     return activation(out) if activation is not None else out
 
 
-def gat_head(X: Tensor, graph: GraphBatch | GraphRows, W: Tensor,
+def gat_head(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray, W: Tensor,
              a_src: Tensor, a_dst: Tensor,
              alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
-    """One attention head: edge j -> i scores leaky_relu(a^T [Wx_i ++ Wx_j]),
-    softmax-normalized over i's incoming edges. Returns (the attention-
-    weighted sums of XW, one row per ``graph`` row, and per-edge attention
-    in ``graph`` edge order)."""
+    """One attention head over a CSR edge pattern: entry e, in column j, is
+    an edge j -> dst[e] that scores leaky_relu(a^T [Wx_dst[e] ++ Wx_j]),
+    softmax-normalized over its row. Returns (the attention-weighted sums
+    of XW, one per ``pattern`` row, and per-entry attention in ``pattern``
+    order)."""
     h = ad.matmul(X, W)
-    scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), graph.dst),
-                    ad.gather_rows(ad.matmul(h, a_dst), graph.src))
-    att = ad.segment_softmax(ad.leaky_relu(scores, alpha), graph.indptr)
-    return ad.sparse_matmul(graph.pattern, h, att), att.values[:, 0]
+    scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), dst),
+                    ad.gather_rows(ad.matmul(h, a_dst), pattern.indices))
+    att = ad.segment_softmax(ad.leaky_relu(scores, alpha), pattern.indptr)
+    return ad.sparse_matmul(pattern, h, att), att.values[:, 0]
 
 
 class GraphEncoder:
@@ -198,7 +166,7 @@ class GraphEncoder:
     residual copy of the head's input features, which keeps the no-neighbor
     case from collapsing. Only readout rows are read from the final layer,
     so it computes only those: hidden layers run over every node, the final
-    one over the edges into readout rows (``GraphBatch.rows``).
+    one over the readout rows of the batch's CSR matrix for the variant.
     ``last_attention`` holds each GAT layer's head-mean attention, the final
     entry over those edges alone.
     """
@@ -228,11 +196,17 @@ class GraphEncoder:
         if X.shape[0] != graph.num_nodes:
             raise ShapeError(
                 f"X has {X.shape[0]} rows for a {graph.num_nodes}-node graph")
+        readout = np.asarray(readout, dtype=np.int64)
+        if readout.ndim != 1 or readout.size == 0:
+            raise ShapeError("readout must be a non-empty flat sequence of rows")
+        # explicit, because a scipy row slice wraps negative rows
+        n = graph.num_nodes
+        if readout.min() < 0 or readout.max() >= n:
+            raise IndexError(f"readout row out of range for {n} nodes: "
+                             f"{readout[(readout < 0) | (readout >= n)][0]}")
         cfg = self.config
         activation = ACTIVATIONS[cfg.activation]
         self.last_attention = []
-        final_graph = graph.rows(readout)
-        readout = final_graph.rows
 
         H = X
         for layer in range(cfg.layers):
@@ -246,7 +220,11 @@ class GraphEncoder:
                 H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
                                readout if final else None)
             else:
-                heads = [gat_head(H, final_graph if final else graph,
+                pattern, dst = graph.pattern, graph.dst
+                if final:
+                    pattern = pattern[readout]
+                    dst = np.repeat(readout, np.diff(pattern.indptr))
+                heads = [gat_head(H, pattern, dst,
                                   *(self.params[f"l{layer}_h{h}_{k}"]
                                     for k in ("w", "asrc", "adst")))
                          for h in range(cfg.heads)]

@@ -72,7 +72,6 @@ class Triple(NamedTuple):
 
 @dataclass
 class EntityRecord:
-    id: int
     name: str
     description: str = ""
 
@@ -208,10 +207,7 @@ class KnowledgeGraph:
             raise DatasetError(
                 f"{len(missing)} entities have no entity-text row (e.g. {shown})")
 
-        entities = []
-        for eid, label in enumerate(entity_labels):
-            name, desc = entity_text[label]
-            entities.append(EntityRecord(id=eid, name=name, description=desc))
+        entities = [EntityRecord(*entity_text[label]) for label in entity_labels]
 
         heads, tails = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
                                    len(ends)).reshape(-1, 2).T
@@ -297,8 +293,7 @@ def _read_entity_text(path) -> dict[str, tuple[str, str]]:
     return texts
 
 
-def load_dataset(triple_files: Mapping[str, object], entity_text_file,
-                 expected_counts: Mapping[str, int] | None = None) -> KnowledgeGraph:
+def load_dataset(triple_files: Mapping[str, object], entity_text_file) -> KnowledgeGraph:
     """Load triple files (split name -> path) plus an entity text file."""
     split_rows: dict[str, list[LabelTriple]] = {}
     for name in SPLITS:
@@ -314,20 +309,13 @@ def load_dataset(triple_files: Mapping[str, object], entity_text_file,
     if not Path(entity_text_file).exists():
         raise DatasetError(f"missing entity text file: {entity_text_file}")
     texts = _read_entity_text(entity_text_file)
-    kg = KnowledgeGraph.build(split_rows, texts)
-    if expected_counts:
-        diffs = validate_counts(kg, expected_counts)
-        if diffs:
-            raise DatasetError("dataset counts do not match manifest:\n  "
-                               + "\n  ".join(diffs))
-    return kg
+    return KnowledgeGraph.build(split_rows, texts)
 
 
 ENTITY_TEXT_CANDIDATES = ("entities.txt", "entity2textlong.txt", "entity2text.txt")
 
 
-def load_dataset_dir(dataset_dir,
-                     expected_counts: Mapping[str, int] | None = None) -> KnowledgeGraph:
+def load_dataset_dir(dataset_dir) -> KnowledgeGraph:
     """Load from a directory holding train/valid/test.txt and an entity text file."""
     d = Path(dataset_dir)
     triples: dict[str, object] = {"train": d / "train.txt"}
@@ -341,7 +329,7 @@ def load_dataset_dir(dataset_dir,
     else:
         raise DatasetError(
             f"no entity text file in {d} (tried {', '.join(ENTITY_TEXT_CANDIDATES)})")
-    return load_dataset(triples, text_file, expected_counts)
+    return load_dataset(triples, text_file)
 
 
 def dataset_counts(kg: KnowledgeGraph) -> dict[str, int]:

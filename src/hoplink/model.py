@@ -21,14 +21,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import MAX_INV_TAU, RunConfig, config_from_dict, config_to_dict
 from .gnn import GraphBatch, GraphEncoder, combine_adjacency
 from .kg import KnowledgeGraph, NeighborhoodSubgraph, khop_neighborhood
 from .seeding import derive_rng, derive_seed
 from .text import TextEncoder, TextIds, Tokenizer, token_table
 from .vgae import Vgae
 
-MAX_INV_TAU = 1000.0  # tau is kept inside [0.001, 1]
 LOG_MAX_INV_TAU = math.log(MAX_INV_TAU)
 
 

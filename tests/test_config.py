@@ -89,11 +89,17 @@ class TestValidation:
         ("mask_ratio", 0.0), ("mask_ratio", 1.0), ("lr", 0.0), ("lr", -1.0),
         ("weight_decay", -1.0), ("max_len", 0), ("text_layers", 0),
         ("text_ff", 0), ("latent_dim", -1),
+        # learnable tau (the default) outside [0.001, 1]
+        ("tau", 2.0), ("tau", 0.0001),
     ])
     def test_out_of_range_values(self, field, value):
         config = RunConfig(**{field: value})
         with pytest.raises(ConfigError):
             config.validate()
+
+    def test_fixed_tau_may_lie_outside_the_learnable_range(self):
+        config = RunConfig(tau=2.0, learn_tau=False)
+        assert config.validate() is config
 
     def test_defaults_validate(self):
         config = RunConfig()

@@ -215,13 +215,19 @@ class TestEdgeIndexMatchesDenseOracle:
                                      (3, [(0, 0, 1), (2, 0, 1)])])
         readout = [5, 0, 5, 2]
         enc = encoder("gat", layers=layers)
-        enc.encode(Tensor(np.random.default_rng(0).normal(size=(len(A), 6))),
-                   graph, readout)
-        final = enc.last_attention[-1]
-        assert final.size == sum(graph.indptr[r + 1] - graph.indptr[r]
-                                 for r in readout)
+        X = Tensor(np.random.default_rng(0).normal(size=(len(A), 6)))
+        enc.encode(X, graph, readout)
         assert [a.size for a in enc.last_attention[:-1]] \
             == [len(graph.dst)] * (layers - 1)
+        # the edges into each readout row in readout order, each row's in
+        # graph order: explain reads row 0's off the front
+        attention = []
+        dense_encode(enc, X, A, readout, attention)
+        want = np.concatenate([
+            attention[-1][r, graph.src[graph.indptr[r]:graph.indptr[r + 1]]]
+            for r in readout])
+        np.testing.assert_allclose(enc.last_attention[-1], want,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_self_loop_arrow_weighs_twice_in_gcn(self):
         op = GraphBatch(np.array([[0, 0], [0, 1]]), [2]).gcn_operator.toarray()
@@ -252,25 +258,6 @@ class TestNormalizeAdjacency:
     def test_out_of_range_arrow_rejected(self):
         with pytest.raises(ShapeError):
             GraphBatch(np.array([[0, 2]]), [2])
-
-
-class TestGraphRows:
-    def test_edges_into_each_row_in_graph_order(self):
-        graph = graph_of(TestEncodeNeighborhood.PATH5)
-        rows = graph.rows([3, 0, 3])
-        want = [np.arange(graph.indptr[r], graph.indptr[r + 1])
-                for r in (3, 0, 3)]
-        np.testing.assert_array_equal(
-            rows.indptr, np.cumsum([0] + [len(w) for w in want]))
-        edges = np.concatenate(want)
-        np.testing.assert_array_equal(rows.dst, graph.dst[edges])
-        np.testing.assert_array_equal(rows.src, graph.src[edges])
-        np.testing.assert_array_equal(rows.pattern.toarray(),
-                                      graph.pattern.toarray()[[3, 0, 3]])
-
-    def test_empty_readout_rejected(self):
-        with pytest.raises(ShapeError, match="non-empty"):
-            graph_of(TestEncodeNeighborhood.PATH5).rows([])
 
 
 class TestGcnLayer:
@@ -312,7 +299,8 @@ class TestGatHead:
         rng = np.random.default_rng(4)
         X = Tensor(rng.normal(size=(1, 4)))
         W = Tensor(rng.normal(size=(4, 4)))
-        out, att = gat_head(X, graph_of(np.zeros((1, 1))), W,
+        graph = graph_of(np.zeros((1, 1)))
+        out, att = gat_head(X, graph.pattern, graph.dst, W,
                             Tensor(rng.normal(size=(4, 1))),
                             Tensor(rng.normal(size=(4, 1))))
         np.testing.assert_allclose(att, [1.0])
@@ -321,7 +309,8 @@ class TestGatHead:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         graph = graph_of(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-        _, att = gat_head(Tensor(rng.normal(size=(3, 4))), graph,
+        _, att = gat_head(Tensor(rng.normal(size=(3, 4))), graph.pattern,
+                          graph.dst,
                           Tensor(rng.normal(size=(4, 4))),
                           Tensor(rng.normal(size=(4, 1))),
                           Tensor(rng.normal(size=(4, 1))))
@@ -336,7 +325,7 @@ class TestGatHead:
         a_src = Tensor(rng.normal(size=(5, 1)))
         a_dst = Tensor(rng.normal(size=(5, 1)))
         graph = graph_of(A)
-        out, att = gat_head(X, graph, W, a_src, a_dst)
+        out, att = gat_head(X, graph.pattern, graph.dst, W, a_src, a_dst)
         ref_out, ref_att = dense_gat_head(X, A, W, a_src, a_dst)
         np.testing.assert_allclose(out.values, ref_out.values, atol=1e-9)
         np.testing.assert_allclose(dense_attention(graph, att), ref_att, atol=1e-9)
@@ -458,12 +447,16 @@ class TestEncodeNeighborhood:
                                        rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
-    @pytest.mark.parametrize("row", [-1, 5])
-    def test_out_of_range_readout_row_rejected(self, variant, row):
+    @pytest.mark.parametrize("readout, error, match", [
+        pytest.param([0, -1], IndexError, "readout row out of range", id="-1"),
+        pytest.param([0, 5], IndexError, "readout row out of range", id="5"),
+        pytest.param([], ShapeError, "non-empty", id="empty")])
+    def test_out_of_range_readout_row_rejected(self, variant, readout, error,
+                                               match):
         enc = encoder(variant, dim=6)
         X = Tensor(np.random.default_rng(15).normal(size=(5, 6)))
-        with pytest.raises(IndexError, match="out of range"):
-            enc.encode(X, graph_of(self.PATH5), [0, row])
+        with pytest.raises(error, match=match):
+            enc.encode(X, graph_of(self.PATH5), readout)
 
     def test_gat_attention_recorded_per_layer(self):
         enc = encoder("gat", dim=6, layers=2)

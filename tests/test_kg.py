@@ -22,7 +22,6 @@ from hoplink.kg import (
     dataset_counts,
     khop_neighborhood,
     known_tails,
-    load_dataset,
     load_dataset_dir,
     queries_both_directions,
     query_columns,
@@ -147,13 +146,6 @@ class TestLoading:
         assert list(dataset_counts(kg).items()) == [
             ("entities", 4), ("relations", 2), ("train", 3), ("valid", 1),
             ("test", 0)]
-
-    def test_manifest_mismatch_fails_load(self, tmp_path):
-        (tmp_path / "train.txt").write_text("a\tr\tb\n")
-        (tmp_path / "entities.txt").write_text("a\ta\t\nb\tb\t\n")
-        with pytest.raises(DatasetError, match="entities: expected 3, found 2"):
-            load_dataset({"train": tmp_path / "train.txt"},
-                         tmp_path / "entities.txt", {"entities": 3})
 
     def test_adjacency_excludes_valid_and_test(self):
         kg = toy_kg([("a", "r", "b")], valid=[("a", "r", "c")], test=[("c", "r", "b")])
