@@ -260,6 +260,25 @@ class TestNormalizeAdjacency:
             GraphBatch(np.array([[0, 2]]), [2])
 
 
+class TestGraphRows:
+    def test_edges_into_each_row_in_graph_order(self):
+        # the final GAT layer reads a row slice of pattern and repeats each
+        # readout row once per entry as that entry's destination
+        graph = graph_of(TestEncodeNeighborhood.PATH5)
+        readout = [3, 0, 3]
+        rows = graph.pattern[readout]
+        want = [np.arange(graph.indptr[r], graph.indptr[r + 1])
+                for r in readout]
+        np.testing.assert_array_equal(
+            rows.indptr, np.cumsum([0] + [len(w) for w in want]))
+        edges = np.concatenate(want)
+        np.testing.assert_array_equal(
+            np.repeat(readout, np.diff(rows.indptr)), graph.dst[edges])
+        np.testing.assert_array_equal(rows.indices, graph.src[edges])
+        np.testing.assert_array_equal(rows.toarray(),
+                                      graph.pattern.toarray()[readout])
+
+
 class TestGcnLayer:
     def test_identity_adjacency_is_linear_map(self):
         rng = np.random.default_rng(2)
