@@ -80,9 +80,10 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     neighborhood seed of row i depends only on the run seed, the split and
     i, so a query gets the same neighborhood in any chunk. Its last bits can
     still depend on the chunk: OpenBLAS rounds a product of at least two
-    rows and two columns the same way wherever a row sits, but not a one-row
-    product (a chunk of a single query) nor a matrix-vector product (GAT's
-    attention scores, whose bits follow a node's position in the batch). A
+    rows and two columns the same way wherever a row sits, but not a
+    matrix-vector product (GAT's attention scores, whose bits follow a
+    node's position in the batch) nor a one-row product, such as the final
+    layer's projection of the readout row in a chunk of a single query. A
     rank moves only where a candidate scores within a few ulps of the gold.
     Runs without gradients and changes neither the model nor the graph's
     facts: each chunk's known tails are one ``known_tails`` lookup into

@@ -7,8 +7,9 @@ symmetrized arrows, and aggregate through one sparse product,
 pattern filled with per-edge scores softmax-normalized over each node's
 incoming edges. The final layer computes only the readout rows: every
 variant takes the readout rows of its CSR matrix, a row slice that keeps
-each row's edges in graph order. Edge direction is preserved upstream for
-edge reconstruction. Layers carry no bias terms.
+each row's edges in graph order, and GAT's final heads aggregate before
+they project. Edge direction is preserved upstream for edge
+reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
@@ -145,18 +146,26 @@ def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None,
 
 
 def gat_head(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray, W: Tensor,
-             a_src: Tensor, a_dst: Tensor,
+             a_src: Tensor, a_dst: Tensor, readout: np.ndarray | None = None,
              alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
-    """One attention head over a CSR edge pattern: entry e, in column j, is
-    an edge j -> dst[e] that scores leaky_relu(a^T [Wx_dst[e] ++ Wx_j]),
+    """One attention head over a CSR edge pattern: entry e, in row dst[e]
+    and column j, is an edge j -> i, i being that row's node (node
+    readout[row] if given), that scores leaky_relu(a^T [Wx_i ++ Wx_j]),
     softmax-normalized over its row. Returns (the attention-weighted sums
     of XW, one per ``pattern`` row, and per-entry attention in ``pattern``
     order)."""
-    h = ad.matmul(X, W)
-    scores = ad.add(ad.gather_rows(ad.matmul(h, a_src), dst),
-                    ad.gather_rows(ad.matmul(h, a_dst), pattern.indices))
+    if readout is None:  # project every node, then aggregate
+        h = ad.matmul(X, W)
+        s_dst, s_src = ad.matmul(h, a_src), ad.matmul(h, a_dst)
+    else:  # aggregate, then project the readout rows: (A X) W = A (X W)
+        h = X
+        s_dst = ad.matmul(ad.gather_rows(X, readout), ad.matmul(W, a_src))
+        s_src = ad.matmul(X, ad.matmul(W, a_dst))
+    scores = ad.add(ad.gather_rows(s_dst, dst),
+                    ad.gather_rows(s_src, pattern.indices))
     att = ad.segment_softmax(ad.leaky_relu(scores, alpha), pattern.indptr)
-    return ad.sparse_matmul(pattern, h, att), att.values[:, 0]
+    out = ad.sparse_matmul(pattern, h, att)
+    return (out if readout is None else ad.matmul(out, W)), att.values[:, 0]
 
 
 class GraphEncoder:
@@ -166,7 +175,8 @@ class GraphEncoder:
     residual copy of the head's input features, which keeps the no-neighbor
     case from collapsing. Only readout rows are read from the final layer,
     so it computes only those: hidden layers run over every node, the final
-    one over the readout rows of the batch's CSR matrix for the variant.
+    one over the readout rows of the batch's CSR matrix for the variant
+    (GAT's heads aggregate into those rows, then project only the sums).
     ``last_attention`` holds each GAT layer's head-mean attention, the final
     entry over those edges alone.
     """
@@ -196,9 +206,10 @@ class GraphEncoder:
         if X.shape[0] != graph.num_nodes:
             raise ShapeError(
                 f"X has {X.shape[0]} rows for a {graph.num_nodes}-node graph")
-        readout = np.asarray(readout, dtype=np.int64)
-        if readout.ndim != 1 or readout.size == 0:
-            raise ShapeError("readout must be a non-empty flat sequence of rows")
+        readout = np.asarray(readout)
+        if readout.ndim != 1 or readout.size == 0 or readout.dtype.kind not in "iu":
+            raise ShapeError("readout must be a non-empty flat sequence of integer rows")
+        readout = readout.astype(np.int64, copy=False)
         # explicit, because a scipy row slice wraps negative rows
         n = graph.num_nodes
         if readout.min() < 0 or readout.max() >= n:
@@ -223,10 +234,11 @@ class GraphEncoder:
                 pattern, dst = graph.pattern, graph.dst
                 if final:
                     pattern = pattern[readout]
-                    dst = np.repeat(readout, np.diff(pattern.indptr))
+                    dst = np.repeat(np.arange(len(readout)), np.diff(pattern.indptr))
                 heads = [gat_head(H, pattern, dst,
                                   *(self.params[f"l{layer}_h{h}_{k}"]
-                                    for k in ("w", "asrc", "adst")))
+                                    for k in ("w", "asrc", "adst")),
+                                  readout if final else None)
                          for h in range(cfg.heads)]
                 self.last_attention.append(np.mean([a for _, a in heads], axis=0))
                 outs = [out for out, _ in heads]

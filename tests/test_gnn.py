@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -96,10 +98,8 @@ def dense_encode(enc, X, A, readout, attention=None):
             if attention is not None:
                 attention.append(np.mean([a for _, a in heads], axis=0))
             outs = [out for out, _ in heads]
-            H = outs[0]
-            for out in outs[1:]:
-                H = ad.add(H, out)
-            H = ad.scale(H, 1.0 / cfg.heads) if last else ad.concat_cols(outs)
+            H = (ad.scale(reduce(ad.add, outs), 1.0 / cfg.heads) if last
+                 else ad.concat_cols(outs))
         H = H if last else act(H)
     return ad.add(ad.gather_rows(H, readout), ad.gather_rows(X, readout))
 
@@ -149,9 +149,18 @@ def stacked_batch(subs):
     return A, GraphBatch(arrows, [len(B) for B in blocks]), offsets
 
 
-def assert_encoders_agree(A, graph, readout, X0, weights, layers, seed):
-    for variant in ("gcn", "sage", "gat"):
-        enc = encoder(variant, layers=layers, seed=seed)
+# (variant, heads, dim): GAT with one head, and with three heads whose
+# hidden widths are equal (2/2/2) and unequal (3/2/2)
+ENCODER_SHAPES = [("gcn", 3, 6), ("sage", 3, 6),
+                  ("gat", 1, 6), ("gat", 3, 6), ("gat", 3, 7)]
+
+
+def assert_encoders_agree(A, graph, readout, layers, seed):
+    rng = np.random.default_rng(seed)
+    for variant, heads, dim in ENCODER_SHAPES:
+        enc = encoder(variant, dim=dim, layers=layers, heads=heads, seed=seed)
+        X0 = rng.normal(size=(len(A), dim))
+        weights = rng.normal(size=(len(readout), dim))
         got = value_and_grads(
             lambda X: enc.encode(X, graph, readout), X0, weights,
             list(enc.params.values()))
@@ -159,8 +168,9 @@ def assert_encoders_agree(A, graph, readout, X0, weights, layers, seed):
             lambda X: dense_encode(enc, X, A, readout), X0, weights,
             list(enc.params.values()))
         for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
-                                       err_msg=f"{variant}, {layers} layers")
+            np.testing.assert_allclose(
+                g, w, rtol=1e-12, atol=1e-12,
+                err_msg=f"{variant}, {heads} heads, dim {dim}, {layers} layers")
 
 
 class TestEdgeIndexMatchesDenseOracle:
@@ -172,12 +182,11 @@ class TestEdgeIndexMatchesDenseOracle:
     @example(subs=[(3, [(0, 0, 0), (0, 1, 1), (1, 0, 0)]),
                    (2, [(0, 0, 1), (0, 2, 1)]), (1, [])], seed=0)
     def test_encoders_agree_in_values_and_input_gradients(self, subs, seed):
-        rng = np.random.default_rng(seed)
         A, graph, offsets = stacked_batch(subs)
-        X0 = rng.normal(size=(len(A), 6))
-        weights = rng.normal(size=(len(offsets), 6))
-        assert_encoders_agree(A, graph, offsets, X0, weights, 2, seed)
+        assert_encoders_agree(A, graph, offsets, 2, seed)
 
+        rng = np.random.default_rng(seed)
+        X0 = rng.normal(size=(len(A), 6))
         vgae = Vgae(6, np.random.default_rng(seed), latent_dim=3)
         weights = rng.normal(size=(len(A), 3))
         got = value_and_grads(
@@ -191,7 +200,7 @@ class TestEdgeIndexMatchesDenseOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(subs=st.lists(subgraph_strategy, min_size=1, max_size=3),
-           layers=st.sampled_from([1, 3]), picks=st.lists(
+           layers=st.sampled_from([1, 2, 3]), picks=st.lists(
                st.integers(0, 2**16), min_size=1, max_size=6),
            seed=st.integers(0, 2**16))
     # a batch of one one-node subgraph
@@ -202,12 +211,16 @@ class TestEdgeIndexMatchesDenseOracle:
     @example(subs=[(3, [(0, 0, 1), (1, 1, 2)]), (1, []),
                    (4, [(0, 0, 3), (2, 1, 1), (3, 0, 2)])],
              layers=3, picks=[6, 1, 3, 6, 0, 5], seed=2)
+    @example(subs=[(3, [(0, 0, 1), (1, 1, 2)]), (1, []),
+                   (4, [(0, 0, 3), (2, 1, 1), (3, 0, 2)])],
+             layers=1, picks=[5, 5, 2, 3, 0], seed=3)
+    @example(subs=[(3, [(0, 0, 1), (1, 1, 2)]), (1, []),
+                   (4, [(0, 0, 3), (2, 1, 1), (3, 0, 2)])],
+             layers=2, picks=[7, 3, 0, 3, 1], seed=4)
     def test_any_readout_rows_and_layer_count(self, subs, layers, picks, seed):
-        rng = np.random.default_rng(seed)
         A, graph, _ = stacked_batch(subs)
-        readout = [p % len(A) for p in picks]
-        assert_encoders_agree(A, graph, readout, rng.normal(size=(len(A), 6)),
-                              rng.normal(size=(len(readout), 6)), layers, seed)
+        assert_encoders_agree(A, graph, [p % len(A) for p in picks], layers,
+                              seed)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_final_gat_attention_covers_only_readout_edges(self, layers):
@@ -228,6 +241,30 @@ class TestEdgeIndexMatchesDenseOracle:
             for r in readout])
         np.testing.assert_allclose(enc.last_attention[-1], want,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_final_gat_layer_projects_only_readout_rows(self, layers):
+        # three 12-node paths: 36 stacked rows against 2 readout rows
+        path = (12, [(i, 0, i + 1) for i in range(11)])
+        A, graph, _ = stacked_batch([path] * 3)
+        readout = [13, 0]
+        enc = encoder("gat", layers=layers)
+        final = {id(p) for name, p in enc.params.items()
+                 if name.startswith(f"l{layers - 1}_")}
+        X = ad.parameter(np.random.default_rng(16).normal(size=(len(A), 6)))
+        with ad.Tape() as tape:
+            enc.encode(X, graph, readout)
+        # the final layer's ops: every one from the first that reads one of
+        # its parameters on
+        records = tape._records
+        start = next(i for i, (_, parents, _) in enumerate(records)
+                     if any(id(p) in final for p in parents))
+        products = [(parents[0].shape[0], parents[1].shape[1])
+                    for _, parents, rule in records[start:]
+                    if rule.__qualname__ == "matmul.<locals>.rule"]
+        assert any(cols >= 2 for _, cols in products)
+        assert all(rows <= len(readout) for rows, cols in products
+                   if cols >= 2), products
 
     def test_self_loop_arrow_weighs_twice_in_gcn(self):
         op = GraphBatch(np.array([[0, 0], [0, 1]]), [2]).gcn_operator.toarray()
@@ -469,13 +506,27 @@ class TestEncodeNeighborhood:
     @pytest.mark.parametrize("readout, error, match", [
         pytest.param([0, -1], IndexError, "readout row out of range", id="-1"),
         pytest.param([0, 5], IndexError, "readout row out of range", id="5"),
-        pytest.param([], ShapeError, "non-empty", id="empty")])
+        pytest.param([], ShapeError, "non-empty", id="empty"),
+        pytest.param([1.9], ShapeError, "integer rows", id="float"),
+        pytest.param(np.array([1.0, 0.0]), ShapeError, "integer rows",
+                     id="whole-float"),
+        pytest.param([True, False], ShapeError, "integer rows", id="bool")])
     def test_out_of_range_readout_row_rejected(self, variant, readout, error,
                                                match):
         enc = encoder(variant, dim=6)
         X = Tensor(np.random.default_rng(15).normal(size=(5, 6)))
         with pytest.raises(error, match=match):
             enc.encode(X, graph_of(self.PATH5), readout)
+
+    @pytest.mark.parametrize("variant", ["gcn", "gat", "sage"])
+    def test_readout_of_any_integer_dtype_accepted(self, variant):
+        enc = encoder(variant, dim=6)
+        X = Tensor(np.random.default_rng(15).normal(size=(5, 6)))
+        graph = graph_of(self.PATH5)
+        want = enc.encode(X, graph, [3, 0, 3]).values
+        for dtype in (np.int32, np.uint8):
+            got = enc.encode(X, graph, np.array([3, 0, 3], dtype=dtype)).values
+            np.testing.assert_array_equal(got, want)
 
     def test_gat_attention_recorded_per_layer(self):
         enc = encoder("gat", dim=6, layers=2)
