@@ -1,14 +1,17 @@
 """Run configuration: a flat key = value file, every key overridable from the
 command line. The file key for the loss mixing weight is `lambda`; it maps to
-the `lambda_weight` attribute because of the Python keyword."""
+the `lambda_weight` attribute because of the Python keyword.
+
+``RunConfig`` is the one settings object: it holds every default and every
+validity rule, and the encoders read its fields by their file keys."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .gnn import GraphEncoderConfig
-from .text import TextEncoderConfig
+from .gnn import ACTIVATIONS, VARIANTS
 
 
 # a learnable tau is kept inside [1 / MAX_INV_TAU, 1]
@@ -49,6 +52,10 @@ class RunConfig:
     resample_neighborhoods: bool = True
 
     def validate(self) -> "RunConfig":
+        for key, f in _FIELD_BY_KEY.items():
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ConfigError(
                 f"lambda must lie in [0, 1], got {self.lambda_weight}")
@@ -76,22 +83,26 @@ class RunConfig:
         if self.latent_dim < 0:
             raise ConfigError(f"latent_dim must be >= 0 (0 means dim // 2), "
                               f"got {self.latent_dim}")
-        try:
-            self.text_encoder_config()
-            self.graph_encoder_config()
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        if self.text_mode not in ("mean_pool", "transformer_lite"):
+            raise ConfigError(f"unknown text encoder mode {self.text_mode!r}")
+        if self.text_layers < 1 or self.text_ff < 1:
+            raise ConfigError(f"text layers and ff width must be >= 1, got "
+                              f"{self.text_layers} and {self.text_ff}")
+        if self.text_mode == "transformer_lite" and (
+                self.text_heads < 1 or self.dim % self.text_heads != 0):
+            raise ConfigError(
+                f"dim {self.dim} not divisible by head count {self.text_heads}")
+        if self.encoder not in VARIANTS:
+            raise ConfigError(
+                f"unknown variant {self.encoder!r}; pick from {VARIANTS}")
+        if self.layers < 1:
+            raise ConfigError("layer count must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.encoder == "gat" and not 1 <= self.heads <= self.dim:
+            raise ConfigError(
+                f"head count {self.heads} must lie in [1, dim={self.dim}]")
         return self
-
-    def text_encoder_config(self) -> TextEncoderConfig:
-        return TextEncoderConfig(dim=self.dim, mode=self.text_mode,
-                                 layers=self.text_layers, heads=self.text_heads,
-                                 ff_width=self.text_ff)
-
-    def graph_encoder_config(self) -> GraphEncoderConfig:
-        return GraphEncoderConfig(variant=self.encoder, layers=self.layers,
-                                  dim=self.dim, heads=self.heads,
-                                  activation=self.activation)
 
     @property
     def resolved_latent_dim(self) -> int:

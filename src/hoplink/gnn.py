@@ -14,8 +14,8 @@ reconstruction. Layers carry no bias terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,37 +26,19 @@ from .kg import _sorted_unique
 # combine_adjacency stays importable here: perfbench's tracer wraps it by name
 from .kg import combine_adjacency  # noqa: F401
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 VARIANTS = ("gcn", "gat", "sage")
 ACTIVATIONS = {"relu": ad.relu, "leaky_relu": ad.leaky_relu}
 
 
-@dataclass
-class GraphEncoderConfig:
-    variant: str = "gat"
-    layers: int = 2
-    dim: int = 64
-    heads: int = 3
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; pick from {VARIANTS}")
-        if self.layers < 1:
-            raise ValueError("layer count must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.variant == "gat" and not 1 <= self.heads <= self.dim:
-            raise ValueError(
-                f"head count {self.heads} must lie in [1, dim={self.dim}]")
-
-    def head_widths(self, final: bool) -> list[int]:
-        """Per-head output widths. Final layers average full-width heads;
-        hidden layers concatenate, so the widths must sum to dim exactly
-        (the first dim % heads heads absorb the remainder)."""
-        if final or self.variant != "gat":
-            return [self.dim] * self.heads
-        base, extra = divmod(self.dim, self.heads)
-        return [base + (1 if h < extra else 0) for h in range(self.heads)]
+def head_widths(dim: int, heads: int) -> list[int]:
+    """Per-head output widths of a hidden GAT layer, which concatenates its
+    heads, so the widths sum to dim exactly (the first dim % heads heads
+    absorb the remainder). A final layer averages full-width heads."""
+    base, extra = divmod(dim, heads)
+    return [base + (1 if h < extra else 0) for h in range(heads)]
 
 
 class GraphBatch:
@@ -169,7 +151,8 @@ def gat_head(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray, W: Tensor,
 
 
 class GraphEncoder:
-    """Stacks config.layers rounds of the chosen variant over (X, graph).
+    """Stacks ``config.layers`` rounds of the ``config.encoder`` variant over
+    (X, graph).
 
     The readout for a subgraph is the head row of the final layer plus a
     residual copy of the head's input features, which keeps the no-neighbor
@@ -181,19 +164,20 @@ class GraphEncoder:
     entry over those edges alone.
     """
 
-    def __init__(self, config: GraphEncoderConfig, rng: np.random.Generator):
-        self.config = config
+    def __init__(self, config: RunConfig, rng: np.random.Generator):
+        self.config = config.validate()
         self.params: dict[str, Tensor] = {}
         self.last_attention: list[np.ndarray] = []
         d = config.dim
         for layer in range(config.layers):
             final = layer == config.layers - 1
-            if config.variant == "gcn":
+            if config.encoder == "gcn":
                 self.params[f"l{layer}_w"] = ad.xavier_uniform((d, d), rng)
-            elif config.variant == "sage":
+            elif config.encoder == "sage":
                 self.params[f"l{layer}_w"] = ad.xavier_uniform((2 * d, d), rng)
             else:
-                widths = config.head_widths(final)
+                widths = ([d] * config.heads if final
+                          else head_widths(d, config.heads))
                 for h, out_dim in enumerate(widths):
                     p = f"l{layer}_h{h}"
                     self.params[f"{p}_w"] = ad.xavier_uniform((d, out_dim), rng)
@@ -223,10 +207,10 @@ class GraphEncoder:
         for layer in range(cfg.layers):
             final = layer == cfg.layers - 1
             act = None if final else activation
-            if cfg.variant == "gcn":
+            if cfg.encoder == "gcn":
                 op = graph.gcn_operator[readout] if final else graph.gcn_operator
                 H = gcn_layer(H, op, self.params[f"l{layer}_w"], act)
-            elif cfg.variant == "sage":
+            elif cfg.encoder == "sage":
                 op = graph.mean_operator[readout] if final else graph.mean_operator
                 H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
                                readout if final else None)

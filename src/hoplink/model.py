@@ -44,19 +44,17 @@ class QueryBatch:
 
 class KgcModel:
     def __init__(self, config: RunConfig, tokenizer: Tokenizer):
-        config.validate()
-        self.config = config
+        self.config = config.validate()
         self.tokenizer = tokenizer
-        self.text = TextEncoder(tokenizer, config.text_encoder_config(),
+        self.text = TextEncoder(tokenizer, config,
                                 derive_rng(config.seed, "init:text"))
-        self.gnn = GraphEncoder(config.graph_encoder_config(),
-                                derive_rng(config.seed, "init:gnn"))
+        self.gnn = GraphEncoder(config, derive_rng(config.seed, "init:gnn"))
         # lambda = 1 means the edge loss has zero weight, so the decoder is
         # never built and contributes no parameters or arithmetic
         self.vgae: Vgae | None = None
         if config.lambda_weight < 1.0:
-            self.vgae = Vgae(config.dim, derive_rng(config.seed, "init:vgae"),
-                             latent_dim=config.resolved_latent_dim)
+            self.vgae = Vgae(config.dim, config.resolved_latent_dim,
+                             derive_rng(config.seed, "init:vgae"))
         self.log_inv_tau: Tensor | None = None
         if config.learn_tau:
             self.log_inv_tau = ad.parameter(

@@ -18,6 +18,7 @@ import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +26,9 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tensor
 from .kg import KnowledgeGraph, _range_slots
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 PAD, UNK, SEP = 0, 1, 2
 RESERVED = (("<pad>", PAD), ("<unk>", UNK), ("<sep>", SEP))
@@ -173,38 +177,19 @@ def bag_matrix(ids: np.ndarray, lengths: np.ndarray,
     return mat
 
 
-@dataclass
-class TextEncoderConfig:
-    dim: int = 64
-    mode: str = "mean_pool"
-    layers: int = 1
-    heads: int = 2
-    ff_width: int = 128
-
-    def __post_init__(self):
-        if self.mode not in ("mean_pool", "transformer_lite"):
-            raise ValueError(f"unknown text encoder mode {self.mode!r}")
-        if self.layers < 1 or self.ff_width < 1:
-            raise ValueError(f"text layers and ff width must be >= 1, got "
-                             f"{self.layers} and {self.ff_width}")
-        if self.mode == "transformer_lite" and (
-                self.heads < 1 or self.dim % self.heads != 0):
-            raise ValueError(
-                f"dim {self.dim} not divisible by head count {self.heads}")
-
-
 class TextEncoder:
-    """Turns token sequences into d-vectors; one tower per role (head/tail)."""
+    """Turns token sequences into d-vectors; one tower per role (head/tail).
+    Reads ``dim`` and the ``text_*`` fields of a ``RunConfig``."""
 
-    def __init__(self, tokenizer: Tokenizer, config: TextEncoderConfig,
+    def __init__(self, tokenizer: Tokenizer, config: RunConfig,
                  rng: np.random.Generator):
         self.tokenizer = tokenizer
-        self.config = config
+        self.config = config.validate()
         d = config.dim
         self.params: dict[str, Tensor] = {}
         self.params["embeddings"] = ad.parameter(
             rng.normal(scale=1.0 / np.sqrt(d), size=(tokenizer.vocab_size, d)))
-        if config.mode == "mean_pool":
+        if config.text_mode == "mean_pool":
             # identity start: the encoder begins as plain mean pooling
             self.params["head_proj"] = ad.parameter(np.eye(d))
             self.params["tail_proj"] = ad.parameter(np.eye(d))
@@ -212,14 +197,14 @@ class TextEncoder:
             self.params["positions"] = ad.parameter(
                 rng.normal(scale=0.02, size=(tokenizer.max_len + 2, d)))
             for tower in ("head", "tail"):
-                for layer in range(config.layers):
+                for layer in range(config.text_layers):
                     p = f"{tower}_l{layer}"
                     for name in ("wq", "wk", "wv", "wo"):
                         self.params[f"{p}_{name}"] = ad.xavier_uniform((d, d), rng)
                     self.params[f"{p}_ff1"] = ad.xavier_uniform(
-                        (d, config.ff_width), rng)
+                        (d, config.text_ff), rng)
                     self.params[f"{p}_ff2"] = ad.xavier_uniform(
-                        (config.ff_width, d), rng)
+                        (config.text_ff, d), rng)
 
     # -- batch entry points ------------------------------------------------
 
@@ -234,7 +219,7 @@ class TextEncoder:
 
     def encode_from_bag(self, bag: sp.csr_matrix, tower: str) -> Tensor:
         """Fast path for mean_pool mode with a precomputed bag matrix."""
-        if self.config.mode != "mean_pool":
+        if self.config.text_mode != "mean_pool":
             raise ValueError("bag encoding only applies to mean_pool mode")
         pooled = ad.sparse_matmul(bag, self.params["embeddings"])
         return ad.matmul(pooled, self.params[f"{tower}_proj"])
@@ -242,7 +227,7 @@ class TextEncoder:
     # -- internals -----------------------------------------------------------
 
     def _encode(self, ids: np.ndarray, lengths: np.ndarray, tower: str) -> Tensor:
-        if self.config.mode == "mean_pool":
+        if self.config.text_mode == "mean_pool":
             return self.encode_from_bag(
                 bag_matrix(ids, lengths, self.tokenizer.vocab_size), tower)
         # every token of every sequence is one row of x
@@ -253,7 +238,7 @@ class TextEncoder:
                          self.params["positions"].shape[0] - 1)
         x = ad.add(ad.gather_rows(self.params["embeddings"], ids),
                    ad.gather_rows(self.params["positions"], pos))
-        for layer in range(self.config.layers):
+        for layer in range(self.config.text_layers):
             x = self._block(x, lengths, f"{tower}_l{layer}")
         # mean over each sequence's rows; an empty sequence pools to zeros
         return ad.sparse_matmul(bag_matrix(np.arange(t), lengths, t), x)
@@ -261,7 +246,8 @@ class TextEncoder:
     def _block(self, x: Tensor, lengths: np.ndarray, prefix: str) -> Tensor:
         q, k, v = (ad.matmul(x, self.params[f"{prefix}_{name}"])
                    for name in ("wq", "wk", "wv"))
-        attended = ad.sequence_attention(q, k, v, lengths, self.config.heads)
+        attended = ad.sequence_attention(q, k, v, lengths,
+                                         self.config.text_heads)
         x = ad.add(x, ad.matmul(attended, self.params[f"{prefix}_wo"]))
         ff = ad.matmul(ad.relu(ad.matmul(x, self.params[f"{prefix}_ff1"])),
                        self.params[f"{prefix}_ff2"])

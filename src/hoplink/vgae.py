@@ -107,14 +107,11 @@ class Vgae:
     """Shared GCN layer with relu, then parallel GCN heads for mu and
     log_sigma (clamped to [-10, 10])."""
 
-    def __init__(self, dim: int, rng: np.random.Generator,
-                 latent_dim: int | None = None):
-        self.dim = dim
-        self.latent_dim = latent_dim if latent_dim is not None else max(1, dim // 2)
+    def __init__(self, dim: int, latent_dim: int, rng: np.random.Generator):
         self.params: dict[str, Tensor] = {
             "shared": ad.xavier_uniform((dim, dim), rng),
-            "mu": ad.xavier_uniform((dim, self.latent_dim), rng),
-            "log_sigma": ad.xavier_uniform((dim, self.latent_dim), rng),
+            "mu": ad.xavier_uniform((dim, latent_dim), rng),
+            "log_sigma": ad.xavier_uniform((dim, latent_dim), rng),
         }
 
     def encode(self, X: Tensor, visible: GraphBatch) -> VgaeState:

@@ -24,7 +24,7 @@ from hoplink.autodiff import Tensor, finite_diff_check
 from hoplink.cli import main
 from hoplink.config import RunConfig
 from hoplink.evaluation import RankingMetrics, evaluate
-from hoplink.gnn import GraphBatch, GraphEncoder, GraphEncoderConfig
+from hoplink.gnn import GraphBatch, GraphEncoder
 from hoplink.kg import KnowledgeGraph, add_inverse_relations, khop_neighborhood
 from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.synth import write_synthetic_dataset
@@ -213,7 +213,7 @@ def test_criterion_2_gradient_correctness():
     X0 = rng.normal(size=(5, 4)) * 0.7
     for variant in ("gcn", "sage", "gat"):
         enc = GraphEncoder(
-            GraphEncoderConfig(variant=variant, layers=2, dim=4, heads=2),
+            RunConfig(encoder=variant, layers=2, dim=4, heads=2),
             np.random.default_rng(12))
 
         def f_enc(x, enc=enc):
@@ -232,7 +232,7 @@ def test_criterion_2_gradient_correctness():
     assert err < 1e-4, f"InfoNCE: max relative error {err:.2e}"
     worst["info_nce"] = err
 
-    vgae = Vgae(4, np.random.default_rng(8), latent_dim=3)
+    vgae = Vgae(4, 3, np.random.default_rng(8))
     mask = mask_edges(graph, 0.3, 5)
     assert not mask.empty
     visible = visible_graph(graph, mask)

@@ -161,6 +161,18 @@ class TestTrain:
         assert "runtime failure" not in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override", [
+        ["--lr", "nan"], ["--lr", "inf"], ["--weight_decay", "nan"],
+        ["--learn_tau", "false", "--tau", "inf"]],
+        ids=["lr-nan", "lr-inf", "weight_decay-nan", "fixed-tau-inf"])
+    def test_non_finite_value_exits_one_before_any_output(
+            self, dataset_dir, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "run.cfg", dataset_dir, tmp_path / "o")
+        assert main(["train", "--config", str(cfg), *override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEval:
     def test_prints_metrics_and_writes_reports(self, trained_run, capsys):
@@ -207,6 +219,14 @@ class TestEval:
         save_checkpoint(bad, {**config, "k": "1"}, vocab, tensors)
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert "'k'" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_one(self, trained_run, tmp_path,
+                                               capsys):
+        config, vocab, tensors = load_checkpoint(trained_run["checkpoint"])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, {**config, "lr": float("nan")}, vocab, tensors)
+        assert main(["eval", "--checkpoint", str(bad)]) == 1
+        assert "lr must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case, message", [
         ("config-list", "config is not a JSON object"),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hoplink.config import (
@@ -91,11 +93,36 @@ class TestValidation:
         ("text_ff", 0), ("latent_dim", -1),
         # learnable tau (the default) outside [0.001, 1]
         ("tau", 2.0), ("tau", 0.0001),
+        ("text_mode", "bag"), ("encoder", "gnn"), ("layers", 0),
+        ("activation", "tanh"),
+        # GAT (the default) heads outside [1, dim = 64]
+        ("heads", 0), ("heads", 65),
+        ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+        ("weight_decay", math.inf), ("lambda_weight", math.nan),
+        ("mask_ratio", math.nan),
     ])
     def test_out_of_range_values(self, field, value):
         config = RunConfig(**{field: value})
         with pytest.raises(ConfigError):
             config.validate()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"tau": math.inf, "learn_tau": False}, "tau must be finite"),
+        ({"tau": math.nan, "learn_tau": False}, "tau must be finite"),
+        ({"text_mode": "transformer_lite", "text_heads": 3},
+         "dim 64 not divisible by head count 3"),
+        ({"text_mode": "transformer_lite", "text_heads": 0},
+         "not divisible by head count 0"),
+        ({"dim": 4, "heads": 5}, r"head count 5 must lie in \[1, dim=4\]"),
+    ], ids=["fixed-tau-inf", "fixed-tau-nan", "text-heads-3", "text-heads-0",
+            "gat-heads-past-dim"])
+    def test_out_of_range_combinations(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**settings).validate()
+
+    def test_heads_outside_the_gat_range_are_free_for_other_encoders(self):
+        for encoder in ("gcn", "sage"):
+            RunConfig(encoder=encoder, heads=0).validate()
 
     def test_fixed_tau_may_lie_outside_the_learnable_range(self):
         config = RunConfig(tau=2.0, learn_tau=False)

@@ -12,13 +12,13 @@ from hoplink.autodiff import ShapeError, Tensor
 from hoplink.gnn import (
     GraphBatch,
     GraphEncoder,
-    GraphEncoderConfig,
     gat_head,
     gcn_layer,
+    head_widths,
     sage_layer,
 )
 from hoplink.cli import neighbor_order
-from hoplink.config import RunConfig
+from hoplink.config import ConfigError, RunConfig
 from hoplink.model import KgcModel
 from hoplink.text import build_vocab
 from hoplink.vgae import Vgae
@@ -45,7 +45,7 @@ def encode_one(enc, A, X):
 
 
 def encoder(variant, dim=6, layers=2, heads=3, seed=0):
-    cfg = GraphEncoderConfig(variant=variant, layers=layers, dim=dim, heads=heads)
+    cfg = RunConfig(encoder=variant, layers=layers, dim=dim, heads=heads)
     return GraphEncoder(cfg, np.random.default_rng(seed))
 
 
@@ -84,10 +84,10 @@ def dense_encode(enc, X, A, readout, attention=None):
     H = X
     for layer in range(cfg.layers):
         last = layer == cfg.layers - 1
-        if cfg.variant == "gcn":
+        if cfg.encoder == "gcn":
             H = ad.matmul(ad.matmul(ad.constant(dense_gcn_operator(A)), H),
                           p[f"l{layer}_w"])
-        elif cfg.variant == "sage":
+        elif cfg.encoder == "sage":
             mean = ad.matmul(ad.constant(dense_mean_operator(A)), H)
             H = ad.matmul(ad.concat_cols([H, mean]), p[f"l{layer}_w"])
         else:
@@ -187,7 +187,7 @@ class TestEdgeIndexMatchesDenseOracle:
 
         rng = np.random.default_rng(seed)
         X0 = rng.normal(size=(len(A), 6))
-        vgae = Vgae(6, np.random.default_rng(seed), latent_dim=3)
+        vgae = Vgae(6, 3, np.random.default_rng(seed))
         weights = rng.normal(size=(len(A), 3))
         got = value_and_grads(
             lambda X: vgae_encode(vgae, X, graph), X0, weights,
@@ -559,22 +559,24 @@ class TestExplainNeighborOrder:
 
 
 class TestConfigValidation:
+    # the encoder validates the whole config it is built from
     def test_bad_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            GraphEncoderConfig(variant="gnn")
+        with pytest.raises(ConfigError, match="variant"):
+            encoder("gnn")
 
     def test_gat_head_count_bounds(self):
-        with pytest.raises(ValueError, match="head count"):
-            GraphEncoderConfig(variant="gat", dim=4, heads=5)
-        with pytest.raises(ValueError, match="head count"):
-            GraphEncoderConfig(variant="gat", dim=4, heads=0)
+        with pytest.raises(ConfigError, match="head count"):
+            encoder("gat", dim=4, heads=5)
+        with pytest.raises(ConfigError, match="head count"):
+            encoder("gat", dim=4, heads=0)
 
     def test_gat_uneven_head_widths_concat_to_dim(self):
         # hidden layers concatenate, so widths absorb the remainder
-        cfg = GraphEncoderConfig(variant="gat", dim=7, heads=3)
-        assert cfg.head_widths(final=False) == [3, 2, 2]
-        assert cfg.head_widths(final=True) == [7, 7, 7]
-        enc = GraphEncoder(cfg, np.random.default_rng(0))
+        assert head_widths(7, 3) == [3, 2, 2]
+        enc = encoder("gat", dim=7, heads=3)
+        widths = [[enc.params[f"l{layer}_h{h}_w"].shape[1] for h in range(3)]
+                  for layer in (0, 1)]
+        assert widths == [[3, 2, 2], [7, 7, 7]]
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 2] = A[2, 3] = 1.0
         X = ad.constant(np.random.default_rng(1).normal(size=(4, 7)))
@@ -582,5 +584,5 @@ class TestConfigValidation:
         assert out.shape == (2, 7)
 
     def test_zero_layers_rejected(self):
-        with pytest.raises(ValueError, match="layer"):
-            GraphEncoderConfig(layers=0)
+        with pytest.raises(ConfigError, match="layer"):
+            encoder("gat", layers=0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hoplink import autodiff as ad
 from hoplink import text as text_module
-from hoplink.config import RunConfig
+from hoplink.config import ConfigError, RunConfig
 from hoplink.evaluation import evaluate
 from hoplink.kg import KnowledgeGraph, add_inverse_relations
 from hoplink.model import KgcModel
@@ -18,7 +18,6 @@ from hoplink.text import (
     SEP,
     UNK,
     TextEncoder,
-    TextEncoderConfig,
     TextIds,
     Tokenizer,
     bag_matrix,
@@ -58,7 +57,7 @@ def small_encoder(tokens, dim=8, seed=0, max_len=64, **cfg):
     tok = Tokenizer({name: tid for tid, name in
                      enumerate(["<pad>", "<unk>", "<sep>"] + list(tokens))},
                     max_len=max_len)
-    enc = TextEncoder(tok, TextEncoderConfig(dim=dim, **cfg),
+    enc = TextEncoder(tok, RunConfig(dim=dim, **cfg),
                       np.random.default_rng(seed))
     return tok, enc
 
@@ -391,19 +390,22 @@ def tape_ops(encode):
 
 
 class TestTransformerLite:
+    # the encoder validates the whole config it is built from
     def test_dim_head_divisibility_enforced(self):
-        with pytest.raises(ValueError, match="divisible"):
-            TextEncoderConfig(dim=9, mode="transformer_lite", heads=2)
+        with pytest.raises(ConfigError, match="divisible"):
+            small_encoder([], dim=9, text_mode="transformer_lite", text_heads=2)
 
-    @pytest.mark.parametrize("field", ["layers", "ff_width"])
+    @pytest.mark.parametrize("key", ["text_layers", "text_ff"],
+                             ids=["layers", "ff_width"])
     @pytest.mark.parametrize("mode", ["mean_pool", "transformer_lite"])
-    def test_layers_and_ff_width_below_one_rejected(self, field, mode):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            TextEncoderConfig(dim=8, mode=mode, heads=2, **{field: 0})
+    def test_layers_and_ff_width_below_one_rejected(self, key, mode):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            small_encoder([], text_mode=mode, text_heads=2, **{key: 0})
 
     def test_shapes_and_determinism(self):
         _, enc = small_encoder(["apple", "red", "rel"], dim=8,
-                               mode="transformer_lite", heads=2, layers=1)
+                               text_mode="transformer_lite", text_heads=2,
+                               text_layers=1)
         a = encode_heads(enc, [("apple", "red", "rel"), ("red", "", "rel")])
         b = encode_heads(enc, [("apple", "red", "rel"), ("red", "", "rel")])
         assert a.shape == (2, 8)
@@ -411,18 +413,21 @@ class TestTransformerLite:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_empty_sequence_gives_zero_row(self):
-        _, enc = small_encoder(["apple"], dim=8, mode="transformer_lite", heads=2)
+        _, enc = small_encoder(["apple"], dim=8, text_mode="transformer_lite",
+                               text_heads=2)
         out = encode_tails(enc, [("", "")])
         np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
         assert ad.l2_normalize_rows(out).zero_rows[0]
 
     def test_no_sequences_give_no_rows(self):
-        _, enc = small_encoder(["apple"], dim=8, mode="transformer_lite", heads=2)
+        _, enc = small_encoder(["apple"], dim=8, text_mode="transformer_lite",
+                               text_heads=2)
         assert encode_tails(enc, []).shape == (0, 8)
 
     def test_gradients_flow(self):
         _, enc = small_encoder(["apple", "red"], dim=4,
-                               mode="transformer_lite", heads=2, layers=1)
+                               text_mode="transformer_lite", text_heads=2,
+                               text_layers=1)
         emb = enc.params["embeddings"]
 
         def loss(_):
@@ -435,7 +440,7 @@ class TestTransformerLite:
         # max_len + 2 position rows; the rows past the table reuse its last
         words = ["one", "two", "three", "four", "five", "six", "rel"]
         tok, enc = small_encoder(words, dim=8, max_len=2,
-                                 mode="transformer_lite", heads=2)
+                                 text_mode="transformer_lite", text_heads=2)
         name = "one two three four five six"
         assert len(tail_ids(tok, name, "")) == 6
         assert len(head_ids(tok, name, "", "rel")) == 8
@@ -445,7 +450,7 @@ class TestTransformerLite:
         assert np.isfinite(heads.values).all() and np.isfinite(tails.values).all()
 
     def test_trainer_epoch_with_names_longer_than_max_len(self):
-        from hoplink.config import RunConfig
+        from hoplink.config import ConfigError, RunConfig
         from hoplink.synth import generate_synthetic_kg
         from hoplink.training import Trainer
 
@@ -462,7 +467,8 @@ class TestTransformerLite:
     def test_tape_length_does_not_grow_with_the_batch(self):
         # the tower records the same ops for one sequence as for fifty
         words = ["apple", "red", "green", "tree"]
-        _, enc = small_encoder(words, dim=8, mode="transformer_lite", heads=2)
+        _, enc = small_encoder(words, dim=8, text_mode="transformer_lite",
+                               text_heads=2)
         rng = np.random.default_rng(3)
         items = [(words[i % 4], " ".join(rng.choice(words, size=i % 7)))
                  for i in range(50)]

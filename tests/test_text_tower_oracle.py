@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from hoplink import autodiff as ad
 from hoplink.kg import KnowledgeGraph
 from hoplink.synth import generate_synthetic_kg
-from hoplink.text import TextEncoder, TextEncoderConfig, Tokenizer, build_vocab
+from hoplink.config import RunConfig
+from hoplink.text import TextEncoder, Tokenizer, build_vocab
 
 from conftest import encode_heads, encode_tails, head_ids, tail_ids
 
@@ -25,7 +26,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def oracle_block(enc, x, prefix):
-    p, d, heads = enc.params, enc.config.dim, enc.config.heads
+    p, d, heads = enc.params, enc.config.dim, enc.config.text_heads
     head_dim = d // heads
     q, k, v = (ad.matmul(x, p[f"{prefix}_{name}"]) for name in ("wq", "wk", "wv"))
     outs = []
@@ -51,7 +52,7 @@ def oracle_tower(enc, ids_list, tower):
             continue
         x = ad.add(ad.gather_rows(enc.params["embeddings"], list(ids)),
                    ad.gather_rows(enc.params["positions"], list(range(len(ids)))))
-        for layer in range(enc.config.layers):
+        for layer in range(enc.config.text_layers):
             x = oracle_block(enc, x, f"{tower}_l{layer}")
         mean = sp.csr_matrix(np.full((1, len(ids)), 1.0 / len(ids)))
         rows.append(ad.sparse_matmul(mean, x))
@@ -92,8 +93,8 @@ def assert_matches_oracle(enc, heads=(), tails=()):
 
 
 def transformer(tokenizer, dim=16, layers=1, heads=2, seed=0):
-    config = TextEncoderConfig(dim=dim, mode="transformer_lite", layers=layers,
-                               heads=heads, ff_width=24)
+    config = RunConfig(dim=dim, text_mode="transformer_lite", text_layers=layers,
+                       text_heads=heads, text_ff=24)
     return TextEncoder(tokenizer, config, np.random.default_rng(seed))
 
 

@@ -177,7 +177,7 @@ class TestMaskEdges:
 
 class TestEncode:
     def test_zero_parameters_give_zero_state(self):
-        model = Vgae(4, np.random.default_rng(0), latent_dim=2)
+        model = Vgae(4, 2, np.random.default_rng(0))
         for p in model.params.values():
             p.values[:] = 0.0
         state = model.encode(Tensor(np.ones((3, 4))),
@@ -186,7 +186,7 @@ class TestEncode:
         np.testing.assert_array_equal(state.log_sigma.values, np.zeros((3, 2)))
 
     def test_output_shapes(self):
-        model = Vgae(6, np.random.default_rng(0))
+        model = Vgae(6, 3, np.random.default_rng(0))
         state = model.encode(Tensor(np.random.default_rng(1).normal(size=(5, 6))),
                              graph_of(ring_graph(5)))
         assert state.mu.shape == (5, 3)
@@ -194,7 +194,7 @@ class TestEncode:
 
     def test_gradient_with_frozen_noise(self):
         rng = np.random.default_rng(2)
-        model = Vgae(4, np.random.default_rng(3), latent_dim=2)
+        model = Vgae(4, 2, np.random.default_rng(3))
         A = ring_graph(4)
         mask = mask_edges(graph_of(A), 0.3, 5)
         graph = GraphBatch(visible_arrows(arrows_of(A), mask), [4])
@@ -525,7 +525,7 @@ class TestToyTraining:
         graph = GraphBatch(visible_arrows(arrows_of(A), mask), [n])
 
         X = ad.constant(np.random.default_rng(0).normal(size=(n, 8)))
-        model = Vgae(8, np.random.default_rng(3), latent_dim=4)
+        model = Vgae(8, 4, np.random.default_rng(3))
         for p in model.params.values():
             # start confidently wrong so the descent is visible in the curve
             p.values *= 2.0
