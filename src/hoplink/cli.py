@@ -31,7 +31,6 @@ from .kg import (
     DatasetError,
     KnowledgeGraph,
     ParseError,
-    add_inverse_relations,
     dataset_counts,
     known_tails,
     load_dataset_dir,
@@ -94,9 +93,7 @@ def load_kg_for(config: RunConfig) -> KnowledgeGraph:
     if not config.dataset_dir:
         raise CliError("config has no dataset_dir; set it in the file or "
                        "pass --dataset_dir")
-    kg = load_dataset_dir(config.dataset_dir)
-    add_inverse_relations(kg)
-    return kg
+    return load_dataset_dir(config.dataset_dir)
 
 
 def metrics_lines(metrics: RankingMetrics) -> list[str]:
@@ -135,7 +132,6 @@ def parse_manifest(path) -> dict[str, int]:
 
 def cmd_preprocess(args) -> int:
     kg = load_dataset_dir(args.dataset_dir)
-    add_inverse_relations(kg)
     counts = dataset_counts(kg)
     if args.expect:
         diffs = validate_counts(kg, parse_manifest(args.expect))
@@ -338,8 +334,7 @@ def cmd_explain(args) -> int:
         config = dataclasses.replace(config, dataset_dir=args.dataset_dir)
     kg = load_kg_for(config)
     head = resolve_name(args.head, kg.entity_ids, "entity")
-    relation_table = {label: i for i, label in enumerate(kg.relation_labels)}
-    relation = resolve_name(args.relation, relation_table, "relation")
+    relation = resolve_name(args.relation, kg.relation_ids, "relation")
 
     seed = derive_seed(config.seed, f"explain:{head}:{relation}")
     entities = model.entity_matrix(kg)

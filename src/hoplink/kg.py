@@ -2,7 +2,10 @@
 
 Entity and relation ids are dense integers assigned in first-appearance order
 (train split first, then valid, then test), so identical files always produce
-identical id maps.
+identical id maps. ``KnowledgeGraph.build`` also gives each of the R base
+relations r an inverse relation r + R, labelled ``inverse of <r>``: a head
+question (?, r, t) is asked as the tail question (t, r + R, ?), so a built
+graph answers both directions.
 
 ``KnowledgeGraph.build`` makes the graph's one adjacency: a read-only CSR
 ``NeighborIndex`` of the train triples (each entity's neighbors, out-edges
@@ -106,8 +109,7 @@ class NeighborIndex:
     that is lower by (undirected degree, id): the entry is 2 * other + 1 for
     an arrow other -> e, else 2 * other (a self-loop is 2 * e). Ordering the
     pairs by degree keeps hubs' rows short (Chiba & Nishizeki, 1985). Inverse
-    relations add no neighbor and no base-relation arrow, so
-    ``add_inverse_relations`` leaves the index as it is."""
+    relations add no neighbor, out-edge or arrow."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -147,19 +149,20 @@ def _range_slots(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(eq=False)
 class KnowledgeGraph:
+    """A built graph: ids, texts, split triples and the train adjacency.
+    ``relation_labels`` lists the R base relations, then their R inverses."""
+
     entity_ids: dict[str, int]
     entity_labels: list[str]
     entities: list[EntityRecord]
     relation_ids: dict[str, int]
     relation_labels: list[str]
-    num_base_relations: int
     splits: dict[str, list[Triple]]
     neighbor_index: NeighborIndex
     # read-only flags, by entity and base-relation id, of those absent from
     # the train split
     entity_unseen: np.ndarray
     relation_unseen: np.ndarray
-    inverses_added: bool = False
     # sorted fact_keys of every split's triples and their inverses
     filter_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     # draw-free neighborhoods by (head, k, cap_per_hop), see khop_neighborhood
@@ -171,6 +174,10 @@ class KnowledgeGraph:
     @property
     def num_entities(self) -> int:
         return len(self.entity_labels)
+
+    @property
+    def num_base_relations(self) -> int:
+        return len(self.relation_labels) // 2
 
     def query_is_unseen(self, heads, relations):
         """Whether each query (head, relation) touches an entity or base
@@ -198,8 +205,14 @@ class KnowledgeGraph:
         relations = [r for _, r, _ in rows]
         entity_labels = list(dict.fromkeys(ends))
         relation_labels = list(dict.fromkeys(relations))
+        inverse_labels = [f"inverse of {label}" for label in relation_labels]
         entity_ids = dict(zip(entity_labels, range(len(entity_labels))))
         relation_ids = dict(zip(relation_labels, range(len(relation_labels))))
+        clash = [label for label in inverse_labels if label in relation_ids]
+        if clash:
+            raise DatasetError(f"relation {clash[0]!r} is also the inverse label "
+                               f"of relation {clash[0].removeprefix('inverse of ')!r}")
+        relation_ids.update(zip(inverse_labels, itertools.count(len(relation_labels))))
 
         missing = [label for label in entity_labels if label not in entity_text]
         if missing:
@@ -249,8 +262,7 @@ class KnowledgeGraph:
 
         kg = cls(entity_ids=entity_ids, entity_labels=entity_labels,
                  entities=entities, relation_ids=relation_ids,
-                 relation_labels=relation_labels,
-                 num_base_relations=len(relation_labels), splits=splits,
+                 relation_labels=relation_labels + inverse_labels, splits=splits,
                  neighbor_index=index, entity_unseen=entity_unseen,
                  relation_unseen=relation_unseen)
         build_filter_index(kg, heads, rels, tails)
@@ -352,21 +364,8 @@ def validate_counts(kg: KnowledgeGraph,
 
 
 def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
-    """Synthesize an inverse relation per base relation; second call is a no-op.
-
-    Relation r + R is the inverse of base relation r (R base relations), so
-    (?, r, t) queries become tail prediction (t, r + R, ?). The filter index
-    holds the inverse facts from the start, so only the labels change. Split
-    triple lists stay in original form, and neighborhoods keep original
-    arrows.
-    """
-    if kg.inverses_added:
-        return kg
-    for label in kg.relation_labels[:kg.num_base_relations]:
-        inv = f"inverse of {label}"
-        kg.relation_ids[inv] = len(kg.relation_labels)
-        kg.relation_labels.append(inv)
-    kg.inverses_added = True
+    """Return ``kg`` unchanged: ``KnowledgeGraph.build`` makes the inverse
+    relations. Kept only because perfbench/worker.py calls it."""
     return kg
 
 
@@ -404,9 +403,8 @@ def known_tails(kg: KnowledgeGraph, heads: Sequence[int],
 
 def query_columns(kg: KnowledgeGraph, split: str) -> np.ndarray:
     """(2m x 3) int64 rows (head, relation, gold) of the split's m triples:
-    each triple's forward query (h, r, t), then its inverse (t, r + R, h)."""
-    if not kg.inverses_added:
-        raise ValueError("inverse relations not added; call add_inverse_relations first")
+    each triple's forward query (h, r, t), then its inverse query
+    (t, r + R, h) on the inverse relation that ``build`` made."""
     triples = kg.splits[split]
     forward = np.fromiter(itertools.chain.from_iterable(triples), np.int64,
                           3 * len(triples)).reshape(-1, 3)
@@ -484,7 +482,7 @@ def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgra
     The subgraphs' nodes are stacked as consecutive runs of rows; returns an
     (m, 2) int array holding each (i, j) once iff some train triple links
     the entities at rows i -> j of one subgraph (original direction;
-    synthesized inverse relations add no arrows), sorted by i then j.
+    inverse relations add no arrows), sorted by i then j.
     Each stacked node's arrow row is scanned once, and an entry is kept
     when its other end is in the same subgraph.
     """

@@ -79,14 +79,11 @@ def _fill_table(texts: list[str], num_relations: int) -> TokenTable:
 
 
 def token_table(kg: KnowledgeGraph) -> TokenTable:
-    """``kg.token_table``, filled on first read and again when
-    ``add_inverse_relations`` has added relation labels since."""
-    table = kg.token_table
-    if table is None or table.num_relations != len(kg.relation_labels):
+    """``kg.token_table``, filled on first read."""
+    if kg.token_table is None:
         texts = [text for rec in kg.entities for text in (rec.name, rec.description)]
-        table = kg.token_table = _fill_table(texts + kg.relation_labels,
-                                             len(kg.relation_labels))
-    return table
+        kg.token_table = _fill_table(texts + kg.relation_labels, len(kg.relation_labels))
+    return kg.token_table
 
 
 @dataclass
@@ -217,19 +214,13 @@ class TextEncoder:
     def encode_tails(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
         return self._encode(ids, lengths, "tail")
 
-    def encode_from_bag(self, bag: sp.csr_matrix, tower: str) -> Tensor:
-        """Fast path for mean_pool mode with a precomputed bag matrix."""
-        if self.config.text_mode != "mean_pool":
-            raise ValueError("bag encoding only applies to mean_pool mode")
-        pooled = ad.sparse_matmul(bag, self.params["embeddings"])
-        return ad.matmul(pooled, self.params[f"{tower}_proj"])
-
     # -- internals -----------------------------------------------------------
 
     def _encode(self, ids: np.ndarray, lengths: np.ndarray, tower: str) -> Tensor:
         if self.config.text_mode == "mean_pool":
-            return self.encode_from_bag(
-                bag_matrix(ids, lengths, self.tokenizer.vocab_size), tower)
+            bag = bag_matrix(ids, lengths, self.tokenizer.vocab_size)
+            pooled = ad.sparse_matmul(bag, self.params["embeddings"])
+            return ad.matmul(pooled, self.params[f"{tower}_proj"])
         # every token of every sequence is one row of x
         ends = np.cumsum(lengths)
         t = len(ids)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, ShapeError, Tensor
 from .config import ConfigError, RunConfig
-from .kg import KnowledgeGraph, add_inverse_relations, query_columns
+from .kg import KnowledgeGraph, query_columns
 from .model import KgcModel, QueryBatch
 from .seeding import derive_rng, derive_seed
 from .text import build_vocab
@@ -112,7 +112,6 @@ class Trainer:
                  model: KgcModel | None = None,
                  log_fn=None):
         config.validate()
-        add_inverse_relations(kg)  # idempotent
         self.kg = kg
         self.config = config
         if model is None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hoplink.autodiff import ShapeError
-from hoplink.kg import KnowledgeGraph, add_inverse_relations
+from hoplink.kg import KnowledgeGraph
 from hoplink.text import SEP, UNK, tokenize
 from hoplink.vgae import EdgeMask
 
@@ -139,10 +139,8 @@ def chain_graph() -> KnowledgeGraph:
     ]
     valid = [("e1", "r1", "e5")]
     test = [("e3", "r1", "e7")]
-    kg = KnowledgeGraph.build(
+    return KnowledgeGraph.build(
         {"train": train, "valid": valid, "test": test}, entity_text)
-    add_inverse_relations(kg)
-    return kg
 
 
 def dozen_graph() -> KnowledgeGraph:
@@ -164,10 +162,8 @@ def dozen_graph() -> KnowledgeGraph:
     ]
     valid = [("n0", "near", "n3"), ("n2", "kind", "n9")]
     test = [("n0", "near", "n4"), ("n5", "near", "n8"), ("n7", "kind", "n11")]
-    kg = KnowledgeGraph.build(
+    return KnowledgeGraph.build(
         {"train": train, "valid": valid, "test": test}, entity_text)
-    add_inverse_relations(kg)
-    return kg
 
 
 @pytest.fixture

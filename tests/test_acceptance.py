@@ -25,7 +25,7 @@ from hoplink.cli import main
 from hoplink.config import RunConfig
 from hoplink.evaluation import RankingMetrics, evaluate
 from hoplink.gnn import GraphBatch, GraphEncoder
-from hoplink.kg import KnowledgeGraph, add_inverse_relations, khop_neighborhood
+from hoplink.kg import KnowledgeGraph, khop_neighborhood
 from hoplink.model import KgcModel, eval_neighborhood_seed
 from hoplink.synth import write_synthetic_dataset
 from hoplink.text import build_vocab

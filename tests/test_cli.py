@@ -80,6 +80,17 @@ class TestPreprocess:
         assert code == 1
         assert ":2" in capsys.readouterr().err
 
+    def test_relation_named_like_an_inverse_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "train.txt").write_text("a\tfoo\tb\nb\tinverse of foo\ta\n")
+        (bad / "entities.txt").write_text("a\ta\t\nb\tb\t\n")
+        code = main(["preprocess", "--dataset-dir", str(bad),
+                     "--out-dir", str(tmp_path / "p")])
+        assert code == 1
+        assert "'inverse of foo'" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_missing_dataset_dir_exits_one(self, tmp_path):
         assert main(["preprocess", "--dataset-dir", str(tmp_path / "nope"),
                      "--out-dir", str(tmp_path / "p")]) == 1

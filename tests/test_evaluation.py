@@ -16,7 +16,6 @@ from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
     Triple,
-    add_inverse_relations,
     build_filter_index,
     query_columns,
 )
@@ -249,7 +248,6 @@ class TestEvaluate:
             {"train": [("a", "r", "b"), ("b", "r", "a")], "valid": [],
              "test": []},
             {"a": ("a", "left half"), "b": ("b", "right half")})
-        add_inverse_relations(kg)
         model = make_model(kg, k=1)
         assert evaluate(model, kg, "valid").count == 0
 
@@ -261,7 +259,6 @@ class TestEvaluate:
             kg = KnowledgeGraph.build(
                 {"train": [("a", "r", "b"), ("b", "r", "a")],
                  "valid": [("ghost", "r", "a")], "test": []}, entity_text)
-        add_inverse_relations(kg)
         model = make_model(kg, k=1)
         ghost = kg.entity_ids["ghost"]
         assert query_columns(kg, "valid")[0].tolist() == [
@@ -316,7 +313,6 @@ class TestBatchedEvaluate:
                            ("c", "s", "mute"), ("mute", "r", "a")],
                  "valid": [("a", "s", "c"), ("ghost", "r", "b"),
                            ("b", "s", "mute")], "test": []}, entity_text)
-        add_inverse_relations(kg)
         model = make_model(kg, k=1, batch_size=5)
         rows = query_columns(kg, "valid")
         unseen = np.flatnonzero(kg.query_is_unseen(rows[:, 0], rows[:, 1]))

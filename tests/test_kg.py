@@ -30,6 +30,7 @@ from hoplink.kg import (
 )
 from hoplink.model import save_model
 from hoplink.synth import generate_synthetic_kg
+from hoplink.text import token_table
 from hoplink.training import Trainer
 
 from conftest import reference_arrows
@@ -133,7 +134,7 @@ class TestLoading:
             assert (set(np.flatnonzero(kg.entity_unseen).tolist())
                     == set(range(kg.num_entities)) - ends)
             assert (set(np.flatnonzero(kg.relation_unseen).tolist())
-                    == (set(range(len(kg.relation_labels)))
+                    == (set(range(kg.num_base_relations))
                         - {tr.relation for tr in train}))
 
     def test_manifest_mismatch_lists_each_diff(self):
@@ -162,55 +163,45 @@ class TestLoading:
         a, b, c = (kg.entity_ids[e] for e in "abc")
         expected = {a: 3, b: 2, c: 3}  # a self-loop is one edge out, one in
         assert {e: kg.degree(e) for e in (a, b, c)} == expected
-        add_inverse_relations(kg)
-        assert {e: kg.degree(e) for e in (a, b, c)} == expected
 
 
 class TestInverseRelations:
     def test_relation_count_doubles_and_filter_gains_inverse(self):
         kg = toy_kg([("a", "r", "b")])
-        add_inverse_relations(kg)
         assert len(kg.relation_labels) == 2
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
         r = kg.relation_ids["r"]
         assert tails_of(kg, b, r + 1) == {a}
         assert kg.relation_labels[r + 1] == "inverse of r"
 
-    def test_extends_the_built_filter_index_in_place(self, monkeypatch):
-        # the built index already holds the inverse facts: adding the
-        # inverse labels must leave it as it is, never rebuild it
+    def test_extends_the_built_filter_index_in_place(self):
+        # the built index holds every split's facts and their inverses
         kg = toy_kg(CHAIN, valid=[("a", "r", "c")], test=[("d", "r", "a")])
-        index = kg.filter_index
-        before = index.copy()
-
-        def rebuild(*_args):
-            raise AssertionError("add_inverse_relations rebuilt the index")
-
-        monkeypatch.setattr("hoplink.kg.build_filter_index", rebuild)
-        add_inverse_relations(kg)
-        monkeypatch.undo()
-        assert kg.filter_index is index
-        assert np.array_equal(index, before)
-        assert np.array_equal(index, build_filter_index(kg, *id_columns(kg)))
+        built = kg.filter_index.copy()
+        assert np.array_equal(built, build_filter_index(kg, *id_columns(kg)))
         a, d = kg.entity_ids["a"], kg.entity_ids["d"]
         assert tails_of(kg, a, kg.relation_ids["inverse of r"]) == {d}
 
-    def test_idempotent(self):
-        kg = toy_kg(CHAIN)
-        add_inverse_relations(kg)
-        labels = list(kg.relation_labels)
-        index = kg.neighbor_index
-        filters = kg.filter_index.copy()
-        add_inverse_relations(kg)
-        assert kg.relation_labels == labels
-        assert kg.neighbor_index is index
-        assert np.array_equal(kg.filter_index, filters)
+    def test_add_inverse_relations_returns_the_graph_as_built(self):
+        # perfbench/worker.py still calls it on a built graph
+        kg = toy_kg(CHAIN, valid=[("a", "s", "c")])
+        table = token_table(kg)
+        labels, ids = list(kg.relation_labels), dict(kg.relation_ids)
+        index, filters = kg.filter_index, kg.filter_index.copy()
+        assert add_inverse_relations(kg) is kg
+        assert kg.relation_labels == labels == ["r", "s", "inverse of r", "inverse of s"]
+        assert kg.relation_ids == ids == {label: i for i, label in enumerate(labels)}
+        assert kg.filter_index is index and np.array_equal(index, filters)
+        assert token_table(kg) is table and table.num_relations == 4
+
+    def test_a_label_that_is_another_relations_inverse_is_rejected(self):
+        with pytest.raises(DatasetError, match="'inverse of foo'.*'foo'"):
+            toy_kg([("a", "foo", "b"), ("b", "inverse of foo", "a")])
+        with pytest.raises(DatasetError, match="'inverse of foo'"):
+            toy_kg([("a", "inverse of foo", "b")], valid=[("b", "foo", "a")])
 
     def test_queries_both_directions(self):
         kg = toy_kg([("a", "r", "b"), ("b", "r", "c")])
-        with pytest.raises(ValueError, match="inverse"):
-            queries_both_directions(kg, "train")
-        add_inverse_relations(kg)
         qs = queries_both_directions(kg, "train")
         assert len(qs) == 4
         a, b = kg.entity_ids["a"], kg.entity_ids["b"]
@@ -239,15 +230,13 @@ def unseen_oracle(kg, head, relation):
 
 def unseen_head_kg():
     """Valid and test queries with heads and a relation absent from train."""
-    kg = toy_kg(CHAIN, valid=[("a", "r", "x"), ("y", "s", "b"), ("b", "r", "c")],
-                test=[("x", "r", "y"), ("d", "r", "a")])
-    return add_inverse_relations(kg)
+    return toy_kg(CHAIN, valid=[("a", "r", "x"), ("y", "s", "b"), ("b", "r", "c")],
+                  test=[("x", "r", "y"), ("d", "r", "a")])
 
 
 class TestQueryColumns:
     @pytest.mark.parametrize("make_kg", [
-        lambda: add_inverse_relations(
-            KnowledgeGraph.build(*generate_synthetic_kg(0))),
+        lambda: KnowledgeGraph.build(*generate_synthetic_kg(0)),
         unseen_head_kg])
     def test_rows_match_the_per_triple_loop(self, make_kg):
         kg = make_kg()
@@ -259,7 +248,7 @@ class TestQueryColumns:
             assert queries_both_directions(kg, split) == expected
 
     def test_empty_split_gives_no_rows(self):
-        kg = add_inverse_relations(toy_kg(CHAIN))
+        kg = toy_kg(CHAIN)
         assert query_columns(kg, "test").shape == (0, 3)
 
     def test_vectorized_unseen_matches_the_scalar_rule(self):
@@ -340,7 +329,6 @@ class TestFilterIndex:
 
     def test_every_split_triple_is_covered(self):
         kg = toy_kg(CHAIN, valid=[("a", "r", "c")], test=[("d", "r", "a")])
-        add_inverse_relations(kg)
         for split in kg.splits.values():
             for tr in split:
                 assert tr.tail in tails_of(kg, tr.head, tr.relation)
@@ -361,9 +349,11 @@ class TestFilterIndex:
         entity_ids, relation_ids, ids, oracle = filter_oracle(split_rows)
         assert kg.entity_ids == entity_ids
         assert kg.entity_labels == list(entity_ids)
-        assert kg.relation_ids == relation_ids
-        assert {name: [tuple(tr) for tr in kg.splits[name]] for name in ids} == ids
         num_rel = len(relation_ids)
+        assert kg.relation_labels == (list(relation_ids)
+                                      + [f"inverse of {label}" for label in relation_ids])
+        assert kg.relation_ids == dict(zip(kg.relation_labels, range(2 * num_rel)))
+        assert {name: [tuple(tr) for tr in kg.splits[name]] for name in ids} == ids
         keys = sorted(oracle) + [(h, r) for h, r in probes
                                  if h < kg.num_entities and r < 2 * num_rel]
         tails, counts = known_tails(kg, [h for h, _ in keys], [r for _, r in keys])
@@ -371,9 +361,6 @@ class TestFilterIndex:
         for key, row in zip(keys, rows):
             assert row.tolist() == sorted(oracle.get(key, ()))
         assert len(kg.filter_index) == sum(map(len, oracle.values()))
-        add_inverse_relations(kg)
-        assert [kg.relation_ids[f"inverse of {label}"] for label in relation_ids] \
-            == list(range(num_rel, 2 * num_rel))
 
 
 def bfs_oracle(id_triples, head, k):
@@ -430,7 +417,6 @@ class TestKhopNeighborhood:
 
     def test_inverse_relations_add_no_arrows(self):
         kg = toy_kg([("a", "r", "b")])
-        add_inverse_relations(kg)
         sub = khop_neighborhood(kg, kg.entity_ids["a"], k=1)
         assert sub.num_nodes == 2
         np.testing.assert_array_equal(combine_adjacency(kg, [sub])[0], [[0, 1]])
@@ -563,28 +549,24 @@ class TestCsrSamplerMatchesSetOracle:
     including which nodes a truncating hop keeps (the same RNG draws)."""
 
     @staticmethod
-    def graph(rows, inverse):
+    def graph(rows):
         # "lone" appears only in valid, so it is a head with no train edges
-        kg = toy_kg([(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows],
-                    valid=[("lone", "r0", f"e{rows[0][0]}")])
-        if inverse:
-            add_inverse_relations(kg)
-        return kg
+        return toy_kg([(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows],
+                      valid=[("lone", "r0", f"e{rows[0][0]}")])
 
     @settings(max_examples=200, deadline=None)
     @given(rows=id_rows, pick=st.integers(0, 99), k=st.integers(1, 3),
-           cap=st.integers(1, 4), seed=st.integers(0, 2**16),
-           inverse=st.booleans())
+           cap=st.integers(1, 4), seed=st.integers(0, 2**16))
     @example(rows=[(0, 0, 0), (0, 0, 1), (1, 1, 1)], pick=0, k=2, cap=1,
-             seed=0, inverse=False)                          # self-loops
+             seed=0)                                         # self-loops
     @example(rows=[(0, 0, 1), (1, 0, 0), (1, 0, 2), (2, 1, 1)], pick=1, k=2,
-             cap=1, seed=3, inverse=True)                    # reciprocal pairs
+             cap=1, seed=3)                                  # reciprocal pairs
     @example(rows=[(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2), (0, 0, 3)],
-             pick=0, k=3, cap=1, seed=1, inverse=False)      # one pair, 3 relations
+             pick=0, k=3, cap=1, seed=1)                     # one pair, 3 relations
     @example(rows=[(0, 0, 1), (0, 0, 1), (0, 0, 2), (2, 1, 0)], pick=0, k=1,
-             cap=1, seed=2, inverse=True)                    # duplicate triple
-    def test_every_field_matches(self, rows, pick, k, cap, seed, inverse):
-        kg = self.graph(rows, inverse)
+             cap=1, seed=2)                                  # duplicate triple
+    def test_every_field_matches(self, rows, pick, k, cap, seed):
+        kg = self.graph(rows)
         for head in (pick % kg.num_entities, kg.entity_ids["lone"]):
             assert_same_subgraph(kg, khop_neighborhood(kg, head, k, cap, seed),
                                  set_based_khop(kg, head, k, cap, seed))
@@ -597,7 +579,7 @@ class TestCsrSamplerMatchesSetOracle:
             rows = [(int(h), int(r), int(t)) for h, r, t in zip(
                 rng.integers(0, n, 3 * n), rng.integers(0, 3, 3 * n),
                 rng.integers(0, n, 3 * n))]
-            kg = self.graph(rows, inverse=bool(trial % 2))
+            kg = self.graph(rows)
             for k in (1, 2, 3):
                 head = int(rng.integers(0, kg.num_entities))
                 got = khop_neighborhood(kg, head, k, cap_per_hop=3, seed=trial)
@@ -615,7 +597,7 @@ class TestCsrSamplerMatchesSetOracle:
         rows = [(int(h), int(r), int(t)) for h, r, t in zip(
             rng.choice(n, size, p=weight), rng.integers(0, 4, size),
             rng.choice(n, size, p=weight))]
-        kg = self.graph(rows, inverse=True)
+        kg = self.graph(rows)
         heads = rng.integers(0, kg.num_entities, 200)
         widest, truncated = 0, 0
         for trial, head in enumerate(heads.tolist()):
@@ -629,10 +611,8 @@ class TestCsrSamplerMatchesSetOracle:
         assert widest > 100 and truncated > 100, (widest, truncated)
 
     def test_index_ignores_inverse_relations(self):
-        kg = self.graph([(0, 0, 1), (1, 1, 2), (2, 0, 2)], inverse=False)
+        kg = self.graph([(0, 0, 1), (1, 1, 2), (2, 0, 2)])
         index = kg.neighbor_index
-        add_inverse_relations(kg)
-        assert kg.neighbor_index is index
         with pytest.raises(ValueError, match="read-only"):
             index.indices[0] = 0
         e = kg.entity_ids
@@ -681,15 +661,15 @@ class TestArrowIndex:
                       for h, t in pairs)
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=id_rows, inverse=st.booleans())
-    @example(rows=[(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0), (1, 0, 0)],
-             inverse=False)          # a self-loop and a two-way pair, 2 relations each
-    def test_each_pair_once_in_its_lower_ranked_row(self, rows, inverse):
-        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse)
+    @given(rows=id_rows)
+    # a self-loop and a two-way pair, 2 relations each
+    @example(rows=[(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0), (1, 0, 0)])
+    def test_each_pair_once_in_its_lower_ranked_row(self, rows):
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows)
         assert self.entries(kg) == self.expected(kg)
 
     def test_skewed_graph(self):
-        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17), inverse=True)
+        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17))
         assert self.entries(kg) == self.expected(kg)
         index = kg.neighbor_index
         # hub rows hold few entries: far fewer than the longest out-row
@@ -727,14 +707,14 @@ class TestCombineAdjacency:
         assert arrows.tolist() == want.tolist()
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=id_rows, data=st.data(), inverse=st.booleans(),
+    @given(rows=id_rows, data=st.data(),
            shapes=st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 4, 32])),
                            min_size=1, max_size=3))
     @example(rows=[(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 0), (2, 0, 2)],
-             data=None, inverse=False, shapes=[(2, 32)])
-    def test_batches_match_the_reference(self, rows, data, inverse, shapes):
+             data=None, shapes=[(2, 32)])
+    def test_batches_match_the_reference(self, rows, data, shapes):
         # "lone" (valid only) is a head without train edges
-        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse)
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows)
         if data is None:    # every head twice, self-loops and two-way pairs
             batch = [(head, 0) for head in 2 * list(range(kg.num_entities))]
         else:
@@ -750,7 +730,7 @@ class TestCombineAdjacency:
                      for head, seed in batch])
 
     def test_hub_batches_on_a_skewed_graph(self):
-        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17), inverse=True)
+        kg = TestCsrSamplerMatchesSetOracle.graph(skewed_rows(17))
         heads = np.random.default_rng(5).integers(0, kg.num_entities, 96).tolist()
         heads[1] = heads[0]
         linked = 0
@@ -778,7 +758,7 @@ class TestNeighborhoodMemo:
                            min_size=1, max_size=3, unique=True),
            seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
     def test_repeated_calls_match_the_set_oracle(self, rows, data, shapes, seeds):
-        kg = TestCsrSamplerMatchesSetOracle.graph(rows, inverse=False)
+        kg = TestCsrSamplerMatchesSetOracle.graph(rows)
         heads = data.draw(st.permutations(2 * list(range(kg.num_entities))))
         draw_free = set()
         for seed in seeds:

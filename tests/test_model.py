@@ -9,7 +9,6 @@ from hoplink.config import RunConfig
 from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
-    add_inverse_relations,
     queries_both_directions,
 )
 from hoplink.model import (
@@ -136,7 +135,6 @@ class TestQueryEncoding:
             kg = KnowledgeGraph.build(
                 {"train": [("a", "r", "b")], "valid": [("ghost", "r", "a")],
                  "test": []}, entity_text)
-        add_inverse_relations(kg)
         model = make_model(kg, k=1)
         ghost = kg.entity_ids["ghost"]
         batch = model.encode_queries(kg, [(ghost, 0)], [3])
@@ -184,7 +182,6 @@ class TestTailMatrix:
         kg = KnowledgeGraph.build(
             {"train": [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")],
              "valid": [], "test": []}, entity_text)
-        add_inverse_relations(kg)
         model = make_model(kg)
         rows, zero = model.tail_matrix(kg)
         b = kg.entity_ids["b"]

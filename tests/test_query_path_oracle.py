@@ -21,7 +21,6 @@ from hoplink.gnn import GraphBatch
 from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
-    add_inverse_relations,
     queries_both_directions,
 )
 from hoplink.model import KgcModel
@@ -113,7 +112,6 @@ def assert_matches_oracle(model, kg, queries, seeds, golds):
 def synth_batch(b=64, **overrides):
     splits, texts = generate_synthetic_kg(0)
     kg = KnowledgeGraph.build(splits, texts)
-    add_inverse_relations(kg)
     base = dict(dim=16, encoder="gat", heads=2, k=1, seed=1)
     base.update(overrides)
     config = RunConfig(**base)
@@ -141,7 +139,6 @@ def test_wide_k2_step_matches_the_oracle(monkeypatch):
 
     splits, texts = generate_wide_kg(1)
     kg = KnowledgeGraph.build({"train": splits["train"]}, texts)
-    add_inverse_relations(kg)
     config = RunConfig(dim=64, encoder="gat", heads=3, layers=2, k=2,
                        cap_per_hop=32, batch_size=32, seed=1)
     model = KgcModel(config, build_vocab(kg, max_len=config.max_len))
@@ -162,7 +159,6 @@ def isolated_heads_batch():
             {"train": [("a", "r", "b"), ("b", "s", "c")],
              "valid": [("ghost", "r", "a"), ("spook", "s", "b"),
                        ("shade", "r", "a")], "test": []}, entity_text)
-    add_inverse_relations(kg)
     model = KgcModel(RunConfig(dim=8, heads=2, k=2, seed=3), build_vocab(kg))
     heads = [kg.entity_ids[n] for n in ("ghost", "spook", "shade")]
     golds = [kg.entity_ids[n] for n in ("a", "b", "a")]

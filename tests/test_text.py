@@ -10,7 +10,7 @@ from hoplink import autodiff as ad
 from hoplink import text as text_module
 from hoplink.config import ConfigError, RunConfig
 from hoplink.evaluation import evaluate
-from hoplink.kg import KnowledgeGraph, add_inverse_relations
+from hoplink.kg import KnowledgeGraph
 from hoplink.model import KgcModel
 from hoplink.training import Trainer
 from hoplink.text import (
@@ -102,12 +102,15 @@ class TestBuildVocab:
     def test_empty_corpus_keeps_reserved_only(self):
         kg = make_kg({"a": (" ", ""), "b": (" ", "")}, train=[("a", " ", "b")])
         tok = build_vocab(kg)
-        assert set(tok.token_to_id) == {"<pad>", "<unk>", "<sep>"}
+        # the only words are those of the inverse relation's label
+        assert kg.relation_labels == [" ", "inverse of  "]
+        assert set(tok.token_to_id) == {"<pad>", "<unk>", "<sep>", "inverse", "of"}
 
     def test_repeated_token_counted_once_in_vocab(self):
         kg = make_kg({"a": ("aid aid grant", ""), "b": ("aid", "")})
         tok = build_vocab(kg)
-        assert set(tok.token_to_id) == {"<pad>", "<unk>", "<sep>", "aid", "grant", "r"}
+        assert set(tok.token_to_id) == {"<pad>", "<unk>", "<sep>", "aid", "grant", "r",
+                                        "inverse", "of"}
 
     def test_min_frequency_drops_rare_tokens(self):
         kg = make_kg({"a": ("aid aid grant", ""), "b": ("aid", "")})
@@ -168,7 +171,6 @@ class TestTokenTable:
            min_frequency=st.integers(1, 3))
     def test_rows_and_vocabulary_match_the_per_item_rules(self, kg, max_len,
                                                            min_frequency):
-        add_inverse_relations(kg)
         tok = build_vocab(kg, min_frequency=min_frequency, max_len=max_len)
         counts = Counter(t for text in all_texts(kg) for t in tokenize(text))
         assert list(tok.token_to_id.items()) == list(build_vocab_oracle(
@@ -198,7 +200,6 @@ class TestTokenTable:
            min_frequency=st.integers(1, 3))
     def test_transformer_sequences_match_the_per_item_rules(self, kg, max_len,
                                                              min_frequency):
-        add_inverse_relations(kg)
         config = RunConfig(dim=8, heads=2, k=1, text_mode="transformer_lite",
                            text_heads=2, max_len=max_len, min_frequency=min_frequency)
         model = KgcModel(config, build_vocab(kg, min_frequency, max_len))
@@ -244,22 +245,6 @@ class TestTokenTable:
             got = model.text_ids(kg).tails(np.arange(kg.num_entities))
             np.testing.assert_array_equal(got[0], want[0])
         assert not np.array_equal(first.text_ids(kg).ids, second.text_ids(kg).ids)
-
-    def test_inverse_relations_added_after_an_encode_get_their_phrase(self):
-        kg = make_kg({"a": ("alpha", "first letter"), "b": ("beta", "")},
-                     train=[("a", "next to", "b")])
-        add_inverse_relations(kg)
-        tok = build_vocab(kg)
-        bare = make_kg({"a": ("alpha", "first letter"), "b": ("beta", "")},
-                       train=[("a", "next to", "b")])
-        model = KgcModel(RunConfig(dim=8, heads=2, k=1), tok)
-        with ad.no_grad():
-            model.encode_queries(bare, [(0, 0)], [1])
-            add_inverse_relations(bare)
-            got = model.text_ids(bare).heads([1], [1])[0]
-            model.encode_queries(bare, [(1, 1)], [1])
-        assert got.tolist() == head_ids(tok, "beta", "", "inverse of next to")
-        assert len(token_table(bare).lengths) == 2 * 2 + 2
 
 
 def build_vocab_oracle(counts, min_frequency):
@@ -360,14 +345,6 @@ class TestMeanPoolEncoder:
         # zero rows are found from their norms
         np.testing.assert_array_equal(ad.l2_normalize_rows(out).zero_rows,
                                       [True, False])
-
-    def test_bag_fast_path_matches_item_path(self):
-        tok, enc = small_encoder(["apple", "red", "blue"])
-        items = [("apple", "red"), ("blue", "")]
-        slow = encode_tails(enc, items)
-        ids = [tail_ids(tok, n, d) for n, d in items]
-        fast = enc.encode_from_bag(bag_matrix(*packed(ids), tok.vocab_size), "tail")
-        np.testing.assert_allclose(fast.values, slow.values)
 
     def test_gradient_through_cosine_scoring(self):
         _, enc = small_encoder(["apple", "red", "blue", "rel"], dim=6)
