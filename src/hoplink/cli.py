@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime failure. The
 HOPLINK_OUT_ROOT environment variable, when set, is prepended to every
-relative output directory; it overrides nothing else.
+relative output directory named by a flag or a config; it overrides nothing
+else. The default report directory of eval and explain is the checkpoint's
+own directory, exactly as given, and is not re-rooted.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .config import (
     parse_config_file,
     write_config_snapshot,
 )
-from .evaluation import RankingMetrics, evaluate, query_scores
+from .evaluation import evaluate, query_scores
 from .kg import (
     DatasetError,
     KnowledgeGraph,
-    ParseError,
     dataset_counts,
     known_tails,
     load_dataset_dir,
@@ -64,52 +65,44 @@ class _Parser(argparse.ArgumentParser):
 # -- shared plumbing ----------------------------------------------------------
 
 
+def out_path(raw: str) -> Path:
+    """``raw`` under HOPLINK_OUT_ROOT when that is set; an absolute ``raw``
+    discards the root."""
+    return Path(os.environ.get("HOPLINK_OUT_ROOT", ""), raw)
+
+
 def resolve_out_dir(raw: str) -> Path:
-    root = os.environ.get("HOPLINK_OUT_ROOT")
-    path = Path(raw)
-    if root and not path.is_absolute():
-        path = Path(root) / path
+    path = out_path(raw)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+def write_report(out: Path, stem: str, text: str, payload: dict) -> None:
+    """Write ``text`` to ``<stem>.txt`` and ``payload`` to ``<stem>.json``."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
+    (out / f"{stem}.json").write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def check_schema(payload: dict, schema: dict[str, type], where: str) -> None:
-    """Hand-rolled shape check so every report is machine-verifiable."""
-    for key, kind in schema.items():
-        if key not in payload:
-            raise CliError(f"{where} is missing required key {key!r}")
-        if not isinstance(payload[key], kind):
-            raise CliError(
-                f"{where} key {key!r} should be {kind.__name__}, "
-                f"got {type(payload[key]).__name__}")
-
-
-def load_kg_for(config: RunConfig) -> KnowledgeGraph:
-    if not config.dataset_dir:
+def load_kg_for(dataset_dir: str) -> KnowledgeGraph:
+    if not dataset_dir:
         raise CliError("config has no dataset_dir; set it in the file or "
                        "pass --dataset_dir")
-    return load_dataset_dir(config.dataset_dir)
+    return load_dataset_dir(dataset_dir)
 
 
-def metrics_lines(metrics: RankingMetrics) -> list[str]:
-    d = metrics.as_dict()
-    lines = [f"{key}={d[key]:.6f}" for key in METRIC_KEYS]
-    lines.append(f"count={metrics.count}")
-    return lines
-
-
-EVAL_SCHEMA = {"split": str, "mrr": float, "hits@1": float, "hits@3": float,
-               "hits@10": float, "count": int, "checkpoint": str}
-
-ABLATE_ROW_SCHEMA = {"setting": str, "status": str}
-
-EXPLAIN_SCHEMA = {"head": str, "relation": str, "predictions": list,
-                  "gold": dict, "neighbors": list, "neighborhood_empty": bool}
+def load_checkpoint_and_graph(args) -> tuple[KgcModel, KnowledgeGraph, Path]:
+    """The model in ``--checkpoint``, its graph (``--dataset-dir`` overrides
+    the one its config names) and the report directory: ``--out-dir`` under
+    the output root, else the checkpoint's own directory as given."""
+    if not Path(args.checkpoint).exists():
+        raise CliError(f"checkpoint not found: {args.checkpoint}")
+    model = load_model(args.checkpoint)
+    kg = load_kg_for(args.dataset_dir or model.config.dataset_dir)
+    report_dir = (out_path(args.out_dir) if args.out_dir
+                  else Path(args.checkpoint).parent)
+    return model, kg, report_dir
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -167,9 +160,9 @@ def load_config_with_overrides(config_path, overrides) -> RunConfig:
     return config
 
 
-def cmd_train(args, overrides) -> int:
-    config = load_config_with_overrides(args.config, overrides)
-    kg = load_kg_for(config)
+def cmd_train(args) -> int:
+    config = load_config_with_overrides(args.config, args.overrides)
+    kg = load_kg_for(config.dataset_dir)
     out = resolve_out_dir(config.out_dir)
     write_config_snapshot(config, out / "config_snapshot.txt")
     lines: list[str] = []
@@ -196,24 +189,15 @@ def cmd_train(args, overrides) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.checkpoint).exists():
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
-    model = load_model(args.checkpoint)
-    config = model.config
-    if args.dataset_dir:
-        config = dataclasses.replace(config, dataset_dir=args.dataset_dir)
-    kg = load_kg_for(config)
+    model, kg, out = load_checkpoint_and_graph(args)
     metrics = evaluate(model, kg, args.split)
-    for line in metrics_lines(metrics):
-        print(line)
-    payload = dict(metrics.as_dict(), split=args.split,
-                   checkpoint=str(args.checkpoint))
-    check_schema(payload, EVAL_SCHEMA, "eval report")
-    out = resolve_out_dir(args.out_dir or str(Path(args.checkpoint).parent))
-    stem = f"eval_{args.split}"
-    (out / f"{stem}.txt").write_text(
-        "".join(f"{l}\n" for l in metrics_lines(metrics)), encoding="utf-8")
-    write_json(out / f"{stem}.json", payload)
+    values = metrics.as_dict()
+    lines = [f"{key}={values[key]:.6f}" for key in METRIC_KEYS]
+    text = "\n".join(lines + [f"count={metrics.count}"])
+    print(text)
+    write_report(out, f"eval_{args.split}", text,
+                 dict(values, split=args.split,
+                      checkpoint=str(args.checkpoint)))
     return EXIT_OK
 
 
@@ -224,10 +208,7 @@ def ablation_settings(axis: str, base: RunConfig):
     if axis == "encoder":
         return [(ENCODER_LABELS[v], dataclasses.replace(base, encoder=v))
                 for v in ("gcn", "sage", "gat")]
-    if axis == "hops":
-        return [(f"{k}-hop", dataclasses.replace(base, k=k))
-                for k in (1, 2, 3)]
-    raise CliError(f"unknown ablation axis {axis!r}; pick encoder or hops")
+    return [(f"{k}-hop", dataclasses.replace(base, k=k)) for k in (1, 2, 3)]
 
 
 def format_table(rows: list[dict]) -> str:
@@ -244,8 +225,8 @@ def format_table(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def cmd_ablate(args, overrides) -> int:
-    base = load_config_with_overrides(args.config, overrides)
+def cmd_ablate(args) -> int:
+    base = load_config_with_overrides(args.config, args.overrides)
     out = resolve_out_dir(base.out_dir)
     rows = []
     for setting, config in ablation_settings(args.axis, base):
@@ -253,27 +234,24 @@ def cmd_ablate(args, overrides) -> int:
         config = dataclasses.replace(config, out_dir=str(run_dir))
         row: dict = {"setting": setting, "status": "ok"}
         try:
-            kg = load_kg_for(config)
-            run_out = resolve_out_dir(config.out_dir)
+            kg = load_kg_for(config.dataset_dir)
+            run_dir.mkdir(parents=True, exist_ok=True)
             trainer = Trainer(kg, config)
             trainer.train()
-            save_model(run_out / "checkpoint.ckpt", trainer.model)
+            save_model(run_dir / "checkpoint.ckpt", trainer.model)
             metrics = evaluate(trainer.model, kg, args.split)
             row.update(metrics.as_dict())
             row["avg"] = float(np.mean([metrics.mrr, metrics.hits1,
                                         metrics.hits3, metrics.hits10]))
-            row["checkpoint"] = str(run_out / "checkpoint.ckpt")
+            row["checkpoint"] = str(run_dir / "checkpoint.ckpt")
         except Exception as err:  # a broken cell must not sink the table
             row["status"] = "failed"
             row["error"] = f"{type(err).__name__}: {err}"
-        check_schema(row, ABLATE_ROW_SCHEMA, "ablation row")
         rows.append(row)
     table = format_table(rows)
     print(table)
-    stem = f"ablation_{args.axis}"
-    (out / f"{stem}.txt").write_text(table + "\n", encoding="utf-8")
-    write_json(out / f"{stem}.json", {"axis": args.axis, "split": args.split,
-                                      "rows": rows})
+    write_report(out, f"ablation_{args.axis}", table,
+                 {"axis": args.axis, "split": args.split, "rows": rows})
     return EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_RUNTIME
 
 
@@ -326,17 +304,11 @@ def connecting_edge(sub, edges, node_index: int, kg: KnowledgeGraph):
 def cmd_explain(args) -> int:
     if args.top_n < 1:
         raise CliError(f"--top-n must be >= 1, got {args.top_n}")
-    if not Path(args.checkpoint).exists():
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
-    model = load_model(args.checkpoint)
-    config = model.config
-    if args.dataset_dir:
-        config = dataclasses.replace(config, dataset_dir=args.dataset_dir)
-    kg = load_kg_for(config)
+    model, kg, out = load_checkpoint_and_graph(args)
     head = resolve_name(args.head, kg.entity_ids, "entity")
     relation = resolve_name(args.relation, kg.relation_ids, "relation")
 
-    seed = derive_seed(config.seed, f"explain:{head}:{relation}")
+    seed = derive_seed(model.config.seed, f"explain:{head}:{relation}")
     entities = model.entity_matrix(kg)
     with ad.no_grad():
         batch = model.encode_queries(kg, [(head, relation)], [seed], entities)
@@ -378,7 +350,6 @@ def cmd_explain(args) -> int:
                "relation": kg.relation_labels[relation],
                "predictions": top, "gold": gold, "neighbors": neighbors,
                "neighborhood_empty": not neighbors}
-    check_schema(payload, EXPLAIN_SCHEMA, "explanation report")
 
     lines = [f"query: ({payload['head']}, {payload['relation']}, ?)",
              f"head text: {payload['head_description'] or '(none)'}",
@@ -404,9 +375,7 @@ def cmd_explain(args) -> int:
         lines.append("neighbors: (empty neighborhood)")
     text = "\n".join(lines)
     print(text)
-    out = resolve_out_dir(args.out_dir or str(Path(args.checkpoint).parent))
-    (out / "explanation.txt").write_text(text + "\n", encoding="utf-8")
-    write_json(out / "explanation.json", payload)
+    write_report(out, "explanation", text, payload)
     return EXIT_OK
 
 
@@ -432,9 +401,11 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--expect", help="manifest file with expected counts")
+    p.set_defaults(run=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
@@ -442,12 +413,14 @@ def build_parser() -> _Parser:
                    choices=("train", "valid", "test"))
     p.add_argument("--dataset-dir")
     p.add_argument("--out-dir")
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("ablate", help="train once per axis value")
     p.add_argument("--config", required=True)
     p.add_argument("--axis", required=True, choices=("encoder", "hops"))
     p.add_argument("--split", default="test",
                    choices=("train", "valid", "test"))
+    p.set_defaults(run=cmd_ablate)
 
     p = sub.add_parser("explain", help="case study for one query")
     p.add_argument("--checkpoint", required=True)
@@ -456,41 +429,29 @@ def build_parser() -> _Parser:
     p.add_argument("--top-n", type=int, default=3)
     p.add_argument("--dataset-dir")
     p.add_argument("--out-dir")
+    p.set_defaults(run=cmd_explain)
 
     p = sub.add_parser("synth", help="write the synthetic benchmark dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_synth)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args, leftover = parser.parse_known_args(argv)
-    if args.command in ("train", "ablate"):
-        if args.command == "train":
-            return cmd_train(args, leftover)
-        return cmd_ablate(args, leftover)
-    if leftover:
-        raise CliError(f"unrecognized arguments: {' '.join(leftover)}")
-    if args.command == "preprocess":
-        return cmd_preprocess(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "explain":
-        return cmd_explain(args)
-    if args.command == "synth":
-        return cmd_synth(args)
-    raise CliError(f"unknown command {args.command!r}")
+    args, overrides = build_parser().parse_known_args(argv)
+    # only train and ablate take --key value config overrides
+    if overrides and args.command not in ("train", "ablate"):
+        raise CliError(f"unrecognized arguments: {' '.join(overrides)}")
+    args.overrides = overrides
+    return args.run(args)
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (CliError, ConfigError, DatasetError, ParseError,
-            CheckpointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (CliError, ConfigError, DatasetError, CheckpointError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -305,35 +305,12 @@ def _read_entity_text(path) -> dict[str, tuple[str, str]]:
     return texts
 
 
-def load_dataset(triple_files: Mapping[str, object], entity_text_file) -> KnowledgeGraph:
-    """Load triple files (split name -> path) plus an entity text file."""
-    split_rows: dict[str, list[LabelTriple]] = {}
-    for name in SPLITS:
-        path = triple_files.get(name)
-        if path is None:
-            split_rows[name] = []
-            continue
-        if not Path(path).exists():
-            raise DatasetError(f"missing triple file: {path}")
-        split_rows[name] = _read_triples(path)
-    if not split_rows["train"]:
-        raise DatasetError(f"train split is empty: {triple_files.get('train')}")
-    if not Path(entity_text_file).exists():
-        raise DatasetError(f"missing entity text file: {entity_text_file}")
-    texts = _read_entity_text(entity_text_file)
-    return KnowledgeGraph.build(split_rows, texts)
-
-
 ENTITY_TEXT_CANDIDATES = ("entities.txt", "entity2textlong.txt", "entity2text.txt")
 
 
 def load_dataset_dir(dataset_dir) -> KnowledgeGraph:
     """Load from a directory holding train/valid/test.txt and an entity text file."""
     d = Path(dataset_dir)
-    triples: dict[str, object] = {"train": d / "train.txt"}
-    for name in ("valid", "test"):
-        if (d / f"{name}.txt").exists():
-            triples[name] = d / f"{name}.txt"
     for cand in ENTITY_TEXT_CANDIDATES:
         if (d / cand).exists():
             text_file = d / cand
@@ -341,7 +318,13 @@ def load_dataset_dir(dataset_dir) -> KnowledgeGraph:
     else:
         raise DatasetError(
             f"no entity text file in {d} (tried {', '.join(ENTITY_TEXT_CANDIDATES)})")
-    return load_dataset(triples, text_file)
+    if not (d / "train.txt").exists():
+        raise DatasetError(f"missing triple file: {d / 'train.txt'}")
+    split_rows = {name: _read_triples(d / f"{name}.txt")
+                  if (d / f"{name}.txt").exists() else [] for name in SPLITS}
+    if not split_rows["train"]:
+        raise DatasetError(f"train split is empty: {d / 'train.txt'}")
+    return KnowledgeGraph.build(split_rows, _read_entity_text(text_file))
 
 
 def dataset_counts(kg: KnowledgeGraph) -> dict[str, int]:

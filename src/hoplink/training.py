@@ -108,25 +108,21 @@ class Trainer:
     a purpose label, so reruns reproduce byte-identical trajectories.
     """
 
-    def __init__(self, kg: KnowledgeGraph, config: RunConfig,
-                 model: KgcModel | None = None,
-                 log_fn=None):
+    def __init__(self, kg: KnowledgeGraph, config: RunConfig, log_fn=None):
         config.validate()
         self.kg = kg
         self.config = config
-        if model is None:
-            tokenizer = build_vocab(kg, min_frequency=config.min_frequency,
-                                    max_len=config.max_len)
-            model = KgcModel(config, tokenizer)
-        self.model = model
-        self.optimizer = AdamW(model.parameters(), lr=config.lr,
+        tokenizer = build_vocab(kg, min_frequency=config.min_frequency,
+                                max_len=config.max_len)
+        self.model = KgcModel(config, tokenizer)
+        self.optimizer = AdamW(self.model.parameters(), lr=config.lr,
                                weight_decay=config.weight_decay)
         # (head, relation, gold) rows; train_epochs also takes a list of rows
         self.queries: np.ndarray = query_columns(kg, "train")
         self.epoch = 0
         self.history: list[dict] = []
         self.log_fn = log_fn
-        self._last_good = model.state_arrays()
+        self._last_good = self.model.state_arrays()
 
     def _log(self, line: str) -> None:
         if self.log_fn is not None:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ def write_config(path, dataset_dir, out_dir, **extra):
     values.update(extra)
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return path
+
+
+def json_types(payload: dict) -> dict:
+    return {key: type(value) for key, value in payload.items()}
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +205,9 @@ class TestEval:
         assert values["count"] == 30
         report = trained_run["out"] / "eval_test.json"
         payload = json.loads(report.read_text())
+        assert json_types(payload) == {
+            "split": str, "mrr": float, "hits@1": float, "hits@3": float,
+            "hits@10": float, "count": int, "checkpoint": str}
         assert payload["split"] == "test"
         assert payload["mrr"] == pytest.approx(values["mrr"], abs=1e-6)
         assert (trained_run["out"] / "eval_test.txt").exists()
@@ -278,10 +286,6 @@ class TestEval:
             err = capsys.readouterr().err
             assert message in err and "runtime failure" not in err
 
-    def test_unrecognized_argument_exits_one(self, trained_run):
-        assert main(["eval", "--checkpoint", str(trained_run["checkpoint"]),
-                     "--shiny"]) == 1
-
 
 @pytest.fixture(scope="module")
 def encoder_table(tmp_path_factory, dataset_dir):
@@ -305,6 +309,10 @@ class TestAblate:
     def test_rows_carry_all_metrics_plus_average(self, encoder_table):
         _, _, payload = encoder_table
         for row in payload["rows"]:
+            assert json_types(row) == {
+                "setting": str, "status": str, "mrr": float, "hits@1": float,
+                "hits@3": float, "hits@10": float, "count": int,
+                "avg": float, "checkpoint": str}
             assert row["status"] == "ok"
             metrics = [row["mrr"], row["hits@1"], row["hits@3"],
                        row["hits@10"]]
@@ -341,6 +349,8 @@ class TestAblate:
         payload = json.loads(
             (tmp_path / "out" / "ablation_encoder.json").read_text())
         by_name = {r["setting"]: r for r in payload["rows"]}
+        assert json_types(by_name["GraphSAGE"]) == {
+            "setting": str, "status": str, "error": str}
         assert by_name["GraphSAGE"]["status"] == "failed"
         assert "injected failure" in by_name["GraphSAGE"]["error"]
         assert by_name["GCN"]["status"] == "ok"
@@ -363,6 +373,10 @@ class TestExplain:
         assert "query: (item05, cue2, ?)" in out
         payload = json.loads(
             (trained_run["out"] / "explanation.json").read_text())
+        assert json_types(payload) == {
+            "head": str, "head_description": str, "relation": str,
+            "predictions": list, "gold": dict, "neighbors": list,
+            "neighborhood_empty": bool}
         assert len(payload["predictions"]) == 3
         scores = [p["score"] for p in payload["predictions"]]
         assert scores == sorted(scores, reverse=True)
@@ -509,6 +523,29 @@ class TestSynthCommand:
         assert (target / "train.txt").exists()
         assert not (tmp_path / "root").exists()
 
+    def test_relative_out_root_is_prepended_once(self, dataset_dir, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("HOPLINK_OUT_ROOT", "outroot")
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "abl.cfg", dataset_dir, "runs/demo")
+        assert main(["ablate", "--config", str(cfg), "--axis", "hops"]) == 0
+        run = Path("outroot/runs/demo")
+        assert (run / "ablation_hops.json").exists()
+        checkpoint = run / "ablate_hops" / "1_hop" / "checkpoint.ckpt"
+        assert checkpoint.exists()
+        # reports go beside the checkpoint as given; a passed --out-dir is
+        # put under the root
+        assert main(["eval", "--checkpoint", str(checkpoint)]) == 0
+        assert main(["explain", "--checkpoint", str(checkpoint),
+                     "--head", "item05", "--relation", "cue2"]) == 0
+        assert sorted(p.name for p in checkpoint.parent.iterdir()) == [
+            "checkpoint.ckpt", "eval_test.json", "eval_test.txt",
+            "explanation.json", "explanation.txt"]
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--out-dir", "reports"]) == 0
+        assert Path("outroot/reports/eval_test.json").exists()
+        assert not Path("outroot/outroot").exists()
+
 
 class TestUsage:
     def test_unknown_command_exits_one(self):
@@ -519,3 +556,18 @@ class TestUsage:
 
     def test_no_command_exits_one(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command",
+                             ["preprocess", "eval", "explain", "synth"])
+    def test_unrecognized_argument_exits_one(self, dataset_dir, trained_run,
+                                             tmp_path, capsys, command):
+        # only train and ablate take --key value overrides
+        flags = {"preprocess": ["--dataset-dir", str(dataset_dir)],
+                 "eval": ["--checkpoint", str(trained_run["checkpoint"])],
+                 "explain": ["--checkpoint", str(trained_run["checkpoint"]),
+                             "--head", "item05", "--relation", "cue2"],
+                 "synth": []}[command]
+        assert main([command, *flags, "--out-dir", str(tmp_path / "o"),
+                     "--shiny"]) == 1
+        assert "unrecognized arguments: --shiny" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
