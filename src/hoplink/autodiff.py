@@ -210,6 +210,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(av @ bv, (a, b), rule)
 
 
+def csr_rows(values: Array, indices: Array, counts: Array, width: int) -> sp.csr_matrix:
+    """The CSR matrix whose row i holds the next ``counts[i]`` entries of
+    ``values`` in the columns ``indices``, built on int32 index arrays:
+    scipy's own index type, which its constructor takes without checking
+    and copying every index down."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((values, indices.astype(np.int32, copy=False), indptr),
+                         shape=(len(counts), width))
+
+
 def sparse_matmul(a: sp.spmatrix, x: Tensor, values: Optional[Tensor] = None) -> Tensor:
     """``a @ x`` for a constant sparse matrix ``a``.
 
@@ -286,7 +297,12 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     keep = x.values > 0
-    return _apply(np.where(keep, x.values, 0.0), (x,), lambda g: (g * keep,))
+    # np.where(keep, x, 0.0) in bits, ~10x faster on random signs: fmax maps
+    # NaN to 0 like the mask, and += 0.0 turns the -0.0 that fmax returns
+    # for -0.0 at some positions into 0.0
+    out = np.fmax(x.values, 0.0)
+    out += 0.0
+    return _apply(out, (x,), lambda g: (g * keep,))
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:

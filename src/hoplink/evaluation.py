@@ -17,6 +17,15 @@ from .kg import (KnowledgeGraph, build_filter_index, known_tails,  # noqa: F401
                  query_columns)
 from .model import KgcModel, eval_neighborhood_seed
 
+# evaluate ranks chunks of up to this many score cells (4 MiB of float64),
+# or of batch_size rows where those hold more, as each chunk costs ~3 ms of
+# small numpy and scipy calls in ``encode_queries`` whatever its size.
+# perfbench wide-k1-eval (5,000 entities, batch 32, one BLAS thread),
+# pass_s / peak RSS, medians of 3 runs: chunks of 32 rows: 0.470 s /
+# 129.9 MiB, 2^18 (52 rows): 0.378 s / 126.1 MiB, 2^19 (104): 0.346 s /
+# 128.5 MiB, 2^20 (209): 0.322 s / 129.3 MiB.
+SCORE_CELLS = 1 << 19
+
 
 @dataclass(frozen=True)
 class RankingMetrics:
@@ -75,16 +84,20 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
 
     The queries are the first ``max_queries`` rows of ``query_columns``.
     Unseen heads/relations cannot be scored and take the worst rank. Seen
-    rows are encoded and ranked in chunks of ``config.batch_size``, one
-    ``encode_queries`` pass per chunk, the batch shape of training. The
-    neighborhood seed of row i depends only on the run seed, the split and
-    i, so a query gets the same neighborhood in any chunk. Its last bits can
-    still depend on the chunk: OpenBLAS rounds a product of at least two
-    rows and two columns the same way wherever a row sits, but not a
-    matrix-vector product (GAT's attention scores, whose bits follow a
-    node's position in the batch) nor a one-row product, such as the final
-    layer's projection of the readout row in a chunk of a single query. A
-    rank moves only where a candidate scores within a few ulps of the gold.
+    rows are encoded and ranked in chunks of max(``config.batch_size``,
+    ``SCORE_CELLS`` // E) rows, one ``encode_queries`` pass per chunk, so a
+    chunk's (rows x E) score matrix holds about ``SCORE_CELLS`` cells on a
+    small graph and training's batch shape on a large one. A chunk keeps
+    only its query vectors, so its batch and score matrix are freed before
+    the next chunk is encoded. The neighborhood seed of row i depends only
+    on the run seed, the split and i, so a query gets the same neighborhood
+    in any chunk. Its last bits can still depend on the chunk: OpenBLAS
+    rounds a product of at least two rows and two columns the same way
+    wherever a row sits, but not a matrix-vector product (GAT's attention
+    scores, whose bits follow a row's position in its chunk) nor a one-row
+    product, such as the final layer's projection of the readout row in a
+    chunk of a single query. A rank moves only where a candidate scores
+    within a few ulps of the gold.
     Runs without gradients and changes neither the model nor the graph's
     facts: each chunk's known tails are one ``known_tails`` lookup into
     ``kg.filter_index``. It does fill ``kg.neighborhoods``, the graph's memo
@@ -98,15 +111,15 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     tail_rows, _ = model.tail_matrix(kg, entities)
     ranks = np.full(len(queries), kg.num_entities, dtype=np.int64)
     seen = np.flatnonzero(~kg.query_is_unseen(queries[:, 0], queries[:, 1]))
-    size = model.config.batch_size
+    size = max(model.config.batch_size, SCORE_CELLS // kg.num_entities)
     for start in range(0, len(seen), size):
         index = seen[start:start + size]
         rows = queries[index]
         seeds = [eval_neighborhood_seed(model.config.seed, split, i)
                  for i in index.tolist()]
         with ad.no_grad():
-            batch = model.encode_queries(kg, rows[:, :2].tolist(), seeds, entities)
-        scores = query_scores(batch.e_hr.values, tail_rows)
-        ranks[index] = filtered_rank(scores, rows[:, 2],
+            e_hr = model.encode_queries(kg, rows[:, :2].tolist(), seeds,
+                                        entities).e_hr.values
+        ranks[index] = filtered_rank(query_scores(e_hr, tail_rows), rows[:, 2],
                                      *known_tails(kg, rows[:, 0], rows[:, 1]))
     return RankingMetrics.from_ranks(ranks)

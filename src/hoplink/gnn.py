@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .kg import _sorted_unique
+from .kg import _range_slots, _sorted_unique
 # combine_adjacency stays importable here: perfbench's tracer wraps it by name
 from .kg import combine_adjacency  # noqa: F401
 
@@ -86,9 +86,7 @@ class GraphBatch:
 
     def _csr(self, values: np.ndarray, keep=slice(None)) -> sp.csr_matrix:
         counts = np.bincount(self.dst[keep], minlength=self.num_nodes)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return sp.csr_matrix((values[keep], self.src[keep], indptr),
-                             shape=(self.num_nodes, self.num_nodes))
+        return ad.csr_rows(values[keep], self.src[keep], counts, self.num_nodes)
 
     @cached_property
     def pattern(self) -> sp.csr_matrix:
@@ -217,8 +215,11 @@ class GraphEncoder:
             else:
                 pattern, dst = graph.pattern, graph.dst
                 if final:
-                    pattern = pattern[readout]
-                    dst = np.repeat(np.arange(len(readout)), np.diff(pattern.indptr))
+                    slots, counts = _range_slots(pattern.indptr[readout],
+                                                 pattern.indptr[readout + 1])
+                    pattern = ad.csr_rows(pattern.data[slots], pattern.indices[slots],
+                                          counts, n)
+                    dst = np.repeat(np.arange(len(readout)), counts)
                 heads = [gat_head(H, pattern, dst,
                                   *(self.params[f"l{layer}_h{h}_{k}"]
                                     for k in ("w", "asrc", "adst")),

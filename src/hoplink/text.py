@@ -166,10 +166,8 @@ def bag_matrix(ids: np.ndarray, lengths: np.ndarray,
                vocab_size: int) -> sp.csr_matrix:
     """Count-normalized bag rows of the sequences packed in ``ids`` (row i
     holds the next ``lengths[i]`` ids); an empty sequence yields a zero row."""
-    rows = np.repeat(np.arange(len(lengths)), lengths)
     vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
-    mat = sp.csr_matrix((vals, (rows, ids)),
-                        shape=(len(lengths), vocab_size), dtype=np.float64)
+    mat = ad.csr_rows(vals, ids, lengths, vocab_size)
     mat.sum_duplicates()
     return mat
 

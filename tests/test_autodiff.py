@@ -62,6 +62,19 @@ class TestElementwise:
     def test_relu(self):
         out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
+        # the bits of np.where(x > 0, x, 0.0) at every position of arrays
+        # long and short enough for vector loops and their scalar tails:
+        # NaN and -0.0 give +0.0, and subnormals and infinities pass as-is
+        specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                    -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0]
+        for n in (1, 7, 9, 17, 33):
+            for p in range(n):
+                for value in specials:
+                    x = np.linspace(-1.0, 1.0, n)
+                    x[p] = value
+                    out = ad.relu(Tensor(x)).values
+                    assert out.view(np.int64).tolist() == np.where(
+                        x > 0, x, 0.0).view(np.int64).tolist(), (n, p, value)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

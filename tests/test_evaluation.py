@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoplink.autodiff as ad
+from hoplink import evaluation
 from hoplink.config import RunConfig
 from hoplink.evaluation import (
     RankingMetrics,
@@ -287,9 +288,13 @@ class TestBatchedEvaluate:
 
     @pytest.mark.parametrize("batch_size", [2, 3])
     @pytest.mark.parametrize("split", ["train", "valid", "test"])
-    def test_chunks_match_brute_force(self, dozen_kg, split, batch_size):
+    def test_chunks_match_brute_force(self, dozen_kg, monkeypatch, split,
+                                      batch_size):
         # a cap of 1 per hop makes every neighborhood a seeded sample, so a
-        # seed taken from the wrong query index moves ranks
+        # seed taken from the wrong query index moves ranks; no score-cell
+        # budget leaves chunks of batch_size rows, so the 12-entity graph's
+        # splits end in partial chunks rather than fitting in one
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 0)
         model = make_model(dozen_kg, batch_size=batch_size, cap_per_hop=1)
         expected = RankingMetrics.from_ranks(
             brute_force_ranks(model, dozen_kg, split))
@@ -313,25 +318,37 @@ class TestBatchedEvaluate:
                            ("c", "s", "mute"), ("mute", "r", "a")],
                  "valid": [("a", "s", "c"), ("ghost", "r", "b"),
                            ("b", "s", "mute")], "test": []}, entity_text)
-        model = make_model(kg, k=1, batch_size=5)
+        # a budget of three rows' score cells overrides batch_size 2: the
+        # five seen queries go in chunks of 3 and 2
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 3 * kg.num_entities)
+        model = make_model(kg, k=1, batch_size=2)
         rows = query_columns(kg, "valid")
         unseen = np.flatnonzero(kg.query_is_unseen(rows[:, 0], rows[:, 1]))
-        assert unseen.tolist() == [2]  # between the seen rows of the one chunk
+        assert unseen.tolist() == [2]  # between the seen rows of the first chunk
         _, zero = model.tail_matrix(kg)
         assert zero[kg.entity_ids["mute"]]
         ranks = brute_force_ranks(model, kg, "valid")
         assert ranks[2] == kg.num_entities
         sizes = record_encode_batches(monkeypatch)
         assert evaluate(model, kg, "valid") == RankingMetrics.from_ranks(ranks)
-        assert sizes == [5]  # the seen queries only
+        assert sizes == [3, 2]  # the seen queries only
 
     @pytest.mark.parametrize("batch_size", [2, 3, 64])
     def test_one_encode_pass_per_chunk_of_seen_queries(
             self, dozen_kg, monkeypatch, batch_size):
+        # a chunk is max(batch_size, SCORE_CELLS // E) rows
         model = make_model(dozen_kg, batch_size=batch_size)
         sizes = record_encode_batches(monkeypatch)
-        evaluate(model, dozen_kg, "train")
         seen = 40  # 20 train triples, both directions, none unseen
-        assert len(sizes) == -(-seen // batch_size)
-        assert sum(sizes) == seen
-        assert max(sizes) <= batch_size
+        evaluate(model, dozen_kg, "train")
+        assert sizes == [seen]  # 12 entities: the default budget takes all
+        e = dozen_kg.num_entities
+        # a budget one cell short of batch_size rows leaves batch_size; one
+        # of batch_size + 2 rows and a part of a row takes batch_size + 2
+        for cells, chunk in [(e * batch_size - 1, batch_size),
+                             (e * (batch_size + 2) + e - 1, batch_size + 2)]:
+            monkeypatch.setattr(evaluation, "SCORE_CELLS", cells)
+            sizes.clear()
+            evaluate(model, dozen_kg, "train")
+            assert sizes == [min(chunk, seen - start)
+                             for start in range(0, seen, chunk)]

@@ -93,8 +93,9 @@ class TestQueryEncoding:
 
     @pytest.mark.parametrize("encoder", ["gat", "gcn", "sage"])
     def test_eval_sized_batch_rows_match_single_queries(self, encoder):
-        # evaluation encodes batch_size queries at once and must rank as if
-        # each were encoded alone; the rows agree to rounding, not bitwise
+        # evaluation encodes a chunk of queries at once, at least batch_size
+        # of them (see evaluate), and must rank as if each were encoded
+        # alone; the rows agree to rounding, not bitwise
         kg = dozen_graph()
         model = make_model(kg, encoder=encoder)
         queries = queries_both_directions(kg, "train")
