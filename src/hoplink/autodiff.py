@@ -8,6 +8,9 @@ Everything is double precision so gradient checks stay sharp; graph
 structure enters as constant sparse matrices, whose entries
 ``sparse_matmul`` can take from a tensor, and as the index runs of
 ``segment_softmax`` and the sequence lengths of ``sequence_attention``.
+Sparse products, and the scatter behind ``gather_rows``' gradient, run
+scipy's compiled CSR/CSC kernels on the operator's own arrays, so no op
+builds a sparse matrix of its own.
 
 Each thread has an ambient default tape; scoped work (one training batch,
 one finite-difference probe) should run under ``with Tape():`` so records
@@ -22,6 +25,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's private module of compiled sparse kernels: the ones ``csr @ x`` and
+# ``csr.T @ x`` run once scipy has built, checked and dispatched on a matrix
+# object. Called directly they add the same terms in the same order, so the
+# bits do not change, and no op pays for a matrix of its own (its
+# construction cost more than the product on this project's small operators).
+from scipy.sparse import _sparsetools
 
 Array = np.ndarray
 ArrayLike = Union[float, int, Sequence, Array]
@@ -221,31 +230,54 @@ def csr_rows(values: Array, indices: Array, counts: Array, width: int) -> sp.csr
                          shape=(len(counts), width))
 
 
+def _csr_product(indptr: Array, indices: Array, data: Array, shape: tuple[int, int],
+                 x: Array, transpose: bool = False) -> Array:
+    """``A @ x``, or ``A.T @ x``, for the CSR matrix A = (data, indices,
+    indptr) of ``shape``, through the kernel scipy's ``@`` picks: A's arrays
+    read as CSC are A.T, and one column takes the vector kernel."""
+    m, n = shape[::-1] if transpose else shape
+    # the kernels read x unchecked: a short x would be read past its end
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ShapeError(f"sparse product of an ({m}, {n}) matrix with {x.shape}")
+    out = np.zeros((m, x.shape[1]))
+    if x.shape[1] == 1:
+        kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
+        kernel(m, n, indptr, indices, data, np.ravel(x), out.reshape(-1))
+    else:
+        kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+        kernel(m, n, x.shape[1], indptr, indices, data, np.ravel(x), out.reshape(-1))
+    return out
+
+
 def sparse_matmul(a: sp.spmatrix, x: Tensor, values: Optional[Tensor] = None) -> Tensor:
     """``a @ x`` for a constant sparse matrix ``a``.
 
     Given ``values``, an (nnz, 1) tensor in ``a``'s CSR entry order, its
     entries replace ``a``'s, so ``a`` carries only the sparsity pattern and
     entry e's gradient is g[row(e)] . x[col(e)]. Otherwise gradients flow to
-    ``x`` alone.
+    ``x`` alone. Both directions run scipy's CSR/CSC kernels on ``a``'s
+    arrays (with ``values`` as its entries), as ``csr @ x`` and
+    ``csr.T @ g`` would, without building a matrix.
     """
     csr = a.tocsr()
     if x.values.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {csr.shape} @ {x.shape}")
+    data = csr.data
     if values is not None:
         if values.shape != (csr.nnz, 1):
             raise ShapeError(f"sparse_matmul values must be ({csr.nnz}, 1), got {values.shape}")
-        csr = sp.csr_matrix((values.values[:, 0], csr.indices, csr.indptr), shape=csr.shape)
+        data = values.values[:, 0]
+    arrays = (csr.indptr, csr.indices, data, csr.shape)
     xv = x.values
 
     def rule(g: Array):
-        dx = np.asarray(csr.T @ g)
+        dx = _csr_product(*arrays, g, transpose=True)
         if values is None:
             return (dx,)
         rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
         return dx, np.einsum("ij,ij->i", g[rows], xv[csr.indices])[:, None]
 
-    return _apply(np.asarray(csr @ xv), (x,) if values is None else (x, values), rule)
+    return _apply(_csr_product(*arrays, xv), (x,) if values is None else (x, values), rule)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -396,23 +428,26 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 def gather_rows(x: Tensor, indices) -> Tensor:
     if x.values.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix, got shape {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be a flat sequence")
+    idx = np.asarray(indices)
+    # np.asarray([]) is float64, so only a non-empty index list must be integer
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ShapeError("gather_rows indices must be a flat sequence of integers")
+    idx = idx.astype(np.int64, copy=False)
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather_rows index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
 
     def rule(g: Array):
-        # both scatters sum the rows of repeated indices in gather order,
-        # so they round alike; bincount skips the sparse matrix for a column
-        # (and returns int64 zeros for no indices, hence the cast)
+        # both scatters sum the rows of repeated indices in gather order, so
+        # they round alike. Several columns: the gather is the CSR matrix with
+        # row k's one entry in column idx[k], so its transpose product is the
+        # scatter. One column: bincount is quicker (and returns int64 zeros
+        # for no indices, hence the cast)
         if g.shape[1] == 1:
             col = np.bincount(idx, weights=g[:, 0], minlength=n)
             return (col.astype(np.float64, copy=False)[:, None],)
-        scatter = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
-                                shape=(n, idx.size))
-        return (np.asarray(scatter @ g),)
+        return (_csr_product(np.arange(idx.size + 1), idx, np.ones(idx.size),
+                             (idx.size, n), g, transpose=True),)
 
     return _apply(x.values[idx], (x,), rule)
 

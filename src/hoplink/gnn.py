@@ -88,6 +88,13 @@ class GraphBatch:
         counts = np.bincount(self.dst[keep], minlength=self.num_nodes)
         return ad.csr_rows(values[keep], self.src[keep], counts, self.num_nodes)
 
+    def readout_rows(self, op: sp.csr_matrix, readout: np.ndarray) -> sp.csr_matrix:
+        """Rows ``readout`` (int64, in range) of a CSR matrix over the
+        batch's nodes, in that order, each keeping its entries in stored
+        order: what ``op[readout]`` gives, without scipy's indexing checks."""
+        slots, counts = _range_slots(op.indptr[readout], op.indptr[readout + 1])
+        return ad.csr_rows(op.data[slots], op.indices[slots], counts, self.num_nodes)
+
     @cached_property
     def pattern(self) -> sp.csr_matrix:
         """The edges as a CSR matrix whose entry e is edge e; GAT supplies
@@ -192,7 +199,7 @@ class GraphEncoder:
         if readout.ndim != 1 or readout.size == 0 or readout.dtype.kind not in "iu":
             raise ShapeError("readout must be a non-empty flat sequence of integer rows")
         readout = readout.astype(np.int64, copy=False)
-        # explicit, because a scipy row slice wraps negative rows
+        # explicit, because the readout cut would wrap negative rows
         n = graph.num_nodes
         if readout.min() < 0 or readout.max() >= n:
             raise IndexError(f"readout row out of range for {n} nodes: "
@@ -205,22 +212,19 @@ class GraphEncoder:
         for layer in range(cfg.layers):
             final = layer == cfg.layers - 1
             act = None if final else activation
+            op = (graph.gcn_operator if cfg.encoder == "gcn" else
+                  graph.mean_operator if cfg.encoder == "sage" else graph.pattern)
+            if final:
+                op = graph.readout_rows(op, readout)
             if cfg.encoder == "gcn":
-                op = graph.gcn_operator[readout] if final else graph.gcn_operator
                 H = gcn_layer(H, op, self.params[f"l{layer}_w"], act)
             elif cfg.encoder == "sage":
-                op = graph.mean_operator[readout] if final else graph.mean_operator
                 H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
                                readout if final else None)
             else:
-                pattern, dst = graph.pattern, graph.dst
-                if final:
-                    slots, counts = _range_slots(pattern.indptr[readout],
-                                                 pattern.indptr[readout + 1])
-                    pattern = ad.csr_rows(pattern.data[slots], pattern.indices[slots],
-                                          counts, n)
-                    dst = np.repeat(np.arange(len(readout)), counts)
-                heads = [gat_head(H, pattern, dst,
+                dst = (np.repeat(np.arange(len(readout)), np.diff(op.indptr))
+                       if final else graph.dst)
+                heads = [gat_head(H, op, dst,
                                   *(self.params[f"l{layer}_h{h}_{k}"]
                                     for k in ("w", "asrc", "adst")),
                                   readout if final else None)

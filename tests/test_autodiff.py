@@ -259,6 +259,102 @@ class TestSparseMatmul:
                              Tensor(np.zeros((4,))))
 
 
+def recorded_rule(op, *args):
+    """The backward rule ``op(*args)`` records: called directly, it takes an
+    upstream gradient of any memory layout."""
+    with Tape() as tape:
+        op(*args)
+    return tape._records[-1][2]
+
+
+def with_layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a``'s values in C order, Fortran order or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
+@st.composite
+def csr_cases(draw):
+    """A CSR matrix with empty rows, no entries at all or columns out of
+    order within a row, on int32 or int64 index arrays."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    runs = [draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=cols))
+            for _ in range(rows)]
+    seed = draw(st.integers(0, 2 ** 16))
+    nnz = sum(map(len, runs))
+    csr = sp.csr_matrix((np.random.default_rng(seed).normal(size=nnz),
+                         [c for run in runs for c in run],
+                         np.cumsum([0] + [len(run) for run in runs])),
+                        shape=(rows, cols))
+    if draw(st.booleans()):  # scipy's constructor picks int32; set int64 after
+        csr.indptr, csr.indices = csr.indptr.astype(np.int64), csr.indices.astype(np.int64)
+    return csr, seed
+
+
+class TestSparseKernels:
+    # sparse_matmul and the gather scatter call scipy's private kernels;
+    # these pin them, bit for bit, to what scipy's public operators return
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csr_cases(), d=st.sampled_from([1, 2, 5]), with_values=st.booleans(),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    @example(case=(sp.csr_matrix((2, 3)), 0), d=1, with_values=False, layout="strided")
+    @example(case=(sp.csr_matrix((2, 3)), 0), d=3, with_values=True, layout="F")
+    def test_sparse_matmul_equals_scipy_products(self, case, d, with_values, layout):
+        csr, seed = case
+        rng = np.random.default_rng(seed + 1)
+        x = parameter(rng.normal(size=(csr.shape[1], d)))
+        values = parameter(rng.normal(size=(csr.nnz, 1))) if with_values else None
+        ref = csr
+        if with_values:
+            ref = csr.copy()
+            ref.data = values.values[:, 0].copy()
+        out = ad.sparse_matmul(csr, x, values)
+        expected = np.asarray(ref @ x.values)
+        assert out.values.shape == expected.shape
+        assert np.array_equal(out.values, expected)
+        g = with_layout(rng.normal(size=(csr.shape[0], d)), layout)
+        dx = recorded_rule(ad.sparse_matmul, csr, x, values)(g)[0]
+        expected = np.asarray(ref.T @ g)
+        assert dx.shape == expected.shape and np.array_equal(dx, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(2, 4),
+           idx=st.lists(st.integers(0, 5), max_size=12),
+           idx_dtype=st.sampled_from([np.int32, np.int64]),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=3, d=2, idx=[], idx_dtype=np.int64, layout="C", seed=0)
+    def test_gather_gradient_equals_the_coo_scatter(self, n, d, idx, idx_dtype,
+                                                    layout, seed):
+        idx = np.asarray([i % n for i in idx], dtype=idx_dtype)
+        rng = np.random.default_rng(seed)
+        g = with_layout(rng.normal(size=(len(idx), d)), layout)
+        dx = recorded_rule(ad.gather_rows, parameter(rng.normal(size=(n, d))), idx)(g)[0]
+        scatter = sp.csr_matrix((np.ones(idx.size), (idx.astype(np.int64),
+                                                     np.arange(idx.size))),
+                                shape=(n, idx.size))
+        expected = np.asarray(scatter @ g)
+        assert dx.dtype == expected.dtype and dx.shape == expected.shape
+        assert np.array_equal(dx, expected)
+
+
+    def test_upstream_of_the_wrong_height_is_rejected(self):
+        # the kernels check no bounds, so a short gradient must not reach them
+        x = parameter(np.ones((4, 2)))
+        cases = [(recorded_rule(ad.sparse_matmul, TestSparseMatmul.pattern, x), g)
+                 for g in (np.ones((1, 2)), np.ones((1, 1)))]
+        cases.append((recorded_rule(ad.gather_rows, x, [0, 3, 3]), np.ones((1, 2))))
+        for rule, g in cases:
+            with pytest.raises(ShapeError):
+                rule(g)
+
+
 class TestReductionsAndShaping:
     def test_mean_rows(self):
         # the mean over rows is a product with a (1, n) row of 1/n
@@ -283,6 +379,18 @@ class TestReductionsAndShaping:
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):
             ad.gather_rows(Tensor(np.ones((2, 2))), [2])
+
+    def test_gather_rejects_non_integer_indices(self):
+        # a float index used to truncate ([1.9] gathered row 1) and a bool
+        # one to cast ([True, False] gathered rows 1 and 0)
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        for bad in ([1.9], [True, False], np.array([1.0]), ["1"], [[0, 1]]):
+            with pytest.raises(ShapeError, match="flat sequence of integers"):
+                ad.gather_rows(x, bad)
+        assert ad.gather_rows(x, []).shape == (0, 2)
+        for ok in ([2, 0], np.array([2, 0], dtype=np.int32),
+                   np.array([2, 0], dtype=np.uint8)):
+            np.testing.assert_array_equal(ad.gather_rows(x, ok).values, x.values[[2, 0]])
 
     def test_gather_gradient_scatters_and_accumulates(self):
         x = parameter(np.ones((3, 2)))

@@ -303,7 +303,7 @@ class TestGraphRows:
         # readout row once per entry as that entry's destination
         graph = graph_of(TestEncodeNeighborhood.PATH5)
         readout = [3, 0, 3]
-        rows = graph.pattern[readout]
+        rows = graph.readout_rows(graph.pattern, np.array(readout))
         want = [np.arange(graph.indptr[r], graph.indptr[r + 1])
                 for r in readout]
         np.testing.assert_array_equal(
@@ -314,6 +314,20 @@ class TestGraphRows:
         np.testing.assert_array_equal(rows.indices, graph.src[edges])
         np.testing.assert_array_equal(rows.toarray(),
                                       graph.pattern.toarray()[readout])
+
+    def test_readout_cut_equals_scipy_row_indexing(self):
+        # repeated and last rows, empty rows, columns unsorted within a row
+        rng = np.random.default_rng(26)
+        counts = rng.integers(0, 6, size=50)
+        counts[[0, 3]] = 0
+        cols = np.concatenate([rng.permutation(50)[:c] for c in counts])
+        op = ad.csr_rows(rng.normal(size=counts.sum()), cols, counts, 50)
+        readout = np.array([7, 0, 7, 49, 3])
+        cut = GraphBatch(np.zeros((0, 2)), [50]).readout_rows(op, readout)
+        want = op[readout]
+        assert cut.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(cut, name), getattr(want, name))
 
 
 class TestGcnLayer:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 
 import hoplink.autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor, finite_diff_check
@@ -253,6 +254,28 @@ class TestTrainer:
                                            else None))
         trainer.train()
         return trainer
+
+    def test_sparse_constructions_do_not_grow_with_heads_or_layers(self, monkeypatch):
+        # operators are built once per batch, never once per product or
+        # gather, so a deeper, wider GAT builds no more CSR/CSC matrices
+        built = []
+        init = _cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting)
+        counts = []
+        for heads, layers in [(1, 1), (3, 3)]:
+            trainer = Trainer(chain_graph(), small_config(encoder="gat", heads=heads,
+                                                            layers=layers))
+            indices = np.arange(trainer.config.batch_size)
+            built.clear()
+            with ad.Tape():
+                trainer._train_batch(0, 0, trainer.queries[indices], indices)
+            counts.append(len(built))
+        assert counts[0] > 0 and counts[0] == counts[1], counts
 
     def test_log_line_format(self):
         lines = []
