@@ -82,7 +82,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
              max_queries: int | None = None) -> RankingMetrics:
     """Filtered MRR and Hits@{1,3,10} over forward and inverse queries.
 
-    The queries are the first ``max_queries`` rows of ``query_columns``.
+    The queries are the first ``max_queries`` (>= 0; None means all) rows of
+    ``query_columns``.
     Unseen heads/relations cannot be scored and take the worst rank. Seen
     rows are encoded and ranked in chunks of max(``config.batch_size``,
     ``SCORE_CELLS`` // E) rows, one ``encode_queries`` pass per chunk, so a
@@ -104,6 +105,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     of draw-free neighborhoods (see ``khop_neighborhood``), which changes no
     later result.
     """
+    if max_queries is not None and max_queries < 0:
+        raise ValueError(f"max_queries must be >= 0 or None, got {max_queries}")
     queries = query_columns(kg, split)[:max_queries]
     if not len(queries):
         return RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
@@ -118,7 +121,7 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
         seeds = [eval_neighborhood_seed(model.config.seed, split, i)
                  for i in index.tolist()]
         with ad.no_grad():
-            e_hr = model.encode_queries(kg, rows[:, :2].tolist(), seeds,
+            e_hr = model.encode_queries(kg, rows[:, :2], seeds,
                                         entities).e_hr.values
         ranks[index] = filtered_rank(query_scores(e_hr, tail_rows), rows[:, 2],
                                      *known_tails(kg, rows[:, 0], rows[:, 1]))

@@ -79,19 +79,22 @@ class EntityRecord:
     description: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NeighborhoodSubgraph:
-    """Sampled neighborhood of a head entity: nodes and hops only.
+    """Sampled neighborhood of a head entity: nodes and hops only (its
+    arrows come from ``combine_adjacency``, its edges from ``subgraph_edges``).
 
-    ``nodes`` lists original entity ids with the head at index 0 and each
-    hop's nodes after the last hop's; ``hop_of`` holds each node's hop.
-    ``combine_adjacency`` links a batch of subgraphs' arrows in one pass and
-    ``subgraph_edges`` lists one subgraph's per-relation edges on demand.
+    ``nodes`` holds original entity ids, the head at index 0 and each hop's
+    nodes after the last hop's, and ``hop_of`` each node's hop: read-only
+    int64 arrays, so the graph's memo can share one subgraph with every call.
     """
 
-    nodes: list[int]
+    nodes: np.ndarray
     hop_of: np.ndarray
     truncated: bool
+
+    def __post_init__(self):
+        self.nodes.flags.writeable = self.hop_of.flags.writeable = False
 
     @property
     def num_nodes(self) -> int:
@@ -410,13 +413,12 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
 
     A neighborhood that is not truncated made no draw, so it is the same for
     every seed: the first call stores it in ``kg.neighborhoods`` and later
-    calls with the same (head, k, cap_per_hop) return it without sampling.
-    Every call returns its own ``nodes`` list; a stored neighborhood's
-    ``hop_of`` is shared and read-only.
+    calls with the same (head, k, cap_per_hop) return that stored subgraph
+    itself, whose arrays are read-only, without sampling.
     """
     stored = kg.neighborhoods.get((head, k, cap_per_hop))
     if stored is not None:
-        return NeighborhoodSubgraph(list(stored.nodes), stored.hop_of, False)
+        return stored
     if not 0 <= head < kg.num_entities:
         raise KeyError(f"unknown entity id {head}")
     if k < 1:
@@ -448,13 +450,11 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
         if not len(candidates):
             break
 
-    nodes = np.concatenate(hops).tolist()
     hop_of = np.repeat(np.arange(len(hops)), [len(hop) for hop in hops])
+    sub = NeighborhoodSubgraph(np.concatenate(hops), hop_of, truncated)
     if not truncated:
-        hop_of.flags.writeable = False
-        kg.neighborhoods[head, k, cap_per_hop] = NeighborhoodSubgraph(
-            list(nodes), hop_of, False)
-    return NeighborhoodSubgraph(nodes=nodes, hop_of=hop_of, truncated=truncated)
+        kg.neighborhoods[head, k, cap_per_hop] = sub
+    return sub
 
 
 def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgraph]
@@ -472,8 +472,7 @@ def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgra
     if not subgraphs:
         raise ValueError("cannot combine zero subgraphs")
     sizes = [sub.num_nodes for sub in subgraphs]
-    nodes = np.fromiter(itertools.chain.from_iterable(sub.nodes for sub in subgraphs),
-                        np.int64, sum(sizes))
+    nodes = np.concatenate([sub.nodes for sub in subgraphs])
     n = len(nodes)
     # (subgraph, entity) key of each row, distinct because a subgraph holds
     # each entity once; sorted, it answers which row holds an entity
@@ -500,7 +499,7 @@ def subgraph_edges(kg: KnowledgeGraph,
     """(i, j, relation) of each distinct train triple nodes[i] -> nodes[j],
     by i then (relation, tail)."""
     index = kg.neighbor_index
-    nodes = np.asarray(sub.nodes, dtype=np.int64)
+    nodes = sub.nodes
     position = np.full(kg.num_entities, -1, dtype=np.int64)
     position[nodes] = np.arange(len(nodes))
     slots, counts = _range_slots(index.out_indptr[nodes], index.out_indptr[nodes + 1])

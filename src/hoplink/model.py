@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import MAX_INV_TAU, RunConfig, config_from_dict, config_to_dict
 from .gnn import GraphBatch, GraphEncoder, combine_adjacency
@@ -126,45 +126,43 @@ class KgcModel:
 
     # -- query encoding ---------------------------------------------------------
 
-    def neighborhood(self, kg: KnowledgeGraph, head: int,
-                     seed: int) -> NeighborhoodSubgraph:
-        return khop_neighborhood(kg, head, k=self.config.k,
-                                 cap_per_hop=self.config.cap_per_hop,
-                                 seed=seed)
-
     def encode_queries(self, kg: KnowledgeGraph,
-                       queries: list[tuple[int, int]],
-                       seeds: list[int],
+                       queries: np.ndarray | Sequence[tuple[int, int]],
+                       seeds: Sequence[int],
                        entities: np.ndarray | None = None,
                        golds: Sequence[int] = ()) -> QueryBatch:
-        """Encode a batch of (head, relation) queries in one graph pass.
+        """Encode b (head, relation) queries, a (b x 2) int array or b pairs,
+        in one graph pass over each head's ``khop_neighborhood`` for its seed.
 
         Neighbor rows and the rows of ``golds`` (``QueryBatch.gold``) come
         from one entity table, a row per distinct entity read: the tail
         tower's encoding (gradients flow), or, without gradients, rows of
         ``entities`` when it holds ``entity_matrix(kg)``. The tower encodes
         each row on its own, so both tables hold the same bits."""
-        if len(seeds) != len(queries):
-            raise ValueError("one neighborhood seed per query is required")
-        subs = [self.neighborhood(kg, h, seed)
-                for (h, _), seed in zip(queries, seeds)]
-        heads, relations = np.asarray(queries, dtype=np.int64).reshape(-1, 2).T
+        pairs = np.asarray(queries)
+        if pairs.shape != (len(seeds), 2) or pairs.dtype.kind not in "iu":
+            raise ShapeError(f"{pairs.dtype} queries {pairs.shape} for {len(seeds)} seeds: "
+                             f"need ({len(seeds)}, 2) ints")
+        heads, relations = pairs.T
+        subs = [khop_neighborhood(kg, h, self.config.k, self.config.cap_per_hop, seed)
+                for h, seed in zip(heads.tolist(), seeds)]
         H = self.text.encode_heads(*self.text_ids(kg).heads(heads, relations))
 
-        neighbors = [e for sub in subs for e in sub.nodes[1:]]
-        ids, rows = np.unique(np.array(neighbors + list(golds), dtype=np.int64),
-                              return_inverse=True)
+        golds = np.asarray(golds, dtype=np.int64)
+        read = np.concatenate([*(sub.nodes[1:] for sub in subs), golds])
+        num_neighbors = len(read) - len(golds)
+        ids, rows = np.unique(read, return_inverse=True)
         table = (self.encode_entities(kg, ids) if entities is None
                  else ad.constant(entities[ids]))
         graph = GraphBatch(*combine_adjacency(kg, subs))
         # X gathers rows of [H; table]: head i (row i) goes in front of its
         # own neighbors, after the offsets[i] - i neighbors of earlier subgraphs
-        b = len(queries)
-        index = np.insert(b + rows[:len(neighbors)],
+        b = len(pairs)
+        index = np.insert(b + rows[:num_neighbors],
                           graph.offsets - np.arange(b), np.arange(b))
         X = ad.gather_rows(ad.concat_rows([H, table]), index)
         e_hr = self.gnn.encode(X, graph, graph.offsets)
-        gold = (ad.gather_rows(table, rows[len(neighbors):]) if len(golds)
+        gold = (ad.gather_rows(table, rows[num_neighbors:]) if len(golds)
                 else None)
         return QueryBatch(e_hr=e_hr, X=X, subgraphs=subs, graph=graph,
                           gold=gold)

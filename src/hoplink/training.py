@@ -139,8 +139,7 @@ class Trainer:
         cfg = self.config
         model = self.model
         seeds = [self._neighborhood_seed(epoch, i) for i in indices.tolist()]
-        # Python ints in the pairs keep the neighborhood memo's keys plain
-        batch = model.encode_queries(self.kg, rows[:, :2].tolist(), seeds,
+        batch = model.encode_queries(self.kg, rows[:, :2], seeds,
                                      golds=rows[:, 2])
         kg_term = info_nce_loss(batch.e_hr, batch.gold,
                                 model.temperature_scale())

@@ -290,7 +290,7 @@ def combined_gradient_error() -> float:
         edge_term = batch_edge_loss(model, batch, mask, noise_seed=77)
         return combined_loss(kg_term, edge_term, config.lambda_weight)
 
-    sub = model.neighborhood(kg, pairs[0][0], seeds[0])
+    sub = khop_neighborhood(kg, pairs[0][0], config.k, config.cap_per_hop, seeds[0])
     assert sub.num_nodes <= 5
     return finite_diff_check(f, model.gnn.params["l0_h0_w"])
 

@@ -244,6 +244,16 @@ class TestEvaluate:
         model = make_model(dozen_kg)
         assert evaluate(model, dozen_kg, "test", max_queries=2).count == 2
 
+    def test_negative_max_queries_is_rejected(self, dozen_kg):
+        # a negative slice end would silently drop queries from the end
+        model = make_model(dozen_kg)
+        total = len(query_columns(dozen_kg, "test"))
+        for bad in (-1, -total + 1):
+            with pytest.raises(ValueError, match="max_queries"):
+                evaluate(model, dozen_kg, "test", max_queries=bad)
+        assert evaluate(model, dozen_kg, "test", max_queries=0).count == 0
+        assert evaluate(model, dozen_kg, "test").count == total
+
     def test_empty_split_gives_zero_metrics(self):
         kg = KnowledgeGraph.build(
             {"train": [("a", "r", "b"), ("b", "r", "a")], "valid": [],

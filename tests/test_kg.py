@@ -1,5 +1,6 @@
 import warnings
 from collections import defaultdict
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -412,8 +413,8 @@ class TestKhopNeighborhood:
         s1 = khop_neighborhood(kg, h, k=1, cap_per_hop=8, seed=3)
         s2 = khop_neighborhood(kg, h, k=1, cap_per_hop=8, seed=3)
         s3 = khop_neighborhood(kg, h, k=1, cap_per_hop=8, seed=4)
-        assert s1.nodes == s2.nodes
-        assert s1.nodes != s3.nodes
+        np.testing.assert_array_equal(s1.nodes, s2.nodes, strict=True)
+        assert not np.array_equal(s1.nodes, s3.nodes)
 
     def test_inverse_relations_add_no_arrows(self):
         kg = toy_kg([("a", "r", "b")])
@@ -526,10 +527,11 @@ def set_based_khop(kg, head, k, cap_per_hop, seed):
 
 
 def assert_same_subgraph(kg, got, want):
-    assert got.nodes == want.nodes
-    assert all(type(e) is int for e in got.nodes)
-    assert got.hop_of.dtype == np.int64
-    np.testing.assert_array_equal(got.hop_of, want.hop_of)
+    for name in ("nodes", "hop_of"):
+        # strict: the same shape and the int64 dtype, not only equal values
+        np.testing.assert_array_equal(
+            getattr(got, name), np.array(getattr(want, name), dtype=np.int64),
+            strict=True)
     assert got.truncated == want.truncated
     arrows, sizes = combine_adjacency(kg, [got])
     assert sizes == [got.num_nodes]
@@ -779,26 +781,35 @@ class TestNeighborhoodMemo:
         first = khop_neighborhood(kg, hub, k=1, cap_per_hop=3, seed=1)
         again = khop_neighborhood(kg, hub, k=1, cap_per_hop=3, seed=2)
         assert first.truncated and again.truncated
-        assert first.nodes != again.nodes
+        assert not np.array_equal(first.nodes, again.nodes)
         assert kg.neighborhoods == {}
         for k, cap in ((1, 5), (2, 5), (1, 8)):
             assert not khop_neighborhood(kg, hub, k, cap, seed=3).truncated
         assert set(kg.neighborhoods) == {(hub, 1, 5), (hub, 2, 5), (hub, 1, 8)}
         assert kg.neighborhoods[hub, 1, 5].num_nodes == 6
         assert kg.neighborhoods[hub, 2, 5].num_nodes == 7
-        assert kg.neighborhoods[hub, 1, 8].nodes == kg.neighborhoods[hub, 1, 5].nodes
+        np.testing.assert_array_equal(kg.neighborhoods[hub, 1, 8].nodes,
+                                      kg.neighborhoods[hub, 1, 5].nodes, strict=True)
 
-    def test_stored_arrays_are_read_only_and_nodes_are_per_call(self):
+    def test_a_hit_returns_the_stored_read_only_subgraph(self):
         kg = toy_kg(CHAIN)
         head = kg.entity_ids["a"]
         first = khop_neighborhood(kg, head, k=2)
-        first.nodes.append(kg.entity_ids["d"])
-        second = khop_neighborhood(kg, head, k=2)
-        assert second.nodes == [kg.entity_ids[e] for e in "abc"]
-        assert second.nodes is not kg.neighborhoods[head, 2, 32].nodes
-        assert second.hop_of is first.hop_of
-        with pytest.raises(ValueError, match="read-only"):
-            second.hop_of[0] = 1
+        assert kg.neighborhoods[head, 2, 32] is first
+        assert khop_neighborhood(kg, head, k=2, seed=7) is first
+        # b has two neighbors, so a cap of one draws and nothing is stored
+        drawn = khop_neighborhood(kg, kg.entity_ids["b"], k=1, cap_per_hop=1)
+        assert drawn.truncated and len(kg.neighborhoods) == 1
+        for sub in (first, drawn):
+            for array in (sub.nodes, sub.hop_of):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = kg.entity_ids["d"]
+            with pytest.raises(FrozenInstanceError):
+                sub.nodes = np.array([kg.entity_ids["d"]])
+            with pytest.raises(FrozenInstanceError):
+                sub.truncated = not sub.truncated
+        np.testing.assert_array_equal(first.nodes, [kg.entity_ids[e] for e in "abc"])
+        np.testing.assert_array_equal(first.hop_of, [0, 1, 2])
 
     def test_training_bytes_do_not_depend_on_the_memo(self, monkeypatch, tmp_path):
         splits, texts = generate_synthetic_kg(0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoplink.autodiff as ad
+from hoplink.autodiff import ShapeError
 from hoplink.config import RunConfig
 from hoplink.kg import (
     KnowledgeGraph,
@@ -147,6 +148,29 @@ class TestQueryEncoding:
         model = make_model(chain_kg)
         with pytest.raises(ValueError, match="seed"):
             model.encode_queries(chain_kg, [(0, 0), (1, 0)], [1])
+
+    def test_query_rows_must_be_integer_head_relation_pairs(self, chain_kg):
+        # rows with a gold column must not be read as more, mis-paired queries
+        model = make_model(chain_kg)
+        triples = [(0, 0, 1), (1, 0, 2)]
+        for queries in (np.array(triples), triples):
+            # three seeds: the six numbers would also reshape to three pairs
+            for seeds in ([1, 2], [1, 2, 3]):
+                with pytest.raises(ShapeError, match="seeds"):
+                    model.encode_queries(chain_kg, queries, seeds)
+        # float ids would be truncated to other entities, not rejected
+        for queries in (np.array([[0.0, 0.0], [1.0, 0.0]]), [(0.9, 0), (1, 0)]):
+            with pytest.raises(ShapeError, match="ints"):
+                model.encode_queries(chain_kg, queries, [1, 2])
+
+    def test_an_array_of_rows_encodes_as_the_list_of_pairs(self, chain_kg):
+        model = make_model(chain_kg)
+        pairs = [(0, 0), (2, 1), (0, 1)]
+        with ad.no_grad():
+            rows = model.encode_queries(chain_kg, np.array(pairs, dtype=np.int64),
+                                        [1, 2, 3]).e_hr.values
+            listed = model.encode_queries(chain_kg, pairs, [1, 2, 3]).e_hr.values
+        np.testing.assert_array_equal(rows, listed, strict=True)
 
     def test_gradients_flow_to_text_and_gnn(self, chain_kg):
         model = make_model(chain_kg)

@@ -21,6 +21,7 @@ from hoplink.gnn import GraphBatch
 from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
+    khop_neighborhood,
     queries_both_directions,
 )
 from hoplink.model import KgcModel
@@ -36,7 +37,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def oracle_encode(model, kg, queries, seeds, golds, entities=None):
     """The per-occurrence path: returns (X, e_hr, gold rows)."""
-    subs = [model.neighborhood(kg, h, seed)
+    subs = [khop_neighborhood(kg, h, model.config.k, model.config.cap_per_hop, seed)
             for (h, _), seed in zip(queries, seeds)]
     H = encode_heads(model.text, [
         (kg.entities[h].name, kg.entities[h].description,
