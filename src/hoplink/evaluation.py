@@ -57,16 +57,21 @@ def filtered_rank(scores: np.ndarray, golds: np.ndarray, tails: np.ndarray,
     """Pessimistic rank of each row's gold within its row of ``scores``.
 
     Row i's known-true tails, the next ``counts[i]`` entries of ``tails``
-    (the layout ``known_tails`` returns), are removed from its candidate
-    pool first; every remaining candidate other than the gold that scores
-    >= the gold pushes the gold down one place.
+    (the layout ``known_tails`` returns, each row's distinct), are removed
+    from its candidate pool first; every remaining candidate other than the
+    gold that scores >= the gold pushes the gold down one place. Counted as
+    every candidate scoring >= the gold, less the gold itself and the known
+    tails among them, so no (b x E) mask is built; a NaN gold beats nothing
+    and ranks first.
     """
     rows = np.arange(len(golds))
-    excluded = np.zeros(scores.shape, dtype=bool)
-    excluded[np.repeat(rows, counts), tails] = True
-    excluded[rows, golds] = True  # the gold is never its own rival
     gold_scores = scores[rows, golds]
-    return 1 + np.sum((scores >= gold_scores[:, None]) & ~excluded, axis=1)
+    owner = np.repeat(rows, counts)
+    known = (tails != np.asarray(golds)[owner]) \
+        & (scores[owner, tails] >= gold_scores[owner])
+    return (1 + np.count_nonzero(scores >= gold_scores[:, None], axis=1)
+            - np.bincount(owner[known], minlength=len(golds))
+            - (gold_scores >= gold_scores))
 
 
 def query_scores(e_hr: np.ndarray, tail_rows: np.ndarray) -> np.ndarray:
@@ -92,13 +97,13 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     only its query vectors, so its batch and score matrix are freed before
     the next chunk is encoded. The neighborhood seed of row i depends only
     on the run seed, the split and i, so a query gets the same neighborhood
-    in any chunk. Its last bits can still depend on the chunk: OpenBLAS
-    rounds a product of at least two rows and two columns the same way
-    wherever a row sits, but not a matrix-vector product (GAT's attention
-    scores, whose bits follow a row's position in its chunk) nor a one-row
-    product, such as the final layer's projection of the readout row in a
-    chunk of a single query. A rank moves only where a candidate scores
-    within a few ulps of the gold.
+    in any chunk, and the same vector bit for bit in any chunk of two or
+    more queries: GAT scores all heads in one product of at least 8
+    columns, not in matrix-vector products, whose OpenBLAS rounding follows
+    a row's position in its chunk. A chunk of a single query takes BLAS's
+    one-row kernel for its final projection, so its last bits can differ;
+    a rank moves only where a candidate scores within a few ulps of the
+    gold.
     Runs without gradients and changes neither the model nor the graph's
     facts: each chunk's known tails are one ``known_tails`` lookup into
     ``kg.filter_index``. It does fill ``kg.neighborhoods``, the graph's memo

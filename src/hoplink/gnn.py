@@ -2,10 +2,12 @@
 
 All variants map an n x d feature matrix to n x d, so they are drop-in
 interchangeable. They read one ``GraphBatch``, the batch's layout and its
-symmetrized arrows, and aggregate through one sparse product,
-``ad.sparse_matmul``: GCN and SAGE by a fixed operator, GAT by the edge
-pattern filled with per-edge scores softmax-normalized over each node's
-incoming edges. The final layer computes only the readout rows: every
+symmetrized arrows. GCN and SAGE aggregate through one sparse product by a
+fixed operator, ``ad.sparse_matmul``. Every GAT head reads the same input,
+so a GAT layer makes one projection, one score product for all its heads
+and one ``ad.edge_attention`` op, which softmax-normalizes each head's
+per-edge scores over each node's incoming edges and aggregates through the
+edge pattern. The final layer computes only the readout rows: every
 variant takes the readout rows of its CSR matrix, a row slice that keeps
 each row's edges in graph order, and GAT's final heads aggregate before
 they project. Edge direction is preserved upstream for edge
@@ -14,7 +16,7 @@ reconstruction. Layers carry no bias terms.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +33,11 @@ if TYPE_CHECKING:
 
 VARIANTS = ("gcn", "gat", "sage")
 ACTIVATIONS = {"relu": ad.relu, "leaky_relu": ad.leaky_relu}
+# GAT's score product has at least this many columns, zero-padded: OpenBLAS
+# rounds a row of a product with fewer the same way only at the same
+# position in a product of about the same size, so a query's vector would
+# depend on its chunk (4 columns fixed the position, 8 the size too)
+SCORE_WIDTH = 8
 
 
 def head_widths(dim: int, heads: int) -> list[int]:
@@ -132,27 +139,40 @@ def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None,
     return activation(out) if activation is not None else out
 
 
-def gat_head(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray, W: Tensor,
-             a_src: Tensor, a_dst: Tensor, readout: np.ndarray | None = None,
-             alpha: float = 0.2) -> tuple[Tensor, np.ndarray]:
-    """One attention head over a CSR edge pattern: entry e, in row dst[e]
-    and column j, is an edge j -> i, i being that row's node (node
-    readout[row] if given), that scores leaky_relu(a^T [Wx_i ++ Wx_j]),
-    softmax-normalized over its row. Returns (the attention-weighted sums
-    of XW, one per ``pattern`` row, and per-entry attention in ``pattern``
-    order)."""
-    if readout is None:  # project every node, then aggregate
-        h = ad.matmul(X, W)
-        s_dst, s_src = ad.matmul(h, a_src), ad.matmul(h, a_dst)
-    else:  # aggregate, then project the readout rows: (A X) W = A (X W)
-        h = X
-        s_dst = ad.matmul(ad.gather_rows(X, readout), ad.matmul(W, a_src))
-        s_src = ad.matmul(X, ad.matmul(W, a_dst))
-    scores = ad.add(ad.gather_rows(s_dst, dst),
-                    ad.gather_rows(s_src, pattern.indices))
-    att = ad.segment_softmax(ad.leaky_relu(scores, alpha), pattern.indptr)
-    out = ad.sparse_matmul(pattern, h, att)
-    return (out if readout is None else ad.matmul(out, W)), att.values[:, 0]
+def gat_layer(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
+              W: list[Tensor], a_src: list[Tensor], a_dst: list[Tensor],
+              activation=None, final: bool = False) -> tuple[Tensor, np.ndarray]:
+    """One multi-head GAT layer over a CSR edge pattern: entry e, in column
+    j, is an edge j -> i into its row, whose node i is row dst[e] of X.
+    Head k scores it leaky_relu(a^T [W_k x_i ++ W_k x_j]), a being
+    [a_src[k]; a_dst[k]], softmax-normalized over the row.
+
+    Every head reads X, so the layer makes one projection and one score
+    product of max(SCORE_WIDTH, 2 heads) columns, head k's in columns 2k
+    (x_i's score) and 2k + 1 (x_j's); ``ad.edge_attention`` then runs the
+    heads. A hidden layer projects H = X [W_0 ... W_{h-1}], scores H and
+    concatenates its heads' sums of their blocks of H. A final one, whose
+    pattern rows are the readout rows, scores X [W_k a ...], aggregates X
+    per head and projects only the sums: [agg_0 ... agg_{h-1}]
+    [W_0; ...; W_{h-1}] / heads, as (A X) W = A (X W). Returns (the
+    layer's output and the head-mean attention per entry)."""
+    heads = len(W)
+    pairs = list(zip(a_src, a_dst))
+    if final:
+        h, blocks = X, [slice(None)] * heads
+        vectors = [ad.matmul(Wk, a) for Wk, pair in zip(W, pairs) for a in pair]
+        corners = [(0, c) for c in range(2 * heads)]
+    else:
+        h = ad.matmul(X, ad.concat_cols(W))
+        ends = np.cumsum([Wk.shape[1] for Wk in W]).tolist()
+        blocks = [slice(end - Wk.shape[1], end) for Wk, end in zip(W, ends)]
+        vectors = [a for pair in pairs for a in pair]
+        corners = [(blocks[c // 2].start, c) for c in range(2 * heads)]
+    A = ad.place_blocks(vectors, corners, (h.shape[1], max(SCORE_WIDTH, 2 * heads)))
+    out, att = ad.edge_attention(h, ad.matmul(h, A), pattern, dst, blocks)
+    if final:
+        out = ad.scale(ad.matmul(out, ad.concat_rows(W)), 1.0 / heads)
+    return (activation(out) if activation is not None else out), np.mean(att, axis=0)
 
 
 class GraphEncoder:
@@ -165,6 +185,8 @@ class GraphEncoder:
     so it computes only those: hidden layers run over every node, the final
     one over the readout rows of the batch's CSR matrix for the variant
     (GAT's heads aggregate into those rows, then project only the sums).
+    A GAT layer's heads keep their own parameters, ``l{layer}_h{k}_w``,
+    ``_asrc`` and ``_adst``, joined at use (see ``gat_layer``).
     ``last_attention`` holds each GAT layer's head-mean attention, the final
     entry over those edges alone.
     """
@@ -222,18 +244,13 @@ class GraphEncoder:
                 H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
                                readout if final else None)
             else:
-                dst = (np.repeat(np.arange(len(readout)), np.diff(op.indptr))
-                       if final else graph.dst)
-                heads = [gat_head(H, op, dst,
-                                  *(self.params[f"l{layer}_h{h}_{k}"]
-                                    for k in ("w", "asrc", "adst")),
-                                  readout if final else None)
-                         for h in range(cfg.heads)]
-                self.last_attention.append(np.mean([a for _, a in heads], axis=0))
-                outs = [out for out, _ in heads]
-                # hidden layers concatenate their heads, the final one averages
-                H = (ad.scale(reduce(ad.add, outs), 1.0 / cfg.heads) if final
-                     else activation(ad.concat_cols(outs)))
+                # the final layer's entries point into the readout rows
+                dst = np.repeat(readout, np.diff(op.indptr)) if final else graph.dst
+                H, attention = gat_layer(
+                    H, op, dst, *([self.params[f"l{layer}_h{h}_{k}"]
+                                   for h in range(cfg.heads)]
+                                  for k in ("w", "asrc", "adst")), act, final)
+                self.last_attention.append(attention)
 
         return ad.add(H, ad.gather_rows(X, readout))
 

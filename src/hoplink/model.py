@@ -148,7 +148,12 @@ class KgcModel:
                 for h, seed in zip(heads.tolist(), seeds)]
         H = self.text.encode_heads(*self.text_ids(kg).heads(heads, relations))
 
-        golds = np.asarray(golds, dtype=np.int64)
+        golds = np.asarray(golds)
+        # np.asarray(()) is float64, so only non-empty golds must be integer
+        if golds.ndim != 1 or (golds.size and golds.dtype.kind not in "iu"):
+            raise ShapeError(f"{golds.dtype} golds {golds.shape}: need a flat "
+                             f"sequence of integer entity ids")
+        golds = golds.astype(np.int64, copy=False)
         read = np.concatenate([*(sub.nodes[1:] for sub in subs), golds])
         num_neighbors = len(read) - len(golds)
         ids, rows = np.unique(read, return_inverse=True)

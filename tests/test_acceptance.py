@@ -127,6 +127,8 @@ def primitive_cases() -> list[tuple[str, object, np.ndarray]]:
                         shape=(3, 3))
     bag_values = ad.constant([[0.6], [-1.3], [2.1], [0.4]])
     s = np.array([1.7])
+    graph = GraphBatch(np.argwhere(small_graph() > 0), [5])
+    cut = graph.readout_rows(graph.pattern, np.array([3, 0, 3]))
     return [
         ("matmul", lambda x: ad.sum_all(ad.matmul(x, c43)), m34),
         ("sparse_matmul(x)",
@@ -194,6 +196,27 @@ def primitive_cases() -> list[tuple[str, object, np.ndarray]]:
         ("l2_normalize_rows",
          lambda x: ad.sum_all(ad.hadamard(ad.l2_normalize_rows(x), c34)),
          pos),
+        # x feeds both parts, so every part's window is checked
+        ("place_blocks",
+         lambda x: ad.sum_all(ad.hadamard(
+             ad.place_blocks([x, ad.scale(x, -1.5)], [(0, 0), (2, 3)], (4, 6)),
+             ad.constant(np.arange(24.).reshape(4, 6) / 10))),
+         rng.normal(size=(2, 3))),
+        # two heads over blocks of x on a 5-node graph's edges ...
+        ("edge_attention(x)",
+         lambda x, s=ad.constant(rng.normal(size=(5, 8))): ad.sum_all(
+             ad.hadamard(ad.edge_attention(x, s, graph.pattern, graph.dst,
+                                           [slice(0, 1), slice(1, 4)])[0],
+                         ad.constant(np.arange(20.).reshape(5, 4) / 10))),
+         rng.normal(size=(5, 4))),
+        # ... and three heads that share x, over the edges into rows 3, 0, 3
+        ("edge_attention(scores)",
+         lambda s, x=ad.constant(rng.normal(size=(5, 2))): ad.sum_all(
+             ad.hadamard(ad.edge_attention(
+                 x, s, cut, np.repeat([3, 0, 3], np.diff(cut.indptr)),
+                 [slice(None)] * 3)[0],
+                 ad.constant(np.arange(18.).reshape(3, 6) / 10))),
+         rng.normal(size=(5, 6))),
     ]
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hoplink.autodiff as ad
 from hoplink import evaluation
@@ -84,6 +86,37 @@ class TestFilteredRank:
         assert batched.tolist() == [rank_one(row, g, k) for row, g, k
                                     in zip(scores, golds, known)]
         assert batched[3] == 12 - len(set(known[3]) - {golds[3]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), b=st.integers(1, 6), E=st.integers(1, 9))
+    def test_count_matches_the_exclusion_mask_oracle(self, data, b, E):
+        # few distinct levels, so ties, NaN golds and NaN rivals are common
+        levels = st.sampled_from([-1.0, 0.0, 0.5, 1.0, np.nan])
+        scores = np.array(data.draw(st.lists(
+            st.lists(levels, min_size=E, max_size=E), min_size=b, max_size=b)))
+        golds = data.draw(st.lists(st.integers(0, E - 1), min_size=b, max_size=b))
+        known = [data.draw(st.sets(st.integers(0, E - 1), max_size=E))
+                 for _ in range(b)]
+        tails, counts = flat_tails(known)
+        np.testing.assert_array_equal(
+            filtered_rank(scores, golds, tails, counts),
+            mask_rank(scores, golds, tails, counts), strict=True)
+
+    def test_nan_gold_ranks_first_and_nan_rivals_never_beat_it(self):
+        scores = np.array([[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5]])
+        ranks = filtered_rank(scores, [0, 0], *flat_tails([{0, 2}, {1}]))
+        assert ranks.tolist() == [1, 2]
+
+
+def mask_rank(scores, golds, tails, counts):
+    """filtered_rank as a (b x E) exclusion mask: the formulation it
+    replaced, kept as its oracle."""
+    rows = np.arange(len(golds))
+    excluded = np.zeros(scores.shape, dtype=bool)
+    excluded[np.repeat(rows, counts), tails] = True
+    excluded[rows, golds] = True  # the gold is never its own rival
+    gold_scores = scores[rows, golds]
+    return 1 + np.sum((scores >= gold_scores[:, None]) & ~excluded, axis=1)
 
 
 class TestQueryScores:

@@ -11,8 +11,8 @@ from hoplink import autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor
 from hoplink.gnn import (
     GraphBatch,
+    SCORE_WIDTH,
     GraphEncoder,
-    gat_head,
     gcn_layer,
     head_widths,
     sage_layer,
@@ -262,8 +262,13 @@ class TestEdgeIndexMatchesDenseOracle:
         products = [(parents[0].shape[0], parents[1].shape[1])
                     for _, parents, rule in records[start:]
                     if rule.__qualname__ == "matmul.<locals>.rule"]
-        assert any(cols >= 2 for _, cols in products)
-        assert all(rows <= len(readout) for rows, cols in products
+        # the one exemption: the score product of every head, recognised by
+        # its fixed width, reads every stacked row
+        width = max(SCORE_WIDTH, 2 * enc.config.heads)
+        assert [rows for rows, cols in products if cols == width] == [len(A)]
+        others = [(rows, cols) for rows, cols in products if cols != width]
+        assert any(cols >= 2 for _, cols in others)
+        assert all(rows <= len(readout) for rows, cols in others
                    if cols >= 2), products
 
     def test_self_loop_arrow_weighs_twice_in_gcn(self):
@@ -364,41 +369,136 @@ def dense_attention(graph, att):
     return out
 
 
-class TestGatHead:
+def one_head(X, graph, W, a_src, a_dst, alpha=0.2):
+    """A single GAT head through ``ad.edge_attention``: H = XW scored by
+    H [a_src a_dst], zero-padded to the score width."""
+    h = ad.matmul(X, W)
+    A = ad.place_blocks([a_src, a_dst], [(0, 0), (0, 1)],
+                        (W.shape[1], SCORE_WIDTH))
+    out, att = ad.edge_attention(h, ad.matmul(h, A), graph.pattern, graph.dst,
+                                 [slice(None)], alpha)
+    return out, att[0]
+
+
+class TestEdgeAttention:
     def test_single_node_attends_to_itself(self):
         rng = np.random.default_rng(4)
         X = Tensor(rng.normal(size=(1, 4)))
         W = Tensor(rng.normal(size=(4, 4)))
-        graph = graph_of(np.zeros((1, 1)))
-        out, att = gat_head(X, graph.pattern, graph.dst, W,
-                            Tensor(rng.normal(size=(4, 1))),
-                            Tensor(rng.normal(size=(4, 1))))
-        np.testing.assert_allclose(att, [1.0])
-        np.testing.assert_allclose(out.values, X.values @ W.values)
+        a = Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=(4, 1)))
+        out, att = one_head(X, graph_of(np.zeros((1, 1))), W, *a)
+        ref_out, _ = dense_gat_head(X, np.zeros((1, 1)), W, *a)
+        np.testing.assert_array_equal(att, [1.0])
+        np.testing.assert_allclose(out.values, ref_out.values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.values, X.values @ W.values, rtol=1e-12, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        graph = graph_of(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-        _, att = gat_head(Tensor(rng.normal(size=(3, 4))), graph.pattern,
-                          graph.dst,
-                          Tensor(rng.normal(size=(4, 4))),
-                          Tensor(rng.normal(size=(4, 1))),
-                          Tensor(rng.normal(size=(4, 1))))
+        A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        graph = graph_of(A)
+        args = (Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 4))),
+                Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=(4, 1))))
+        _, att = one_head(args[0], graph, *args[1:])
+        _, ref_att = dense_gat_head(args[0], A, *args[1:])
         dense = dense_attention(graph, att)
-        np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(dense, ref_att, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(dense[0, 2], 0.0)
 
     def test_matches_dense_reference_on_path_graph(self):
+        self.assert_heads_match_dense_reference([5])
+
+    @pytest.mark.parametrize("widths", [[2, 3], [3, 2, 2]])
+    def test_heads_side_by_side_match_dense_reference(self, widths):
+        self.assert_heads_match_dense_reference(widths)
+
+    @staticmethod
+    def assert_heads_match_dense_reference(widths):
+        # heads side by side over their blocks of one projection, in values,
+        # attention and every input's gradient
         rng = np.random.default_rng(6)
-        A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], float)
-        X, W = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(5, 5)))
-        a_src = Tensor(rng.normal(size=(5, 1)))
-        a_dst = Tensor(rng.normal(size=(5, 1)))
+        A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]], float)
         graph = graph_of(A)
-        out, att = gat_head(X, graph.pattern, graph.dst, W, a_src, a_dst)
-        ref_out, ref_att = dense_gat_head(X, A, W, a_src, a_dst)
-        np.testing.assert_allclose(out.values, ref_out.values, atol=1e-9)
-        np.testing.assert_allclose(dense_attention(graph, att), ref_att, atol=1e-9)
+        X0 = rng.normal(size=(4, 5))
+        W = [ad.parameter(rng.normal(size=(5, w))) for w in widths]
+        a = [ad.parameter(rng.normal(size=(w, 1))) for w in widths for _ in "sd"]
+        weights = rng.normal(size=(4, sum(widths)))
+        ends = np.cumsum(widths)
+        blocks = [slice(e - w, e) for w, e in zip(widths, ends)]
+        attention = {}
+
+        def fused(X):
+            h = ad.matmul(X, ad.concat_cols(W))
+            out, att = ad.edge_attention(
+                h, ad.matmul(h, ad.place_blocks(
+                    a, [(b.start, 2 * k + c) for k, b in enumerate(blocks)
+                        for c in (0, 1)], (sum(widths), SCORE_WIDTH))),
+                graph.pattern, graph.dst, blocks)
+            attention["got"] = [dense_attention(graph, x) for x in att]
+            return out
+
+        def dense(X):
+            heads = [dense_gat_head(X, A, Wk, a[2 * k], a[2 * k + 1])
+                     for k, Wk in enumerate(W)]
+            attention["want"] = [att for _, att in heads]
+            return ad.concat_cols([out for out, _ in heads])
+
+        got = value_and_grads(fused, X0, weights, W + a)
+        want = value_and_grads(dense, X0, weights, W + a)
+        for g, w in zip(got + attention["got"], want + attention["want"]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    def test_gradients_do_not_depend_on_the_gather_chunk(self, monkeypatch,
+                                                         cells):
+        # the backward gathers a few entries at a time; every chunking,
+        # partial last chunk included, gives the one-chunk bits
+        A, graph, offsets = stacked_batch([(5, [(0, 0, 1), (1, 0, 2), (3, 0, 0)]),
+                                           (4, [(0, 0, 3), (2, 0, 1)])])
+        enc = encoder("gat", dim=7, layers=2, heads=3)
+        X0 = np.random.default_rng(7).normal(size=(len(A), 7))
+        weights = np.random.default_rng(8).normal(size=(len(offsets), 7))
+        params = list(enc.params.values())
+
+        def grads():
+            return value_and_grads(lambda X: enc.encode(X, graph, offsets),
+                                   X0, weights, params)
+
+        want = grads()
+        monkeypatch.setattr(ad, "GATHER_CELLS", cells)
+        for got, w in zip(grads(), want):
+            np.testing.assert_array_equal(got, w)
+
+    def test_malformed_inputs_rejected(self):
+        graph = graph_of(np.array([[0, 1], [0, 0]]))
+        x, s = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 8)))
+        nnz = graph.pattern.nnz
+        for args in [(Tensor(np.ones((3, 3))), s, graph.dst),
+                     (x, Tensor(np.zeros((2, 3))), graph.dst),
+                     (x, s, graph.dst[:-1]),
+                     (x, s, graph.dst.astype(float)),
+                     (x, s, np.full(nnz, 2))]:
+            with pytest.raises(ShapeError):
+                ad.edge_attention(args[0], args[1], graph.pattern, args[2],
+                                  [slice(0, 1), slice(1, 3)])
+
+
+class TestPlaceBlocks:
+    def test_places_parts_in_a_zero_matrix(self):
+        got = ad.place_blocks([Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0]])],
+                              [(1, 0), (0, 2)], (3, 4)).values
+        np.testing.assert_array_equal(got, [[0, 0, 3, 4], [1, 0, 0, 0],
+                                            [2, 0, 0, 0]])
+
+    @pytest.mark.parametrize("corners", [[(2, 0)], [(0, 4)], [(-1, 0)]])
+    def test_part_outside_rejected(self, corners):
+        with pytest.raises(ShapeError, match="does not fit"):
+            ad.place_blocks([Tensor(np.ones((2, 1)))], corners, (3, 4))
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ShapeError, match="overlaps"):
+            ad.place_blocks([Tensor(np.ones((2, 2))), Tensor(np.ones((1, 1)))],
+                            [(0, 0), (1, 1)], (3, 3))
 
 
 class TestSageLayer:

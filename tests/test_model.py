@@ -11,6 +11,7 @@ from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
     queries_both_directions,
+    query_columns,
 )
 from hoplink.model import (
     LOG_MAX_INV_TAU,
@@ -111,6 +112,32 @@ class TestQueryEncoding:
         assert batch.shape == (40, 12)
         assert np.max(np.abs(batch - single)) <= 1e-12
 
+    @pytest.mark.parametrize("encoder, heads, k, dim", [
+        ("gat", 1, 1, 16), ("gat", 2, 1, 32), ("gat", 3, 1, 64),
+        ("gat", 1, 2, 24), ("gat", 2, 2, 32), ("gat", 3, 2, 48),
+        ("gcn", 1, 2, 32), ("sage", 1, 2, 32)])
+    def test_a_query_vector_does_not_depend_on_its_chunk(self, encoder, heads,
+                                                         k, dim):
+        # a query's vector is the same bit for bit in overlapping, shifted
+        # chunks of 2 to 60 queries (a one-query chunk takes BLAS's one-row
+        # kernel for its final projection, so it is left out)
+        kg = KnowledgeGraph.build(*generate_synthetic_kg(0))
+        model = make_model(kg, encoder=encoder, heads=heads, k=k, dim=dim,
+                           seed=4)
+        rows = query_columns(kg, "train")[:60, :2]
+        seeds = [eval_neighborhood_seed(3, "train", i) for i in range(len(rows))]
+        with ad.no_grad():
+            want = model.encode_queries(kg, rows, seeds).e_hr.values
+            for size in (2, 7, 23):
+                for shift in range(0, size, max(1, size // 3)):
+                    for start in range(shift, len(rows) - 1, size):
+                        stop = min(start + size, len(rows))
+                        got = model.encode_queries(kg, rows[start:stop],
+                                                   seeds[start:stop])
+                        np.testing.assert_array_equal(
+                            got.e_hr.values, want[start:stop],
+                            err_msg=f"rows {start}-{stop - 1}")
+
     def test_block_layout_heads_first(self, chain_kg):
         model = make_model(chain_kg)
         pairs = [(0, 0), (3, 1)]
@@ -162,6 +189,20 @@ class TestQueryEncoding:
         for queries in (np.array([[0.0, 0.0], [1.0, 0.0]]), [(0.9, 0), (1, 0)]):
             with pytest.raises(ShapeError, match="ints"):
                 model.encode_queries(chain_kg, queries, [1, 2])
+
+    def test_golds_must_be_integer_entity_ids(self, chain_kg):
+        # a float or bool gold would be read as another entity, not rejected
+        model = make_model(chain_kg)
+        with ad.no_grad():
+            for golds in ([1.9], [True], np.array([1.0]), [[1]]):
+                with pytest.raises(ShapeError, match="golds"):
+                    model.encode_queries(chain_kg, [(0, 0)], [1], golds=golds)
+            want = model.encode_queries(chain_kg, [(0, 0)], [1], golds=[1, 3])
+            for dtype in (np.int32, np.uint8):
+                got = model.encode_queries(chain_kg, [(0, 0)], [1],
+                                           golds=np.array([1, 3], dtype=dtype))
+                np.testing.assert_array_equal(got.gold.values, want.gold.values)
+            assert model.encode_queries(chain_kg, [(0, 0)], [1], golds=[]).gold is None
 
     def test_an_array_of_rows_encodes_as_the_list_of_pairs(self, chain_kg):
         model = make_model(chain_kg)
