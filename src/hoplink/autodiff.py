@@ -5,13 +5,11 @@ Ops execute eagerly on numpy and record themselves on a thread-local tape
 gradients at fan-out points, and stores gradients on leaves only: an op
 output's gradient is dropped once its backward rule has used it.
 Everything is double precision so gradient checks stay sharp; graph
-structure enters as constant sparse matrices, whose entries
-``sparse_matmul`` can take from a tensor, as the edge patterns of
-``edge_attention``, and as the index runs of ``segment_softmax`` and the
-sequence lengths of ``sequence_attention``. Sparse products, and the
-scatter behind ``gather_rows``' gradient, run scipy's compiled CSR/CSC
-kernels on the operator's own arrays, so no op builds a sparse matrix of
-its own.
+structure enters as constant sparse matrices, as the edge patterns of
+``edge_attention`` and as the sequence lengths of ``sequence_attention``.
+Sparse products, and the scatter behind ``gather_rows``' gradient, run
+scipy's compiled CSR/CSC kernels on the operator's own arrays, so no op
+builds a sparse matrix of its own.
 
 Each thread has an ambient default tape; scoped work (one training batch,
 one finite-difference probe) should run under ``with Tape():`` so records
@@ -250,35 +248,15 @@ def _csr_product(indptr: Array, indices: Array, data: Array, shape: tuple[int, i
     return out
 
 
-def sparse_matmul(a: sp.spmatrix, x: Tensor, values: Optional[Tensor] = None) -> Tensor:
-    """``a @ x`` for a constant sparse matrix ``a``.
-
-    Given ``values``, an (nnz, 1) tensor in ``a``'s CSR entry order, its
-    entries replace ``a``'s, so ``a`` carries only the sparsity pattern and
-    entry e's gradient is g[row(e)] . x[col(e)]. Otherwise gradients flow to
-    ``x`` alone. Both directions run scipy's CSR/CSC kernels on ``a``'s
-    arrays (with ``values`` as its entries), as ``csr @ x`` and
-    ``csr.T @ g`` would, without building a matrix.
-    """
+def sparse_matmul(a: sp.spmatrix, x: Tensor) -> Tensor:
+    """``a @ x`` for a constant sparse matrix ``a``, both ways on scipy's
+    CSR/CSC kernels over ``a``'s arrays (as ``csr @ x``, ``csr.T @ g``)."""
     csr = a.tocsr()
     if x.values.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {csr.shape} @ {x.shape}")
-    data = csr.data
-    if values is not None:
-        if values.shape != (csr.nnz, 1):
-            raise ShapeError(f"sparse_matmul values must be ({csr.nnz}, 1), got {values.shape}")
-        data = values.values[:, 0]
-    arrays = (csr.indptr, csr.indices, data, csr.shape)
-    xv = x.values
-
-    def rule(g: Array):
-        dx = _csr_product(*arrays, g, transpose=True)
-        if values is None:
-            return (dx,)
-        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-        return dx, np.einsum("ij,ij->i", g[rows], xv[csr.indices])[:, None]
-
-    return _apply(_csr_product(*arrays, xv), (x,) if values is None else (x, values), rule)
+    arrays = (csr.indptr, csr.indices, csr.data, csr.shape)
+    return _apply(_csr_product(*arrays, x.values), (x,),
+                  lambda g: (_csr_product(*arrays, g, transpose=True),))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -453,6 +431,8 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _apply(x.values[idx], (x,), rule)
 
 
+# softmax within each run of counts[k] rows from starts[k] (none empty),
+# stabilized by the run's maximum, and its backward
 def _segment_softmax(x: Array, starts: Array, counts: Array) -> Array:
     e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), counts, axis=0))
     return e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)
@@ -460,46 +440,6 @@ def _segment_softmax(x: Array, starts: Array, counts: Array) -> Array:
 
 def _segment_softmax_grad(y: Array, g: Array, starts: Array, counts: Array) -> Array:
     return y * (g - np.repeat(np.add.reduceat(g * y, starts), counts, axis=0))
-
-
-def segment_softmax(x: Tensor, indptr) -> Tensor:
-    """Softmax within each contiguous run of an (m, 1) column, stabilized
-    by the run's maximum. Run k is rows indptr[k] to indptr[k + 1] - 1, as
-    in a CSR matrix, and must not be empty."""
-    ptr = np.asarray(indptr, dtype=np.int64)
-    counts = np.diff(ptr)
-    if x.values.ndim != 2 or x.shape[1] != 1:
-        raise ShapeError(f"segment_softmax expects an (m, 1) column, got {x.shape}")
-    if (ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0 or ptr[-1] != x.shape[0]
-            or counts.min() < 1):
-        raise ShapeError(f"segment_softmax: indptr must rise strictly from 0 to {x.shape[0]} rows")
-    starts = ptr[:-1]
-    y = _segment_softmax(x.values, starts, counts)
-    return _apply(y, (x,), lambda g: (_segment_softmax_grad(y, g, starts, counts),))
-
-
-def place_blocks(parts: Sequence[Tensor], corners: Sequence[tuple[int, int]],
-                 shape: tuple[int, int]) -> Tensor:
-    """A zero matrix of ``shape`` with each 2-d part copied in with its
-    top-left entry at its (row, column) corner. Parts must fit and must not
-    overlap; each one's gradient is its window of the upstream gradient."""
-    if len(parts) != len(corners):
-        raise ShapeError(f"place_blocks: {len(parts)} parts for {len(corners)} corners")
-    out = np.zeros(shape)
-    filled = np.zeros(shape, dtype=bool)
-    windows = []
-    for p, (r, c) in zip(parts, corners):
-        if p.values.ndim != 2 or min(r, c) < 0 or r + p.shape[0] > shape[0] \
-                or c + p.shape[1] > shape[1]:
-            raise ShapeError(f"place_blocks: a {p.shape} part at ({r}, {c}) "
-                             f"does not fit in {tuple(shape)}")
-        window = (slice(r, r + p.shape[0]), slice(c, c + p.shape[1]))
-        if filled[window].any():
-            raise ShapeError(f"place_blocks: the part at ({r}, {c}) overlaps another")
-        filled[window] = True
-        out[window] = p.values
-        windows.append(window)
-    return _apply(out, tuple(parts), lambda g: tuple(g[w].copy() for w in windows))
 
 
 # edge_attention's backward gathers the rows of g and x that meet at each

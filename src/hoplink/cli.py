@@ -268,6 +268,11 @@ def resolve_name(label: str, table: dict[str, int], what: str) -> int:
     raise CliError(f"unknown {what} {label!r}{hint}")
 
 
+# explain orders GAT neighbors by attention to this many decimals, so that
+# weights equal in exact arithmetic tie and go by row
+ATTENTION_DECIMALS = 12
+
+
 def neighbor_order(model: KgcModel, batch, kg: KnowledgeGraph) -> list[int]:
     """Neighbor display order: attention weight from the head (row 0) when
     the encoder produces one, otherwise hop then degree."""
@@ -278,7 +283,8 @@ def neighbor_order(model: KgcModel, batch, kg: KnowledgeGraph) -> list[int]:
         # head row 0's first
         into_head = slice(batch.graph.indptr[1])
         att = dict(zip(batch.graph.src[into_head].tolist(),
-                       model.gnn.last_attention[-1][into_head].tolist()))
+                       np.round(model.gnn.last_attention[-1][into_head],
+                                ATTENTION_DECIMALS).tolist()))
         return sorted(indices, key=lambda i: (-att.get(i, 0.0), i))
     return sorted(indices,
                   key=lambda i: (int(sub.hop_of[i]),

@@ -139,6 +139,14 @@ def sage_layer(X: Tensor, M: sp.spmatrix, W: Tensor, activation=None,
     return activation(out) if activation is not None else out
 
 
+def _score_block(parts: list[Tensor], first: int, width: int) -> Tensor:
+    """``parts`` side by side from column ``first`` of a zero matrix
+    ``width`` columns wide (zero-width pads left out)."""
+    rows, used = parts[0].shape[0], sum(p.shape[1] for p in parts)
+    pads = [ad.constant(np.zeros((rows, c))) for c in (first, width - first - used)]
+    return ad.concat_cols([p for p in (pads[0], *parts, pads[1]) if p.shape[1]])
+
+
 def gat_layer(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
               W: list[Tensor], a_src: list[Tensor], a_dst: list[Tensor],
               activation=None, final: bool = False) -> tuple[Tensor, np.ndarray]:
@@ -148,27 +156,27 @@ def gat_layer(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
     [a_src[k]; a_dst[k]], softmax-normalized over the row.
 
     Every head reads X, so the layer makes one projection and one score
-    product of max(SCORE_WIDTH, 2 heads) columns, head k's in columns 2k
-    (x_i's score) and 2k + 1 (x_j's); ``ad.edge_attention`` then runs the
-    heads. A hidden layer projects H = X [W_0 ... W_{h-1}], scores H and
-    concatenates its heads' sums of their blocks of H. A final one, whose
-    pattern rows are the readout rows, scores X [W_k a ...], aggregates X
-    per head and projects only the sums: [agg_0 ... agg_{h-1}]
+    product by a zero-padded A of max(SCORE_WIDTH, 2 heads) columns, head
+    k's in columns 2k (x_i's score) and 2k + 1 (x_j's); ``ad.edge_attention``
+    then runs the heads. A hidden layer projects H = X [W_0 ... W_{h-1}],
+    scores H (A stacks a row block per head, [a_src[k], a_dst[k]] at column
+    2k) and concatenates its heads' sums of their blocks of H. A final one,
+    whose pattern rows are the readout rows, scores X by A = [W_k a ...],
+    aggregates X per head and projects only the sums: [agg_0 ... agg_{h-1}]
     [W_0; ...; W_{h-1}] / heads, as (A X) W = A (X W). Returns (the
     layer's output and the head-mean attention per entry)."""
     heads = len(W)
-    pairs = list(zip(a_src, a_dst))
+    width = max(SCORE_WIDTH, 2 * heads)
     if final:
         h, blocks = X, [slice(None)] * heads
-        vectors = [ad.matmul(Wk, a) for Wk, pair in zip(W, pairs) for a in pair]
-        corners = [(0, c) for c in range(2 * heads)]
+        A = _score_block([ad.matmul(Wk, a) for k, Wk in enumerate(W)
+                          for a in (a_src[k], a_dst[k])], 0, width)
     else:
         h = ad.matmul(X, ad.concat_cols(W))
         ends = np.cumsum([Wk.shape[1] for Wk in W]).tolist()
         blocks = [slice(end - Wk.shape[1], end) for Wk, end in zip(W, ends)]
-        vectors = [a for pair in pairs for a in pair]
-        corners = [(blocks[c // 2].start, c) for c in range(2 * heads)]
-    A = ad.place_blocks(vectors, corners, (h.shape[1], max(SCORE_WIDTH, 2 * heads)))
+        A = ad.concat_rows([_score_block([a_src[k], a_dst[k]], 2 * k, width)
+                            for k in range(heads)])
     out, att = ad.edge_attention(h, ad.matmul(h, A), pattern, dst, blocks)
     if final:
         out = ad.scale(ad.matmul(out, ad.concat_rows(W)), 1.0 / heads)

@@ -144,6 +144,10 @@ class KgcModel:
             raise ShapeError(f"{pairs.dtype} queries {pairs.shape} for {len(seeds)} seeds: "
                              f"need ({len(seeds)}, 2) ints")
         heads, relations = pairs.T
+        # heads are checked by the sampler; a relation id would index text
+        unknown = (relations < 0) | (relations >= len(kg.relation_labels))
+        if unknown.any():
+            raise KeyError(f"unknown relation id {relations[unknown][0]}")
         subs = [khop_neighborhood(kg, h, self.config.k, self.config.cap_per_hop, seed)
                 for h, seed in zip(heads.tolist(), seeds)]
         H = self.text.encode_heads(*self.text_ids(kg).heads(heads, relations))

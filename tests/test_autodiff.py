@@ -175,35 +175,6 @@ class TestSoftmax:
             ad.sequence_attention(x, x, Tensor(np.zeros((3, 2))), [3], 1)
 
 
-class TestSegmentPrimitives:
-    def test_segment_softmax_normalizes_each_run(self):
-        x = np.array([[5.0], [1.0], [1.0], [0.3], [-2.0]])
-        out = ad.segment_softmax(Tensor(x), [0, 1, 3, 5]).values
-        np.testing.assert_allclose(out[:3], [[1.0], [0.5], [0.5]])
-        e = np.exp(x[3:] - x[3:].max())
-        np.testing.assert_allclose(out[3:], e / e.sum(), atol=1e-15)
-
-    def test_segment_softmax_gradient(self):
-        rng = np.random.default_rng(6)
-        x = parameter(rng.normal(size=(7, 1)))
-        w = Tensor(rng.normal(size=(7, 1)))
-        assert finite_diff_check(lambda t: ad.sum_all(ad.hadamard(
-            ad.segment_softmax(t, [0, 3, 4, 7]), w)), x) < 1e-5
-
-    def test_empty_run_rejected(self):
-        # like a fully masked softmax row, an empty run has nothing to weigh
-        with pytest.raises(ShapeError, match="strictly"):
-            ad.segment_softmax(Tensor([[1.0], [2.0]]), [0, 1, 1, 2])
-
-    def test_bad_indptr_rejected(self):
-        x = Tensor(np.zeros((3, 1)))
-        for indptr in ([0, 2], [1, 3], [0, 2, 1, 3], [0]):
-            with pytest.raises(ShapeError):
-                ad.segment_softmax(x, indptr)
-        with pytest.raises(ShapeError):
-            ad.segment_softmax(Tensor(np.zeros((3, 2))), [0, 3])
-
-
 class TestSparseMatmul:
     # row 0 holds entries 0-2 and row 1 entry 3, in columns out of order
     pattern = sp.csr_matrix((np.ones(4), [0, 1, 3, 2], [0, 3, 4]), shape=(2, 4))
@@ -217,13 +188,6 @@ class TestSparseMatmul:
         assert finite_diff_check(
             lambda t: ad.sum_all(ad.sparse_matmul(bag, t)), e) < 1e-5
 
-    def test_values_replace_the_entries(self):
-        x = Tensor(np.arange(8.0).reshape(4, 2))
-        values = Tensor([[2.0], [-1.0], [0.5], [3.0]])
-        out = ad.sparse_matmul(self.pattern, x, values)
-        np.testing.assert_array_equal(out.values, [[2 * 0 - 2 + 0.5 * 6, 2 * 1 - 3 + 0.5 * 7],
-                                                   [3 * 4, 3 * 5]])
-
     def test_gradient_is_the_transpose_product(self):
         # sums over the row runs [0, 3) and [3, 4)
         runs = sp.csr_matrix((np.ones(4), [0, 1, 2, 3], [0, 3, 4]), shape=(2, 4))
@@ -233,30 +197,9 @@ class TestSparseMatmul:
             backward(ad.sum_all(ad.hadamard(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
         np.testing.assert_array_equal(x.grad, [[1, 2], [1, 2], [1, 2], [3, 4]])
 
-    def test_values_gradient_pairs_g_rows_with_x_rows(self):
-        rng = np.random.default_rng(15)
-        x = parameter(rng.normal(size=(4, 3)))
-        values = parameter(rng.normal(size=(4, 1)))
-        g = rng.normal(size=(2, 3))
-        with Tape():
-            backward(ad.sum_all(ad.hadamard(
-                ad.sparse_matmul(self.pattern, x, values), Tensor(g))))
-        rows, cols = [0, 0, 0, 1], [0, 1, 3, 2]
-        np.testing.assert_allclose(values.grad[:, 0],
-                                   (g[rows] * x.values[cols]).sum(axis=1), atol=1e-15)
-        dense = np.zeros((2, 4))
-        dense[rows, cols] = values.values[:, 0]
-        np.testing.assert_allclose(x.grad, dense.T @ g, atol=1e-15)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             ad.sparse_matmul(self.pattern, Tensor(np.zeros((3, 2))))
-        with pytest.raises(ShapeError):
-            ad.sparse_matmul(self.pattern, Tensor(np.zeros((4, 2))),
-                             Tensor(np.zeros((3, 1))))
-        with pytest.raises(ShapeError):
-            ad.sparse_matmul(self.pattern, Tensor(np.zeros((4, 2))),
-                             Tensor(np.zeros((4,))))
 
 
 def recorded_rule(op, *args):
@@ -301,26 +244,21 @@ class TestSparseKernels:
     # these pin them, bit for bit, to what scipy's public operators return
 
     @settings(max_examples=300, deadline=None)
-    @given(case=csr_cases(), d=st.sampled_from([1, 2, 5]), with_values=st.booleans(),
+    @given(case=csr_cases(), d=st.sampled_from([1, 2, 5]),
            layout=st.sampled_from(["C", "F", "strided"]))
-    @example(case=(sp.csr_matrix((2, 3)), 0), d=1, with_values=False, layout="strided")
-    @example(case=(sp.csr_matrix((2, 3)), 0), d=3, with_values=True, layout="F")
-    def test_sparse_matmul_equals_scipy_products(self, case, d, with_values, layout):
+    @example(case=(sp.csr_matrix((2, 3)), 0), d=1, layout="strided")
+    @example(case=(sp.csr_matrix((2, 3)), 0), d=3, layout="F")
+    def test_sparse_matmul_equals_scipy_products(self, case, d, layout):
         csr, seed = case
         rng = np.random.default_rng(seed + 1)
         x = parameter(rng.normal(size=(csr.shape[1], d)))
-        values = parameter(rng.normal(size=(csr.nnz, 1))) if with_values else None
-        ref = csr
-        if with_values:
-            ref = csr.copy()
-            ref.data = values.values[:, 0].copy()
-        out = ad.sparse_matmul(csr, x, values)
-        expected = np.asarray(ref @ x.values)
+        out = ad.sparse_matmul(csr, x)
+        expected = np.asarray(csr @ x.values)
         assert out.values.shape == expected.shape
         assert np.array_equal(out.values, expected)
         g = with_layout(rng.normal(size=(csr.shape[0], d)), layout)
-        dx = recorded_rule(ad.sparse_matmul, csr, x, values)(g)[0]
-        expected = np.asarray(ref.T @ g)
+        dx = recorded_rule(ad.sparse_matmul, csr, x)(g)[0]
+        expected = np.asarray(csr.T @ g)
         assert dx.shape == expected.shape and np.array_equal(dx, expected)
 
     @settings(max_examples=200, deadline=None)

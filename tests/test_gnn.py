@@ -13,11 +13,12 @@ from hoplink.gnn import (
     GraphBatch,
     SCORE_WIDTH,
     GraphEncoder,
+    gat_layer,
     gcn_layer,
     head_widths,
     sage_layer,
 )
-from hoplink.cli import neighbor_order
+from hoplink.cli import ATTENTION_DECIMALS, neighbor_order
 from hoplink.config import ConfigError, RunConfig
 from hoplink.model import KgcModel
 from hoplink.text import build_vocab
@@ -369,15 +370,10 @@ def dense_attention(graph, att):
     return out
 
 
-def one_head(X, graph, W, a_src, a_dst, alpha=0.2):
-    """A single GAT head through ``ad.edge_attention``: H = XW scored by
+def one_head(X, graph, W, a_src, a_dst):
+    """A single GAT head through ``gat_layer``: H = XW scored by
     H [a_src a_dst], zero-padded to the score width."""
-    h = ad.matmul(X, W)
-    A = ad.place_blocks([a_src, a_dst], [(0, 0), (0, 1)],
-                        (W.shape[1], SCORE_WIDTH))
-    out, att = ad.edge_attention(h, ad.matmul(h, A), graph.pattern, graph.dst,
-                                 [slice(None)], alpha)
-    return out, att[0]
+    return gat_layer(X, graph.pattern, graph.dst, [W], [a_src], [a_dst])
 
 
 class TestEdgeAttention:
@@ -408,14 +404,15 @@ class TestEdgeAttention:
     def test_matches_dense_reference_on_path_graph(self):
         self.assert_heads_match_dense_reference([5])
 
-    @pytest.mark.parametrize("widths", [[2, 3], [3, 2, 2]])
+    # five heads need 10 score columns, more than SCORE_WIDTH
+    @pytest.mark.parametrize("widths", [[2, 3], [3, 2, 2], [1, 2, 1, 1, 1]])
     def test_heads_side_by_side_match_dense_reference(self, widths):
         self.assert_heads_match_dense_reference(widths)
 
     @staticmethod
     def assert_heads_match_dense_reference(widths):
         # heads side by side over their blocks of one projection, in values,
-        # attention and every input's gradient
+        # head-mean attention and every input's gradient
         rng = np.random.default_rng(6)
         A = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]], float)
         graph = graph_of(A)
@@ -423,29 +420,22 @@ class TestEdgeAttention:
         W = [ad.parameter(rng.normal(size=(5, w))) for w in widths]
         a = [ad.parameter(rng.normal(size=(w, 1))) for w in widths for _ in "sd"]
         weights = rng.normal(size=(4, sum(widths)))
-        ends = np.cumsum(widths)
-        blocks = [slice(e - w, e) for w, e in zip(widths, ends)]
         attention = {}
 
         def fused(X):
-            h = ad.matmul(X, ad.concat_cols(W))
-            out, att = ad.edge_attention(
-                h, ad.matmul(h, ad.place_blocks(
-                    a, [(b.start, 2 * k + c) for k, b in enumerate(blocks)
-                        for c in (0, 1)], (sum(widths), SCORE_WIDTH))),
-                graph.pattern, graph.dst, blocks)
-            attention["got"] = [dense_attention(graph, x) for x in att]
+            out, att = gat_layer(X, graph.pattern, graph.dst, W, a[::2], a[1::2])
+            attention["got"] = dense_attention(graph, att)
             return out
 
         def dense(X):
             heads = [dense_gat_head(X, A, Wk, a[2 * k], a[2 * k + 1])
                      for k, Wk in enumerate(W)]
-            attention["want"] = [att for _, att in heads]
+            attention["want"] = np.mean([att for _, att in heads], axis=0)
             return ad.concat_cols([out for out, _ in heads])
 
         got = value_and_grads(fused, X0, weights, W + a)
         want = value_and_grads(dense, X0, weights, W + a)
-        for g, w in zip(got + attention["got"], want + attention["want"]):
+        for g, w in zip(got + [attention["got"]], want + [attention["want"]]):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("cells", [1, 5, 64])
@@ -481,24 +471,12 @@ class TestEdgeAttention:
             with pytest.raises(ShapeError):
                 ad.edge_attention(args[0], args[1], graph.pattern, args[2],
                                   [slice(0, 1), slice(1, 3)])
-
-
-class TestPlaceBlocks:
-    def test_places_parts_in_a_zero_matrix(self):
-        got = ad.place_blocks([Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0]])],
-                              [(1, 0), (0, 2)], (3, 4)).values
-        np.testing.assert_array_equal(got, [[0, 0, 3, 4], [1, 0, 0, 0],
-                                            [2, 0, 0, 0]])
-
-    @pytest.mark.parametrize("corners", [[(2, 0)], [(0, 4)], [(-1, 0)]])
-    def test_part_outside_rejected(self, corners):
-        with pytest.raises(ShapeError, match="does not fit"):
-            ad.place_blocks([Tensor(np.ones((2, 1)))], corners, (3, 4))
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ShapeError, match="overlaps"):
-            ad.place_blocks([Tensor(np.ones((2, 2))), Tensor(np.ones((1, 1)))],
-                            [(0, 0), (1, 1)], (3, 3))
+        # like a fully masked softmax row, a row with no edges has nothing
+        # to weigh
+        empty_row = sp.csr_matrix((np.ones(2), [0, 1], [0, 2, 2]), shape=(2, 2))
+        with pytest.raises(ShapeError, match="needs an entry"):
+            ad.edge_attention(x, s, empty_row, np.zeros(2, dtype=np.int64),
+                              [slice(0, 1), slice(1, 3)])
 
 
 class TestSageLayer:
@@ -665,11 +643,29 @@ class TestExplainNeighborOrder:
         A[graph.arrows[:, 0], graph.arrows[:, 1]] = 1.0
         attention = []
         dense_encode(model.gnn, batch.X, A, batch.graph.offsets, attention)
-        into_head = attention[-1][0]
+        into_head = np.round(attention[-1][0], ATTENTION_DECIMALS)
         want = sorted(range(1, batch.subgraphs[0].num_nodes),
                       key=lambda i: (-into_head[i], i))
         assert len(want) > 2
         assert got == want
+
+    def test_attentions_a_last_bit_apart_go_in_row_order(self):
+        # at k=1 every subgraph node is an edge into the head
+        kg = dozen_graph()
+        model = KgcModel(RunConfig(dim=12, heads=2, k=1, seed=5),
+                         build_vocab(kg))
+        with ad.no_grad():
+            batch = model.encode_queries(kg, [(0, 0)], [3])
+        into_head = slice(batch.graph.indptr[1])
+        rows = batch.graph.src[into_head].tolist()
+        neighbors = sorted(set(rows) - {0})
+        assert len(neighbors) > 2
+        # distinct weights falling with the row, but the last row's is one
+        # ulp above the one before it; the head's self-loop keeps 0.5
+        weight = dict(zip(neighbors, np.linspace(0.3, 0.1, len(neighbors))))
+        weight[neighbors[-1]] = np.nextafter(weight[neighbors[-2]], 1.0)
+        model.gnn.last_attention[-1][into_head] = [weight.get(r, 0.5) for r in rows]
+        assert neighbor_order(model, batch, kg) == neighbors
 
 
 class TestConfigValidation:

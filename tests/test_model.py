@@ -190,6 +190,19 @@ class TestQueryEncoding:
             with pytest.raises(ShapeError, match="ints"):
                 model.encode_queries(chain_kg, queries, [1, 2])
 
+    def test_relation_ids_must_name_a_relation_or_its_inverse(self, chain_kg):
+        # -1 and -2R-3 would index relation text from the end, 2R past it
+        model = make_model(chain_kg)
+        count = len(chain_kg.relation_labels)
+        with ad.no_grad():
+            for r in (-1, count, -count - 3):
+                with pytest.raises(KeyError, match=f"unknown relation id {r}"):
+                    model.encode_queries(chain_kg, [(0, 0), (1, r)], [1, 2])
+            want = model.encode_queries(chain_kg, [(0, count - 1)], [1]).e_hr.values
+            got = model.encode_queries(chain_kg, np.array([(0, count - 1)], dtype=np.int32),
+                                       [1]).e_hr.values
+        np.testing.assert_array_equal(got, want)
+
     def test_golds_must_be_integer_entity_ids(self, chain_kg):
         # a float or bool gold would be read as another entity, not rejected
         model = make_model(chain_kg)
