@@ -175,6 +175,17 @@ class TestSoftmax:
             ad.sequence_attention(x, x, Tensor(np.zeros((3, 2))), [3], 1)
 
 
+class TestSegmentPrimitives:
+    def test_empty_run_rejected(self):
+        # edge_attention's softmax runs over the entries of each pattern row;
+        # like a fully masked softmax row, an empty run has nothing to weigh
+        x, s = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 2)))
+        empty_row = sp.csr_matrix((np.ones(2), [0, 1], [0, 2, 2]), shape=(2, 2))
+        with pytest.raises(ShapeError, match="needs an entry"):
+            ad.edge_attention(x, s, empty_row, np.zeros(2, dtype=np.int64),
+                              [slice(0, 3)])
+
+
 class TestSparseMatmul:
     # row 0 holds entries 0-2 and row 1 entry 3, in columns out of order
     pattern = sp.csr_matrix((np.ones(4), [0, 1, 3, 2], [0, 3, 4]), shape=(2, 4))

@@ -471,12 +471,6 @@ class TestEdgeAttention:
             with pytest.raises(ShapeError):
                 ad.edge_attention(args[0], args[1], graph.pattern, args[2],
                                   [slice(0, 1), slice(1, 3)])
-        # like a fully masked softmax row, a row with no edges has nothing
-        # to weigh
-        empty_row = sp.csr_matrix((np.ones(2), [0, 1], [0, 2, 2]), shape=(2, 2))
-        with pytest.raises(ShapeError, match="needs an entry"):
-            ad.edge_attention(x, s, empty_row, np.zeros(2, dtype=np.int64),
-                              [slice(0, 1), slice(1, 3)])
 
 
 class TestSageLayer:
