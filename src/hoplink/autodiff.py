@@ -278,15 +278,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _apply(a.values + b.values, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary(a, b, "sub")
-    return _apply(a.values - b.values, (a, b), lambda g: (g, -g))
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "hadamard")
     av, bv = a.values, b.values
-    return _apply(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def rule(g: Array):
+        # a constant factor (a mask, a weight, noise) gets no product
+        return (g * bv if a.requires_grad else None,
+                g * av if b.requires_grad else None)
+
+    return _apply(av * bv, (a, b), rule)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -326,13 +327,6 @@ def exp(x: Tensor) -> Tensor:
     return _apply(y, (x,), lambda g: (g * y,))
 
 
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed without overflow."""
-    y = np.logaddexp(0.0, x.values)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.values, -700, 700)))
-    return _apply(y, (x,), lambda g: (g * sig,))
-
-
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.values >= lo) & (x.values <= hi)
     return _apply(np.clip(x.values, lo, hi), (x,), lambda g: (g * inside,))
@@ -367,14 +361,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _apply(np.asarray(x.values.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def row_sums(x: Tensor) -> Tensor:
-    """Per-row sum: (n, d) -> (n, 1)."""
-    if x.values.ndim != 2:
-        raise ShapeError(f"row_sums expects a matrix, got shape {x.shape}")
-    d = x.shape[1]
-    return _apply(x.values.sum(axis=1, keepdims=True), (x,), lambda g: (np.repeat(g, d, axis=1),))
-
-
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_cols of an empty list")
@@ -386,7 +372,9 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     splits = np.cumsum(widths)[:-1]
 
     def rule(g: Array):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
+        # a constant piece (a zero pad) gets no copy
+        return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
+                     for p, piece in zip(parts, np.split(g, splits, axis=1)))
 
     return _apply(np.concatenate([p.values for p in parts], axis=1), tuple(parts), rule)
 
@@ -416,19 +404,21 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather_rows index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
 
-    def rule(g: Array):
-        # both scatters sum the rows of repeated indices in gather order, so
-        # they round alike. Several columns: the gather is the CSR matrix with
-        # row k's one entry in column idx[k], so its transpose product is the
-        # scatter. One column: bincount is quicker (and returns int64 zeros
-        # for no indices, hence the cast)
-        if g.shape[1] == 1:
-            col = np.bincount(idx, weights=g[:, 0], minlength=n)
-            return (col.astype(np.float64, copy=False)[:, None],)
-        return (_csr_product(np.arange(idx.size + 1), idx, np.ones(idx.size),
-                             (idx.size, n), g, transpose=True),)
+    return _apply(x.values[idx], (x,), lambda g: (_scatter_rows(idx, g, n),))
 
-    return _apply(x.values[idx], (x,), rule)
+
+def _scatter_rows(idx: Array, g: Array, n: int) -> Array:
+    """The (n, d) sum of the rows of g into rows idx, ``gather_rows``'
+    gradient. Both ways sum the rows of repeated indices in gather order, so
+    they round alike. Several columns: the gather is the CSR matrix with row
+    k's one entry in column idx[k], so its transpose product is the scatter.
+    One column: bincount is quicker (and returns int64 zeros for no
+    indices, hence the cast)."""
+    if g.shape[1] == 1:
+        col = np.bincount(idx, weights=g[:, 0], minlength=n)
+        return col.astype(np.float64, copy=False)[:, None]
+    return _csr_product(np.arange(idx.size + 1), idx, np.ones(idx.size),
+                        (idx.size, n), g, transpose=True)
 
 
 # softmax within each run of counts[k] rows from starts[k] (none empty),
@@ -587,6 +577,72 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     out = _apply(y, (x,), rule)
     out.zero_rows = zero
     return out
+
+
+def vgae_objective(mu: Tensor, log_sigma: Tensor, z: Tensor, pairs, sign: Array,
+                   pair_weight: Array, row_weight: Array, offset: float) -> Tensor:
+    """A VGAE's edge loss as one op: the pair term
+    sum_p pair_weight[p] softplus(sign[p] z_i . z_j) over the rows (i, j) of
+    ``pairs``, plus the KL term sum_r row_weight[r] sum_c (exp(2 log_sigma)
+    + mu^2 - 2 log_sigma)[r, c], plus ``offset``. ``sign``, ``pair_weight``
+    and ``row_weight`` are columns: (p, 1), (p, 1) and (n, 1).
+
+    Value and gradients equal, bit for bit, those of the same loss taped
+    op by op (gathers, products, row sums, softplus and sums for the pair
+    term; scale, exp, products, add, subtract and a sum for the KL term;
+    two adds), which the tests keep as its oracle. So the rule repeats that
+    tape's arithmetic in the order ``backward`` ran it: mu's two KL products
+    are summed, log_sigma's ``-2 g`` comes before its ``2 g sigma^2``, and
+    z's scatter into the pairs' second rows before the one into their
+    first. Gradients flow to mu, log_sigma and z.
+    """
+    if mu.values.ndim != 2 or log_sigma.shape != mu.shape or z.shape != mu.shape:
+        raise ShapeError(f"vgae_objective: mu {mu.shape}, log_sigma "
+                         f"{log_sigma.shape} and z {z.shape} must be one matrix shape")
+    idx = np.asarray(pairs)
+    # np.asarray([]) is float64, so only non-empty pairs must be integer
+    if idx.ndim != 2 or idx.shape[1] != 2 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ShapeError("vgae_objective pairs must be a (p, 2) array of integer rows")
+    idx = idx.astype(np.int64, copy=False)
+    n = z.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"vgae_objective pair row out of range for {n} rows: "
+                         f"{idx[(idx < 0) | (idx >= n)][0]}")
+    if sign.shape != (len(idx), 1) or pair_weight.shape != sign.shape \
+            or row_weight.shape != (n, 1):
+        raise ShapeError(f"vgae_objective: {len(idx)} pairs over {n} rows need "
+                         f"({len(idx)}, 1) signs and weights and ({n}, 1) row "
+                         f"weights, got {sign.shape}, {pair_weight.shape} and "
+                         f"{row_weight.shape}")
+    first, second = idx[:, 0], idx[:, 1]
+    muv, lsv, zv = mu.values, log_sigma.values, z.values
+    left, right = zv[first], zv[second]
+    signed = (left * right).sum(axis=1, keepdims=True) * sign
+    pair_term = (np.logaddexp(0.0, signed) * pair_weight).sum()
+    # in place, so fewer fresh (n x d) arrays: the same operations on the
+    # same operands as the op-by-op tape, so the same bits (a + b = b + a)
+    two_log_sigma = lsv * 2.0
+    sigma_sq = np.exp(two_log_sigma)
+    cells = muv * muv
+    cells += sigma_sq
+    cells -= two_log_sigma
+    cells *= row_weight
+    kl_term = cells.sum()
+
+    def rule(g: Array):
+        cell = g * row_weight
+        dmu = cell * muv
+        dmu += dmu
+        dlog_sigma = cell * sigma_sq
+        dlog_sigma *= 2.0
+        dlog_sigma += (-cell) * 2.0
+        sig = 1.0 / (1.0 + np.exp(-np.clip(signed, -700, 700)))
+        dscore = ((g * pair_weight) * sig) * sign
+        dz = _scatter_rows(second, dscore * left, n)
+        dz += _scatter_rows(first, dscore * right, n)
+        return dmu, dlog_sigma, dz
+
+    return _apply((pair_term + kl_term) + offset, (mu, log_sigma, z), rule)
 
 
 # --------------------------------------------------------------------------

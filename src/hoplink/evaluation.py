@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 # build_filter_index stays importable here: perfbench's tracer wraps it by name
 from .kg import (KnowledgeGraph, build_filter_index, known_tails,  # noqa: F401
-                 query_columns)
+                 neighborhood_seeds, query_columns)
 from .model import KgcModel, eval_neighborhood_seed
 
 # evaluate ranks chunks of up to this many score cells (4 MiB of float64),
@@ -123,8 +123,9 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     for start in range(0, len(seen), size):
         index = seen[start:start + size]
         rows = queries[index]
-        seeds = [eval_neighborhood_seed(model.config.seed, split, i)
-                 for i in index.tolist()]
+        seeds = neighborhood_seeds(
+            kg, rows[:, 0].tolist(), model.config.k, model.config.cap_per_hop,
+            lambda i: eval_neighborhood_seed(model.config.seed, split, int(index[i])))
         with ad.no_grad():
             e_hr = model.encode_queries(kg, rows[:, :2], seeds,
                                         entities).e_hr.values

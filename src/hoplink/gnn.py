@@ -83,6 +83,36 @@ class GraphBatch:
         self.dst, self.src = np.divmod(keys, n)
         self.indptr = np.searchsorted(self.dst, np.arange(n + 1))
 
+    def without(self, pairs: np.ndarray) -> GraphBatch:
+        """This batch with the (p x 2) ``pairs``, each an edge of it (held
+        arrows, say), unlinked both ways: what ``GraphBatch(arrows, sizes)``
+        builds from the arrows that are neither a pair nor a pair reversed.
+        The edge i -> j goes with its arrows, the diagonal stays, and a pair
+        (i, i) only drops i's weight to 1. A subset of a checked batch's
+        arrows keeps every layout rule, so the result is cut from this
+        batch's sorted fields, with no sort of its edges and no check."""
+        n = self.num_nodes
+        i, j = pairs[:, 0], pairs[:, 1]
+        hidden = np.concatenate([i * n + j, j * n + i])
+        keys = self.dst * n + self.src
+        # keys are sorted and distinct, so a pair's key sorts onto its edge
+        cut = np.searchsorted(keys, hidden)
+        if (keys[np.minimum(cut, len(keys) - 1)] != hidden).any():
+            raise ShapeError("a pair to unlink is not an edge of the batch")
+        linked = np.ones(len(keys), dtype=bool)
+        linked[cut] = False
+        linked |= self.dst == self.src
+        # n * n is past every key, so each arrow's key sorts onto a key
+        hidden = np.append(np.sort(hidden), n * n)
+        arrow_keys = self.arrows[:, 0] * n + self.arrows[:, 1]
+        kept = hidden[np.searchsorted(hidden, arrow_keys)] != arrow_keys
+        out = object.__new__(GraphBatch)
+        out.sizes, out.offsets, out.num_nodes = self.sizes, self.offsets, n
+        out.arrows, out.owner = self.arrows[kept], self.owner[kept]
+        out.dst, out.src = self.dst[linked], self.src[linked]
+        out.indptr = np.searchsorted(out.dst, np.arange(n + 1))
+        return out
+
     @cached_property
     def weight(self) -> np.ndarray:
         """Each edge's entry in max(A, A^T) + I: 2 on a looped node's diagonal."""

@@ -36,7 +36,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -455,6 +455,17 @@ def khop_neighborhood(kg: KnowledgeGraph, head: int, k: int,
     if not truncated:
         kg.neighborhoods[head, k, cap_per_hop] = sub
     return sub
+
+
+def neighborhood_seeds(kg: KnowledgeGraph, heads: Sequence[int], k: int,
+                       cap_per_hop: int, seed_of: Callable[[int], int]) -> list[int]:
+    """The seeds of one ``khop_neighborhood(kg, head, k, cap_per_hop, seed)``
+    call per head: ``seed_of(i)`` for the i-th head unless the graph's memo
+    holds its neighborhood, which the call returns without reading its
+    seed, and 0 for those."""
+    stored = kg.neighborhoods
+    return [0 if (head, k, cap_per_hop) in stored else seed_of(i)
+            for i, head in enumerate(heads)]
 
 
 def combine_adjacency(kg: KnowledgeGraph, subgraphs: Sequence[NeighborhoodSubgraph]

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, ShapeError, Tensor
 from .config import ConfigError, RunConfig
-from .kg import KnowledgeGraph, query_columns
+from .kg import KnowledgeGraph, neighborhood_seeds, query_columns
 from .model import KgcModel, QueryBatch
 from .seeding import derive_rng, derive_seed
 from .text import build_vocab
@@ -138,7 +138,9 @@ class Trainer:
         """One step on ``rows``, rows ``indices`` of the epoch's queries."""
         cfg = self.config
         model = self.model
-        seeds = [self._neighborhood_seed(epoch, i) for i in indices.tolist()]
+        seeds = neighborhood_seeds(
+            self.kg, rows[:, 0].tolist(), cfg.k, cfg.cap_per_hop,
+            lambda i: self._neighborhood_seed(epoch, int(indices[i])))
         batch = model.encode_queries(self.kg, rows[:, :2], seeds,
                                      golds=rows[:, 2])
         kg_term = info_nce_loss(batch.e_hr, batch.gold,

@@ -1,12 +1,14 @@
 """Shared toy graphs for the model, training, and evaluation tests, the
 set-based arrow oracle, the per-item token rules that the graph's token
-table replaced, kept as the text towers' input oracle, and the edge mask
-that drew from a bare arrow list, kept as the reference of its draws."""
+table replaced, kept as the text towers' input oracle, the edge mask
+that drew from a bare arrow list, kept as the reference of its draws, and
+the edge loss taped op by op, kept as the oracle of its one fused op."""
 
 import numpy as np
 import pytest
 
-from hoplink.autodiff import ShapeError
+from hoplink import autodiff as ad
+from hoplink.autodiff import ShapeError, Tensor
 from hoplink.kg import KnowledgeGraph
 from hoplink.text import SEP, UNK, tokenize
 from hoplink.vgae import EdgeMask
@@ -123,6 +125,71 @@ def reference_mask_edges(arrows, sizes, ratio, seed):
     first = row_start[neg_owner]
     negatives = np.stack([local_i + first, local_j + first], axis=1)
     return EdgeMask(positives, negatives, n_mask, n_neg)
+
+
+# the taped primitives that only the op-by-op edge loss used, as autodiff
+# had them
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub operand shapes differ: {a.shape} vs {b.shape}")
+    return ad._apply(a.values - b.values, (a, b), lambda g: (g, -g))
+
+
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + exp(x)), computed without overflow."""
+    y = np.logaddexp(0.0, x.values)
+    sig = 1.0 / (1.0 + np.exp(-np.clip(x.values, -700, 700)))
+    return ad._apply(y, (x,), lambda g: (g * sig,))
+
+
+def row_sums(x: Tensor) -> Tensor:
+    """Per-row sum: (n, d) -> (n, 1)."""
+    if x.values.ndim != 2:
+        raise ShapeError(f"row_sums expects a matrix, got shape {x.shape}")
+    d = x.shape[1]
+    return ad._apply(x.values.sum(axis=1, keepdims=True), (x,),
+                     lambda g: (np.repeat(g, d, axis=1),))
+
+
+def composed_edge_loss(state, Z, mask, graph):
+    """``vgae.edge_loss`` as it was when it taped each op of the binary
+    cross-entropy and the KL term: the oracle that its one
+    ``ad.vgae_objective`` op must match in value, ``skipped`` and every
+    gradient, bit for bit."""
+    sizes = graph.sizes
+    if len(mask.pos_counts) != len(sizes) or graph.num_nodes != Z.shape[0]:
+        raise ShapeError(f"a mask of {len(mask.pos_counts)} subgraphs over "
+                         f"sizes {sizes.tolist()} does not tile {Z.shape[0]} rows")
+    n_pos, n_neg = mask.pos_counts, mask.neg_counts
+    used = n_pos > 0
+    share = 1.0 / len(sizes)
+    per_pair = np.where(used, share / np.maximum(n_pos + n_neg, 1), 0.0)
+
+    pairs = np.concatenate([mask.positives, mask.negatives])
+    sign = np.repeat([-1.0, 1.0], [len(mask.positives),
+                                   len(mask.negatives)])[:, None]
+    weight = np.repeat(np.concatenate([per_pair, per_pair]),
+                       np.concatenate([n_pos, n_neg]))[:, None]
+    scores = row_sums(ad.hadamard(ad.gather_rows(Z, pairs[:, 0]),
+                                  ad.gather_rows(Z, pairs[:, 1])))
+    bce = ad.sum_all(ad.hadamard(
+        softplus(ad.hadamard(scores, ad.constant(sign))),
+        ad.constant(weight)))
+
+    log_sigma = state.log_sigma
+    sigma_sq = ad.exp(ad.scale(log_sigma, 2.0))
+    cells = sub(ad.add(sigma_sq, ad.hadamard(state.mu, state.mu)),
+                ad.scale(log_sigma, 2.0))
+    row_beta = np.repeat(np.where(used, share / sizes, 0.0), sizes)[:, None]
+    kl = ad.sum_all(ad.hadamard(cells, ad.constant(
+        np.broadcast_to(0.5 * row_beta, state.mu.shape))))
+    latent = state.mu.shape[1]
+    loss = ad.add(ad.add(bce, kl),
+                  ad.constant(-0.5 * latent * used.sum() * share))
+    loss.skipped = not used.any()
+    return loss
 
 
 def chain_graph() -> KnowledgeGraph:

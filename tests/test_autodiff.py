@@ -19,6 +19,9 @@ from hoplink.autodiff import (
     parameter,
 )
 
+# primitives that only the op-by-op edge loss oracle uses now
+from conftest import row_sums, softplus, sub
+
 
 def grad_of(f, x):
     x.grad = None
@@ -84,7 +87,7 @@ class TestElementwise:
         out = ad.leaky_relu(Tensor([-10.0, 10.0]), alpha=0.2)
         np.testing.assert_allclose(out.values, [-2.0, 10.0])
 
-    @pytest.mark.parametrize("op", [ad.relu, ad.exp, ad.softplus,
+    @pytest.mark.parametrize("op", [ad.relu, ad.exp, softplus,
                                     lambda t: ad.leaky_relu(t, 0.2)])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(7)
@@ -96,7 +99,7 @@ class TestElementwise:
         rng = np.random.default_rng(8)
         a = parameter(rng.normal(size=(2, 3)))
         b = parameter(rng.normal(size=(2, 3)))
-        for op in (ad.add, ad.sub, ad.hadamard):
+        for op in (ad.add, sub, ad.hadamard):
             assert finite_diff_check(lambda t: ad.sum_all(op(t, b)), a) < 1e-5
             assert finite_diff_check(lambda t: ad.sum_all(op(a, t)), b) < 1e-5
 
@@ -414,7 +417,7 @@ class TestReductionsAndShaping:
         assert finite_diff_check(lambda t: ad.sum_all(ad.concat_cols([t, b])), a) < 1e-5
         w = Tensor(rng.normal(size=(3, 1)))
         assert finite_diff_check(
-            lambda t: ad.sum_all(ad.hadamard(ad.row_sums(t), w)), a) < 1e-5
+            lambda t: ad.sum_all(ad.hadamard(row_sums(t), w)), a) < 1e-5
 
     def test_mean_rows_and_normalize_gradients(self):
         rng = np.random.default_rng(12)
@@ -478,6 +481,32 @@ class TestBackward:
                 y = ad.scale(x, 2.0)
             assert len(tape) == 0
             assert not y.requires_grad
+
+    @staticmethod
+    def rule_output(op, *args):
+        """What the backward rule of the op that ``op(*args)`` records
+        returns for a gradient of ones."""
+        with Tape() as tape:
+            out = op(*args)
+        _, _, rule = tape._records[-1]
+        return rule(np.ones(out.shape))
+
+    def test_a_constant_factor_gets_no_product(self):
+        # a mask, a weight or noise: backward would drop the product
+        p, c = parameter([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
+        left, right = self.rule_output(ad.hadamard, p, c)
+        np.testing.assert_array_equal(left, [[3.0, 4.0]])
+        assert right is None
+        left, right = self.rule_output(ad.hadamard, c, p)
+        assert left is None
+        np.testing.assert_array_equal(right, [[3.0, 4.0]])
+
+    def test_a_constant_piece_gets_no_copy(self):
+        # GAT's zero pads beside its score parameters
+        p, pad = parameter(np.ones((2, 1))), Tensor(np.zeros((2, 3)))
+        first, middle, last = self.rule_output(ad.concat_cols, [pad, p, pad])
+        assert first is None and last is None
+        np.testing.assert_array_equal(middle, np.ones((2, 1)))
 
 
 class TestAdamW:
@@ -569,17 +598,17 @@ class TestFiniteDiffCheck:
         cases = [
             lambda t: ad.sum_all(ad.matmul(t, m)),
             lambda t: ad.sum_all(ad.add(t, w)),
-            lambda t: ad.sum_all(ad.sub(t, w)),
+            lambda t: ad.sum_all(sub(t, w)),
             lambda t: ad.sum_all(ad.hadamard(t, w)),
             lambda t: ad.sum_all(ad.scale(t, -1.7)),
             lambda t: ad.sum_all(ad.relu(t)),
             lambda t: ad.sum_all(ad.leaky_relu(t, 0.2)),
             lambda t: ad.sum_all(ad.exp(t)),
-            lambda t: ad.sum_all(ad.softplus(t)),
+            lambda t: ad.sum_all(softplus(t)),
             lambda t: ad.sum_all(ad.hadamard(ad.log_softmax_rows(t), w)),
             lambda t: ad.sum_all(ad.hadamard(ad.l2_normalize_rows(t), w)),
             lambda t: ad.sum_all(ad.gather_rows(t, [0, 2, 2])),
-            lambda t, _w=Tensor(rng.normal(size=(4, 1))): ad.sum_all(ad.hadamard(ad.row_sums(t), _w)),
+            lambda t, _w=Tensor(rng.normal(size=(4, 1))): ad.sum_all(ad.hadamard(row_sums(t), _w)),
             lambda t: ad.sum_all(ad.transpose(t)),
             lambda t: ad.sum_all(ad.concat_cols([t, w])),
         ]

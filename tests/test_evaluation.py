@@ -273,6 +273,24 @@ class TestEvaluate:
         assert np.array_equal(
             build_filter_index(fresh, heads, relations, tails), snapshot)
 
+    def test_seeds_are_derived_only_where_the_sampler_reads_them(
+            self, dozen_kg, monkeypatch):
+        # at one hop and a cap of 3 the heads with four neighbors sample on
+        # every call; the others are stored at their first call
+        model = make_model(dozen_kg, k=1, cap_per_hop=3)
+        first = evaluate(model, dozen_kg, "test")
+        derived = []
+        monkeypatch.setattr(evaluation, "eval_neighborhood_seed",
+                            lambda root, split, i: (derived.append(i) or
+                                                    eval_neighborhood_seed(root, split, i)))
+        assert evaluate(model, dozen_kg, "test") == first
+        cfg, stored = model.config, dozen_kg.neighborhoods
+        heads = query_columns(dozen_kg, "test")[:, 0].tolist()
+        sampled = [i for i, head in enumerate(heads)
+                   if (head, cfg.k, cfg.cap_per_hop) not in stored]
+        assert 0 < len(sampled) < len(heads)
+        assert derived == sampled
+
     def test_max_queries_truncates(self, dozen_kg):
         model = make_model(dozen_kg)
         assert evaluate(model, dozen_kg, "test", max_queries=2).count == 2

@@ -56,8 +56,12 @@ def test_tracer_records_every_layer_of_a_train_and_eval_run(monkeypatch):
     # per subgraph or per query
     assert calls["gnn.combine_adjacency"] == calls["model.encode_queries"]
     assert calls["text.encode_heads"] == calls["model.encode_queries"]
-    # a training step masks its whole batch at once, never per subgraph
-    assert calls["vgae.mask_edges"] == calls["vgae.edge_loss"]
+    # at lambda < 1 a training step masks, encodes and scores its whole
+    # batch's edges once, never per subgraph, and runs one backward
+    steps = -(-len(trainer.queries) // config.batch_size) - (left == 1)
+    for name in ("vgae.mask_edges", "vgae.encode", "vgae.edge_loss",
+                 "training.batch_edge_loss", "autodiff.backward"):
+        assert calls[name] == steps, name
     # one entity table per training step and one entity matrix per evaluate
     # (the epoch's valid pass and the test pass), never one encode per
     # neighbor occurrence or a separate one for the gold tails

@@ -6,11 +6,13 @@ import pytest
 from scipy.sparse._compressed import _cs_matrix
 
 import hoplink.autodiff as ad
+from hoplink import evaluation, training
 from hoplink.autodiff import ShapeError, Tensor, finite_diff_check
 from hoplink.config import ConfigError, RunConfig
 from hoplink.gnn import GraphBatch
 from hoplink.kg import KnowledgeGraph
 from hoplink.model import KgcModel
+from hoplink.seeding import derive_seed
 from hoplink.training import (
     DegenerateBatchError,
     DivergenceError,
@@ -339,6 +341,37 @@ class TestTrainer:
         resampling = Trainer(chain_graph(), small_config())
         assert (resampling._neighborhood_seed(0, 4)
                 != resampling._neighborhood_seed(7, 4))
+
+    def test_seeds_are_derived_only_where_the_sampler_reads_them(self, monkeypatch):
+        # at one hop and a cap of 2 the chain's heads with three neighbors
+        # sample on every call; the others are stored at their first call
+        trainer = Trainer(chain_graph(), small_config(k=1, cap_per_hop=2))
+        trainer.train_epochs(1)
+        derived = []
+        monkeypatch.setattr(training, "derive_seed", lambda root, label: (
+            derived.append(label) or derive_seed(root, label)))
+        trainer.train_epochs(1)
+        cfg, stored = trainer.config, trainer.kg.neighborhoods
+        sampled = sum((head, cfg.k, cfg.cap_per_hop) not in stored
+                      for head in trainer.queries[:, 0].tolist())
+        assert 0 < sampled < len(trainer.queries)
+        assert sum(label.startswith("nbhd:") for label in derived) == sampled
+
+    def test_skipped_seeds_change_no_bit(self, monkeypatch):
+        runs = []
+        for derive_all in (False, True):
+            if derive_all:
+                # every query's seed, as before the memo was consulted
+                every = lambda kg, heads, k, cap, seed_of: [  # noqa: E731
+                    seed_of(i) for i in range(len(heads))]
+                monkeypatch.setattr(training, "neighborhood_seeds", every)
+                monkeypatch.setattr(evaluation, "neighborhood_seeds", every)
+            trainer = self.run_trainer(small_config(k=1, cap_per_hop=2))
+            runs.append((trainer.history, trainer.model.state_arrays()))
+        (history, state), (history_0, state_0) = runs
+        assert history == history_0
+        for name in state:
+            assert state[name].tobytes() == state_0[name].tobytes(), name
 
     def test_leftover_single_query_batch_is_skipped(self):
         # 10 train triples -> 20 queries; batch 19 leaves a final batch of 1

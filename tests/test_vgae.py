@@ -15,9 +15,11 @@ from hoplink.vgae import (
     edge_loss,
     mask_edges,
     reparameterize,
+    visible_graph,
 )
 
-from conftest import reference_mask_edges
+from conftest import (composed_edge_loss, reference_mask_edges, row_sums,
+                      softplus, sub)
 
 
 def ring_graph(n=5):
@@ -53,9 +55,11 @@ def one_mask(positives, negatives):
 
 
 def visible_arrows(arrows, mask):
-    """The arrows that ``mask`` does not hold out."""
-    held = (arrows[:, None, :] == mask.positives[None, :, :]).all(-1).any(1)
-    return arrows[~held]
+    """The arrows that ``mask`` holds out in neither direction: the encoder
+    links an arrow's nodes both ways, so held (i, j) also hides (j, i)."""
+    held = np.concatenate([mask.positives, mask.positives[:, ::-1]])
+    hidden = (arrows[:, None, :] == held[None, :, :]).all(-1).any(1)
+    return arrows[~hidden]
 
 
 def split_mask(mask, sizes):
@@ -331,7 +335,7 @@ def per_subgraph_edge_loss(state, Z, masks, sizes):
     def scores(pairs_):
         left = ad.gather_rows(Z, [i for i, _ in pairs_])
         right = ad.gather_rows(Z, [j for _, j in pairs_])
-        return ad.row_sums(ad.hadamard(left, right))
+        return row_sums(ad.hadamard(left, right))
 
     terms = []
     offset = 0
@@ -339,14 +343,14 @@ def per_subgraph_edge_loss(state, Z, masks, sizes):
         if not mask.empty:
             pos = [(i + offset, j + offset) for i, j in mask.positives]
             neg = [(i + offset, j + offset) for i, j in mask.negatives]
-            bce = ad.sum_all(ad.softplus(ad.scale(scores(pos), -1.0)))
+            bce = ad.sum_all(softplus(ad.scale(scores(pos), -1.0)))
             if neg:
-                bce = ad.add(bce, ad.sum_all(ad.softplus(scores(neg))))
+                bce = ad.add(bce, ad.sum_all(softplus(scores(neg))))
             bce = ad.scale(bce, 1.0 / (len(pos) + len(neg)))
             rows = list(range(offset, offset + size))
             mu = ad.gather_rows(state.mu, rows)
             log_sigma = ad.gather_rows(state.log_sigma, rows)
-            inner = ad.sub(ad.add(ad.exp(ad.scale(log_sigma, 2.0)),
+            inner = sub(ad.add(ad.exp(ad.scale(log_sigma, 2.0)),
                                   ad.hadamard(mu, mu)),
                            ad.scale(log_sigma, 2.0))
             kl = ad.add(ad.scale(ad.sum_all(inner), 0.5),
@@ -424,6 +428,12 @@ class TestBatchedMaskMatchesPerSubgraphOracle:
                              False, False, True]), ONE_NODE, NEAR_COMPLETE,
                         ARROWLESS, (1, [True])],
              ratio=0.3, seed=7)
+    # 1,050 subgraphs: more than one int64 sort key's worth (SORT_RUN), so
+    # the held arrows of the subgraphs past the 1,024th are drawn too
+    @example(subgraphs=[(3, [True, True, False, True, False, True,
+                             True, False, True]),
+                        (4, [i % 3 == 1 for i in range(16)]), ONE_NODE] * 350,
+             ratio=0.3, seed=11)
     def test_draws_match_the_arrow_list_reference(self, subgraphs, ratio, seed):
         # the taken cells read off the graph's edge index give the same draws
         # as symmetrizing, sorting and deduplicating the arrows' own cells
@@ -509,6 +519,151 @@ class TestBatchedEdgeLossMatchesPerSubgraphOracle:
         assert got == want == 0.0
         for g in got_grads:
             np.testing.assert_array_equal(g, 0.0)
+
+
+def same_batch(got, want):
+    """Two batch graphs agree field by field, bit for bit, the operators
+    that the encoders read included."""
+    assert got.num_nodes == want.num_nodes
+    for field in ("sizes", "offsets", "arrows", "owner", "dst", "src",
+                  "indptr", "weight"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+    for name in ("gcn_operator", "mean_operator", "pattern"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        for part in ("data", "indices", "indptr"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), (name, part)
+            assert x.tobytes() == y.tobytes(), (name, part)
+
+
+class TestVisibleGraphMatchesARebuiltBatch:
+    """The visible graph is cut from the batch's sorted edges; a batch
+    built afresh from the arrows that stay visible is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subgraphs=BATCH, ratio=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**63))
+    @example(subgraphs=[(3, [True, True, False, True, False, False,
+                             False, False, True]), ONE_NODE, NEAR_COMPLETE,
+                        ARROWLESS, (1, [True])],
+             ratio=0.9, seed=7)
+    def test_masked_batches(self, subgraphs, ratio, seed):
+        sizes = [n for n, _ in subgraphs]
+        arrows = stacked_arrows(subgraphs)
+        graph = GraphBatch(arrows, sizes)
+        mask = mask_edges(graph, ratio, seed)
+        same_batch(visible_graph(graph, mask),
+                   GraphBatch(visible_arrows(arrows, mask), sizes))
+
+    def test_held_self_loop_and_two_way_pair(self):
+        # 0 -> 0, 0 <-> 1, 1 -> 2 and 2 -> 2; holding 0 -> 0 and 1 -> 0
+        # leaves 1 -> 2 and 2 -> 2: node 0 keeps its diagonal at weight 1
+        arrows = pairs((0, 0), (0, 1), (1, 0), (1, 2), (2, 2))
+        graph = GraphBatch(arrows, [3])
+        mask = one_mask(pairs((0, 0), (1, 0)), pairs())
+        visible = visible_graph(graph, mask)
+        assert visible.arrows.tolist() == [[1, 2], [2, 2]]
+        assert list(zip(visible.dst.tolist(), visible.src.tolist())) == [
+            (0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+        assert visible.weight.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0]
+        same_batch(visible, GraphBatch(visible_arrows(arrows, mask), [3]))
+
+    def test_empty_mask_keeps_every_edge(self):
+        arrows = stacked_arrows([NEAR_COMPLETE, (1, [True]), ARROWLESS])
+        graph = GraphBatch(arrows, [5, 1, 4])
+        empty = EdgeMask(pairs(), pairs(), np.zeros(3, np.int64),
+                         np.zeros(3, np.int64))
+        same_batch(visible_graph(graph, empty), GraphBatch(arrows, [5, 1, 4]))
+
+    def test_a_pair_that_is_not_an_edge_is_rejected(self):
+        graph = GraphBatch(pairs((0, 1)), [3])
+        with pytest.raises(ShapeError):
+            visible_graph(graph, one_mask(pairs((1, 2)), pairs()))
+
+
+class TestFusedEdgeLossMatchesComposedTape:
+    """``edge_loss`` records one op; the loss taped op by op, kept in
+    conftest, must give the same value, skip flag and gradients, bit for
+    bit, both on free leaves and behind the encoder and the
+    reparameterization, where mu and log_sigma also take Z's gradient."""
+
+    @staticmethod
+    def equal(got, want):
+        (value, skipped, grads), (value_0, skipped_0, grads_0) = got, want
+        assert skipped == skipped_0
+        assert value.dtype == value_0.dtype and np.array_equal(value, value_0)
+        for g, w in zip(grads, grads_0):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @staticmethod
+    def leaves_run(loss_fn, graph, mask, seed):
+        rng = np.random.default_rng(seed)
+        leaves = [ad.parameter(rng.normal(size=(graph.num_nodes, 3)))
+                  for _ in range(3)]
+        with Tape():
+            loss = loss_fn(VgaeState(leaves[0], leaves[1]), leaves[2], mask,
+                           graph)
+            backward(ad.scale(loss, 0.8))
+        return loss.values, loss.skipped, [leaf.grad for leaf in leaves]
+
+    @staticmethod
+    def encoder_run(loss_fn, graph, mask, seed):
+        model = Vgae(5, 3, np.random.default_rng(seed))
+        X = ad.parameter(np.random.default_rng(seed + 1).normal(
+            size=(graph.num_nodes, 5)))
+        visible = visible_graph(graph, mask)
+        with Tape():
+            state = model.encode(X, visible)
+            Z = reparameterize(state, seed + 2)
+            loss = loss_fn(state, Z, mask, visible)
+            backward(ad.scale(loss, 0.8))
+        return loss.values, loss.skipped, [X.grad] + [
+            p.grad for p in model.params.values()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgraphs=BATCH, ratio=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**16))
+    @example(subgraphs=[NEAR_COMPLETE, (3, [False] * 9), NEAR_COMPLETE,
+                        (1, [True])], ratio=0.3, seed=3)
+    @example(subgraphs=[ARROWLESS, ONE_NODE], ratio=0.5, seed=1)
+    def test_values_skip_flags_and_gradients_are_bit_equal(self, subgraphs,
+                                                           ratio, seed):
+        sizes = [n for n, _ in subgraphs]
+        graph = GraphBatch(stacked_arrows(subgraphs), sizes)
+        mask = mask_edges(graph, ratio, seed)
+        for run in (self.leaves_run, self.encoder_run):
+            self.equal(run(edge_loss, graph, mask, seed),
+                       run(composed_edge_loss, graph, mask, seed))
+
+    def test_one_latent_column(self):
+        # a single latent column takes the scatter's bincount path
+        graph = GraphBatch(stacked_arrows([NEAR_COMPLETE, NEAR_COMPLETE]),
+                           [5, 5])
+        mask = mask_edges(graph, 0.3, 4)
+        values = np.random.default_rng(9).normal(size=(3, 10, 1))
+        runs = []
+        for loss_fn in (edge_loss, composed_edge_loss):
+            leaves = [ad.parameter(v.copy()) for v in values]
+            with Tape():
+                loss = loss_fn(VgaeState(leaves[0], leaves[1]), leaves[2],
+                               mask, graph)
+                backward(loss)
+            runs.append((loss.values, loss.skipped,
+                         [leaf.grad for leaf in leaves]))
+        self.equal(*runs)
+
+    def test_records_one_op(self):
+        graph = GraphBatch(stacked_arrows([NEAR_COMPLETE]), [5])
+        mask = mask_edges(graph, 0.3, 4)
+        leaves = [ad.parameter(np.ones((5, 2))) for _ in range(3)]
+        with Tape() as tape:
+            edge_loss(VgaeState(leaves[0], leaves[1]), leaves[2], mask, graph)
+        assert len(tape) == 1
 
 
 class TestToyTraining:
