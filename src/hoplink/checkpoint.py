@@ -98,7 +98,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, int], dict[str, np.ndarray]]:
         if name in tensors:
             raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
         count = math.prod(shape)
-        raw = data[offset:offset + 8 * count]
+        raw = memoryview(data)[offset:offset + 8 * count]
         if len(raw) != 8 * count:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

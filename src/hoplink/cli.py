@@ -315,10 +315,10 @@ def cmd_explain(args) -> int:
     relation = resolve_name(args.relation, kg.relation_ids, "relation")
 
     seed = derive_seed(model.config.seed, f"explain:{head}:{relation}")
-    entities = model.entity_matrix(kg)
+    entities = model.entity_table(kg)
     with ad.no_grad():
         batch = model.encode_queries(kg, [(head, relation)], [seed], entities)
-    tail_rows, _ = model.tail_matrix(kg, entities)
+    tail_rows, _ = model.tail_matrix(kg, entities.matrix)
     scores = query_scores(batch.e_hr.values, tail_rows)[0]
     order = np.lexsort((np.arange(len(scores)), -scores))
     top = [{"entity": kg.entities[int(e)].name, "score": float(scores[e]),

@@ -17,14 +17,16 @@ from .kg import (KnowledgeGraph, build_filter_index, known_tails,  # noqa: F401
                  neighborhood_seeds, query_columns)
 from .model import KgcModel, eval_neighborhood_seed
 
-# evaluate ranks chunks of up to this many score cells (4 MiB of float64),
-# or of batch_size rows where those hold more, as each chunk costs ~3 ms of
-# small numpy and scipy calls in ``encode_queries`` whatever its size.
-# perfbench wide-k1-eval (5,000 entities, batch 32, one BLAS thread),
-# pass_s / peak RSS, medians of 3 runs: chunks of 32 rows: 0.470 s /
-# 129.9 MiB, 2^18 (52 rows): 0.378 s / 126.1 MiB, 2^19 (104): 0.346 s /
-# 128.5 MiB, 2^20 (209): 0.322 s / 129.3 MiB.
-SCORE_CELLS = 1 << 19
+# evaluate ranks chunks of up to this many score cells (8 MiB of float64,
+# twice 2^19's 4 MiB), or of batch_size rows where those hold more, as each
+# chunk costs ~3 ms of small numpy and scipy calls in ``encode_queries``
+# whatever its size. Paired, with the entity table: evaluate on perfbench's
+# wide-k1-eval model (5,000 entities, batch 32, one BLAS thread), 2^19
+# (104-row chunks) and 2^20 (209) alternated in one process, 30 rounds
+# each, twice: 2^20 was faster by 4.6% and 3.1% in the median, in 27 and 22
+# of the 30 pairs. Its larger chunks cost ~8 MiB of that workload's peak
+# RSS (BENCH_32.json).
+SCORE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,17 +95,23 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     rows are encoded and ranked in chunks of max(``config.batch_size``,
     ``SCORE_CELLS`` // E) rows, one ``encode_queries`` pass per chunk, so a
     chunk's (rows x E) score matrix holds about ``SCORE_CELLS`` cells on a
-    small graph and training's batch shape on a large one. A chunk keeps
-    only its query vectors, so its batch and score matrix are freed before
-    the next chunk is encoded. The neighborhood seed of row i depends only
-    on the run seed, the split and i, so a query gets the same neighborhood
-    in any chunk, and the same vector bit for bit in any chunk of two or
-    more queries: GAT scores all heads in one product of at least 8
-    columns, not in matrix-vector products, whose OpenBLAS rounding follows
-    a row's position in its chunk. A chunk of a single query takes BLAS's
-    one-row kernel for its final projection, so its last bits can differ;
-    a rank moves only where a candidate scores within a few ulps of the
-    gold.
+    small graph and training's batch shape on a large one. Every chunk reads
+    one ``entity_table``, built here and dropped on return: the entity
+    matrix, whose unit rows are the candidates, and the graph encoder's
+    layer-0 row-wise stage of it, so a chunk stages only its head rows. A
+    chunk keeps only its query vectors, so its batch and score matrix are
+    freed before the next chunk is encoded. The neighborhood seed of row i
+    depends only on the run seed, the split and i, so a query gets the same
+    neighborhood in any chunk, and the same vector bit for bit in any chunk
+    of two or more queries: GAT scores all heads in one product whose width
+    is a multiple of 8 columns, not in matrix-vector products, whose
+    OpenBLAS rounding follows a row's position in its chunk. That holds
+    while every dense product sums over at most 384 terms: a final GAT
+    layer projects heads x dim of them, and at 8 heads of dim 64 (512) a
+    row's bits follow its position again. A chunk of a single query takes
+    BLAS's one-row kernel for its final projection, so its last bits can
+    differ; a rank moves only where a candidate scores within a few ulps of
+    the gold.
     Runs without gradients and changes neither the model nor the graph's
     facts: each chunk's known tails are one ``known_tails`` lookup into
     ``kg.filter_index``. It does fill ``kg.neighborhoods``, the graph's memo
@@ -115,8 +123,8 @@ def evaluate(model: KgcModel, kg: KnowledgeGraph, split: str,
     queries = query_columns(kg, split)[:max_queries]
     if not len(queries):
         return RankingMetrics(0.0, 0.0, 0.0, 0.0, 0)
-    entities = model.entity_matrix(kg)
-    tail_rows, _ = model.tail_matrix(kg, entities)
+    entities = model.entity_table(kg)
+    tail_rows, _ = model.tail_matrix(kg, entities.matrix)
     ranks = np.full(len(queries), kg.num_entities, dtype=np.int64)
     seen = np.flatnonzero(~kg.query_is_unseen(queries[:, 0], queries[:, 1]))
     size = max(model.config.batch_size, SCORE_CELLS // kg.num_entities)

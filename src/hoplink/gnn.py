@@ -7,17 +7,18 @@ fixed operator, ``ad.sparse_matmul``. Every GAT head reads the same input,
 so a GAT layer makes one projection, one score product for all its heads
 and one ``ad.edge_attention`` op, which softmax-normalizes each head's
 per-edge scores over each node's incoming edges and aggregates through the
-edge pattern. The final layer computes only the readout rows: every
-variant takes the readout rows of its CSR matrix, a row slice that keeps
-each row's edges in graph order, and GAT's final heads aggregate before
-they project. Edge direction is preserved upstream for edge
-reconstruction. Layers carry no bias terms.
+edge pattern; its products before the attention are row-wise, so
+evaluation computes layer 0's once per entity. The final layer computes
+only the readout rows: every variant takes the readout rows of its CSR
+matrix, a row slice that keeps each row's edges in graph order, and GAT's
+final heads aggregate before they project. Edge direction is preserved
+upstream for edge reconstruction. Layers carry no bias terms.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,10 +34,11 @@ if TYPE_CHECKING:
 
 VARIANTS = ("gcn", "gat", "sage")
 ACTIVATIONS = {"relu": ad.relu, "leaky_relu": ad.leaky_relu}
-# GAT's score product has at least this many columns, zero-padded: OpenBLAS
-# rounds a row of a product with fewer the same way only at the same
-# position in a product of about the same size, so a query's vector would
-# depend on its chunk (4 columns fixed the position, 8 the size too)
+# GAT's score product has a multiple of this many columns, zero-padded:
+# OpenBLAS rounds a row of a product of another width the same way only at
+# the same position in a product of about the same size, so a query's vector
+# would depend on its chunk (4 columns fixed the position, 8 the size too;
+# 10 and 12 columns, for 5 and 6 heads, moved rows again)
 SCORE_WIDTH = 8
 
 
@@ -177,6 +179,45 @@ def _score_block(parts: list[Tensor], first: int, width: int) -> Tensor:
     return ad.concat_cols([p for p in (pads[0], *parts, pads[1]) if p.shape[1]])
 
 
+def score_width(heads: int) -> int:
+    """Columns of GAT's score product for ``heads`` heads: 2 heads rounded
+    up to a multiple of ``SCORE_WIDTH``."""
+    return -(-2 * heads // SCORE_WIDTH) * SCORE_WIDTH
+
+
+def gat_rowwise(X: Tensor, W: list[Tensor], a_src: list[Tensor],
+                a_dst: list[Tensor], final: bool = False) -> tuple[Tensor, Tensor]:
+    """A GAT layer's row-wise stage (see ``gat_layer``): (the rows its heads
+    aggregate, their score columns), each row a function of X's row alone."""
+    heads = len(W)
+    width = score_width(heads)
+    if final:
+        A = _score_block([ad.matmul(Wk, a) for k, Wk in enumerate(W)
+                          for a in (a_src[k], a_dst[k])], 0, width)
+        return X, ad.matmul(X, A)
+    h = ad.matmul(X, ad.concat_cols(W))
+    A = ad.concat_rows([_score_block([a_src[k], a_dst[k]], 2 * k, width)
+                        for k in range(heads)])
+    return h, ad.matmul(h, A)
+
+
+def gat_edges(h: Tensor, scores: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
+              W: list[Tensor], activation=None,
+              final: bool = False) -> tuple[Tensor, np.ndarray]:
+    """A GAT layer's edge stage over its row-wise stage ``(h, scores)`` (see
+    ``gat_layer``)."""
+    heads = len(W)
+    if final:
+        blocks = [slice(None)] * heads
+    else:
+        ends = np.cumsum([Wk.shape[1] for Wk in W]).tolist()
+        blocks = [slice(end - Wk.shape[1], end) for Wk, end in zip(W, ends)]
+    out, att = ad.edge_attention(h, scores, pattern, dst, blocks)
+    if final:
+        out = ad.scale(ad.matmul(out, ad.concat_rows(W)), 1.0 / heads)
+    return (activation(out) if activation is not None else out), np.mean(att, axis=0)
+
+
 def gat_layer(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
               W: list[Tensor], a_src: list[Tensor], a_dst: list[Tensor],
               activation=None, final: bool = False) -> tuple[Tensor, np.ndarray]:
@@ -186,31 +227,19 @@ def gat_layer(X: Tensor, pattern: sp.csr_matrix, dst: np.ndarray,
     [a_src[k]; a_dst[k]], softmax-normalized over the row.
 
     Every head reads X, so the layer makes one projection and one score
-    product by a zero-padded A of max(SCORE_WIDTH, 2 heads) columns, head
-    k's in columns 2k (x_i's score) and 2k + 1 (x_j's); ``ad.edge_attention``
+    product by a zero-padded A of ``score_width(heads)`` columns, head k's
+    in columns 2k (x_i's score) and 2k + 1 (x_j's); ``ad.edge_attention``
     then runs the heads. A hidden layer projects H = X [W_0 ... W_{h-1}],
     scores H (A stacks a row block per head, [a_src[k], a_dst[k]] at column
     2k) and concatenates its heads' sums of their blocks of H. A final one,
     whose pattern rows are the readout rows, scores X by A = [W_k a ...],
     aggregates X per head and projects only the sums: [agg_0 ... agg_{h-1}]
-    [W_0; ...; W_{h-1}] / heads, as (A X) W = A (X W). Returns (the
-    layer's output and the head-mean attention per entry)."""
-    heads = len(W)
-    width = max(SCORE_WIDTH, 2 * heads)
-    if final:
-        h, blocks = X, [slice(None)] * heads
-        A = _score_block([ad.matmul(Wk, a) for k, Wk in enumerate(W)
-                          for a in (a_src[k], a_dst[k])], 0, width)
-    else:
-        h = ad.matmul(X, ad.concat_cols(W))
-        ends = np.cumsum([Wk.shape[1] for Wk in W]).tolist()
-        blocks = [slice(end - Wk.shape[1], end) for Wk, end in zip(W, ends)]
-        A = ad.concat_rows([_score_block([a_src[k], a_dst[k]], 2 * k, width)
-                            for k in range(heads)])
-    out, att = ad.edge_attention(h, ad.matmul(h, A), pattern, dst, blocks)
-    if final:
-        out = ad.scale(ad.matmul(out, ad.concat_rows(W)), 1.0 / heads)
-    return (activation(out) if activation is not None else out), np.mean(att, axis=0)
+    [W_0; ...; W_{h-1}] / heads, as (A X) W = A (X W). The products before
+    the attention are row-wise, ``gat_rowwise``, and the rest is
+    ``gat_edges``. Returns (the layer's output and the head-mean attention
+    per entry)."""
+    return gat_edges(*gat_rowwise(X, W, a_src, a_dst, final), pattern, dst, W,
+                     activation, final)
 
 
 class GraphEncoder:
@@ -224,7 +253,9 @@ class GraphEncoder:
     one over the readout rows of the batch's CSR matrix for the variant
     (GAT's heads aggregate into those rows, then project only the sums).
     A GAT layer's heads keep their own parameters, ``l{layer}_h{k}_w``,
-    ``_asrc`` and ``_adst``, joined at use (see ``gat_layer``).
+    ``_asrc`` and ``_adst``, joined at use (see ``gat_layer``). Layer 0
+    runs in two stages, ``rowwise`` and the rest, so that evaluation can
+    stage each entity's row once and gather it where the entity occurs.
     ``last_attention`` holds each GAT layer's head-mean attention, the final
     entry over those edges alone.
     """
@@ -249,21 +280,46 @@ class GraphEncoder:
                     self.params[f"{p}_asrc"] = ad.xavier_uniform((out_dim, 1), rng)
                     self.params[f"{p}_adst"] = ad.xavier_uniform((out_dim, 1), rng)
 
-    def encode(self, X: Tensor, graph: GraphBatch, readout: list[int]) -> Tensor:
+    def _gat_params(self, layer: int) -> list[list[Tensor]]:
+        """Layer ``layer``'s per-head W, a_src and a_dst, in head order."""
+        return [[self.params[f"l{layer}_h{h}_{k}"] for h in range(self.config.heads)]
+                for k in ("w", "asrc", "adst")]
+
+    def rowwise(self, X: Tensor) -> tuple[Tensor, ...]:
+        """Layer 0's row-wise stage over the rows of X, each output row a
+        function of X's row alone: GAT's (rows its heads aggregate, score
+        columns), see ``gat_rowwise``; GCN and SAGE start with a sparse
+        product, so theirs is (X,). Any rows can be staged: the entity
+        matrix once for every query of an evaluation, say."""
+        if self.config.encoder != "gat":
+            return (X,)
+        return gat_rowwise(X, *self._gat_params(0), final=self.config.layers == 1)
+
+    def encode(self, X: Tensor, graph: GraphBatch, readout: list[int],
+               stage: Sequence[Tensor] | None = None) -> Tensor:
         """Run the stack over one batch graph and return the given rows of
-        its final layer, adding the residual from X."""
-        if X.shape[0] != graph.num_nodes:
-            raise ShapeError(
-                f"X has {X.shape[0]} rows for a {graph.num_nodes}-node graph")
+        its final layer, adding the residual from X.
+
+        ``stage``, when given, is ``rowwise`` of the stacked rows, gathered
+        by the caller from rows it staged once, and X is then only the
+        stacked rows' readout rows, in readout order; else layer 0 stages
+        X itself. Each row stages alike either way."""
+        n = graph.num_nodes
+        if stage is None and X.shape[0] != n:
+            raise ShapeError(f"X has {X.shape[0]} rows for a {n}-node graph")
         readout = np.asarray(readout)
         if readout.ndim != 1 or readout.size == 0 or readout.dtype.kind not in "iu":
             raise ShapeError("readout must be a non-empty flat sequence of integer rows")
         readout = readout.astype(np.int64, copy=False)
         # explicit, because the readout cut would wrap negative rows
-        n = graph.num_nodes
         if readout.min() < 0 or readout.max() >= n:
             raise IndexError(f"readout row out of range for {n} nodes: "
                              f"{readout[(readout < 0) | (readout >= n)][0]}")
+        if stage is not None and (X.shape[0] != len(readout)
+                                  or any(s.shape[0] != n for s in stage)):
+            raise ShapeError(f"a staged {n}-node graph needs stage rows for every "
+                             f"node and X rows for its {len(readout)} readout rows, "
+                             f"got {[s.shape for s in stage]} and {X.shape}")
         cfg = self.config
         activation = ACTIVATIONS[cfg.activation]
         self.last_attention = []
@@ -272,23 +328,26 @@ class GraphEncoder:
         for layer in range(cfg.layers):
             final = layer == cfg.layers - 1
             act = None if final else activation
+            staged = stage if layer == 0 else None
             op = (graph.gcn_operator if cfg.encoder == "gcn" else
                   graph.mean_operator if cfg.encoder == "sage" else graph.pattern)
             if final:
                 op = graph.readout_rows(op, readout)
             if cfg.encoder == "gcn":
-                H = gcn_layer(H, op, self.params[f"l{layer}_w"], act)
+                H = gcn_layer(H if staged is None else staged[0], op,
+                              self.params[f"l{layer}_w"], act)
             elif cfg.encoder == "sage":
-                H = sage_layer(H, op, self.params[f"l{layer}_w"], act,
+                H = sage_layer(H if staged is None else staged[0], op,
+                               self.params[f"l{layer}_w"], act,
                                readout if final else None)
             else:
                 # the final layer's entries point into the readout rows
                 dst = np.repeat(readout, np.diff(op.indptr)) if final else graph.dst
-                H, attention = gat_layer(
-                    H, op, dst, *([self.params[f"l{layer}_h{h}_{k}"]
-                                   for h in range(cfg.heads)]
-                                  for k in ("w", "asrc", "adst")), act, final)
+                W, a_src, a_dst = self._gat_params(layer)
+                if staged is None:
+                    H, attention = gat_layer(H, op, dst, W, a_src, a_dst, act, final)
+                else:
+                    H, attention = gat_edges(*staged, op, dst, W, act, final)
                 self.last_attention.append(attention)
 
-        return ad.add(H, ad.gather_rows(X, readout))
-
+        return ad.add(H, X if stage is not None else ad.gather_rows(X, readout))

@@ -1,5 +1,6 @@
 import copy
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hoplink.evaluation import (
     filtered_rank,
     query_scores,
 )
+from hoplink.gnn import GraphEncoder, score_width
 from hoplink.kg import (
     KnowledgeGraph,
     TransductiveWarning,
@@ -413,3 +415,60 @@ class TestBatchedEvaluate:
             evaluate(model, dozen_kg, "train")
             assert sizes == [min(chunk, seen - start)
                              for start in range(0, seen, chunk)]
+
+
+class TestEntityTable:
+    """evaluate stages each entity's layer-0 rows once per call, not once
+    per occurrence, and keeps nothing past the call."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_no_dense_product_has_the_stacked_row_count(self, dozen_kg,
+                                                        monkeypatch, layers):
+        # layer 0 gathers its stage from the entity table and the chunk's
+        # staged head rows, so dense products read E, head or readout rows;
+        # only a later layer's score product reads every stacked row
+        model = make_model(dozen_kg, dim=16, layers=layers, batch_size=4)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 0)
+        stacked, products = [], []
+        matmul, encode = ad.matmul, GraphEncoder.encode
+
+        def recording_matmul(a, b):
+            products.append((a.shape[0], b.shape[1]))
+            return matmul(a, b)
+
+        def recording_encode(self, X, graph, *args, **kwargs):
+            stacked.append(graph.num_nodes)
+            return encode(self, X, graph, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        monkeypatch.setattr(GraphEncoder, "encode", recording_encode)
+        evaluate(model, dozen_kg, "train")
+        assert len(stacked) == 10  # 40 seen queries in chunks of 4
+        # no other product's row count: entities, dim, chunk
+        assert min(stacked) > 16
+        wide = [cols for rows, cols in products if rows in set(stacked)]
+        assert wide == [score_width(2)] * (len(stacked) if layers > 1 else 0)
+
+    def test_the_table_does_not_outlive_its_evaluate(self, dozen_kg,
+                                                     monkeypatch):
+        model = make_model(dozen_kg, batch_size=4)
+        monkeypatch.setattr(evaluation, "SCORE_CELLS", 0)
+        tables = []
+        entity_table = KgcModel.entity_table
+
+        def recording(self, kg):
+            table = entity_table(self, kg)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(KgcModel, "entity_table", recording)
+        evaluate(model, dozen_kg, "train")
+        assert len(tables) == 1 and tables[0]() is None
+        evaluate(model, dozen_kg, "train")
+        assert len(tables) == 2 and tables[1]() is None
+
+    def test_a_table_is_read_without_gradients(self, dozen_kg):
+        model = make_model(dozen_kg)
+        table = model.entity_table(dozen_kg)
+        with pytest.raises(ad.GraphError, match="without gradients"):
+            model.encode_queries(dozen_kg, [(0, 0)], [1], table)

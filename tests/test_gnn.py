@@ -10,13 +10,14 @@ from scipy.linalg import block_diag
 from hoplink import autodiff as ad
 from hoplink.autodiff import ShapeError, Tensor
 from hoplink.gnn import (
-    GraphBatch,
     SCORE_WIDTH,
+    GraphBatch,
     GraphEncoder,
     gat_layer,
     gcn_layer,
     head_widths,
     sage_layer,
+    score_width,
 )
 from hoplink.cli import ATTENTION_DECIMALS, neighbor_order
 from hoplink.config import ConfigError, RunConfig
@@ -265,7 +266,7 @@ class TestEdgeIndexMatchesDenseOracle:
                     if rule.__qualname__ == "matmul.<locals>.rule"]
         # the one exemption: the score product of every head, recognised by
         # its fixed width, reads every stacked row
-        width = max(SCORE_WIDTH, 2 * enc.config.heads)
+        width = score_width(enc.config.heads)
         assert [rows for rows, cols in products if cols == width] == [len(A)]
         others = [(rows, cols) for rows, cols in products if cols != width]
         assert any(cols >= 2 for _, cols in others)
@@ -404,7 +405,7 @@ class TestEdgeAttention:
     def test_matches_dense_reference_on_path_graph(self):
         self.assert_heads_match_dense_reference([5])
 
-    # five heads need 10 score columns, more than SCORE_WIDTH
+    # five heads need 10 score columns, so the product takes 16
     @pytest.mark.parametrize("widths", [[2, 3], [3, 2, 2], [1, 2, 1, 1, 1]])
     def test_heads_side_by_side_match_dense_reference(self, widths):
         self.assert_heads_match_dense_reference(widths)
@@ -686,6 +687,35 @@ class TestConfigValidation:
         X = ad.constant(np.random.default_rng(1).normal(size=(4, 7)))
         out = enc.encode(X, graph_of(A), [0, 2])
         assert out.shape == (2, 7)
+
+    def test_score_width_rounds_two_per_head_up_to_the_block(self):
+        assert [score_width(h) for h in range(1, 10)] \
+            == [SCORE_WIDTH] * 4 + [2 * SCORE_WIDTH] * 4 + [3 * SCORE_WIDTH]
+
+    @pytest.mark.parametrize("variant, layers, heads", [
+        ("gat", 1, 3), ("gat", 2, 3), ("gat", 2, 5), ("gcn", 2, 1),
+        ("sage", 2, 1)])
+    def test_a_staged_encode_gives_the_unstaged_bits(self, variant, layers,
+                                                     heads):
+        # layer 0's stage of the rows in another order, gathered back, with
+        # X's readout rows as the residual: what evaluation does with the
+        # entity table
+        A = np.zeros((6, 6))
+        A[0, 1] = A[1, 2] = A[2, 0] = A[3, 4] = A[4, 5] = 1.0
+        graph, readout = graph_of(A), np.array([3, 0])
+        enc = encoder(variant, dim=10, layers=layers, heads=heads)
+        X = ad.constant(np.random.default_rng(3).normal(size=(6, 10)))
+        want = enc.encode(X, graph, readout).values
+        order = np.array([4, 0, 5, 2, 1, 3])
+        stage = [ad.constant(s.values[np.argsort(order)])
+                 for s in enc.rowwise(ad.constant(X.values[order]))]
+        got = enc.encode(ad.constant(X.values[readout]), graph, readout, stage)
+        assert got.values.tobytes() == want.tobytes()
+        with pytest.raises(ShapeError, match="stage rows"):
+            enc.encode(X, graph, readout, stage)
+        with pytest.raises(ShapeError, match="stage rows"):
+            enc.encode(ad.constant(X.values[readout]), graph, readout,
+                       [ad.constant(s.values[1:]) for s in stage])
 
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigError, match="layer"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoplink.autodiff as ad
+import hoplink.model as model_module
 from hoplink.autodiff import ShapeError
 from hoplink.config import RunConfig
 from hoplink.kg import (
@@ -115,11 +116,13 @@ class TestQueryEncoding:
     @pytest.mark.parametrize("encoder, heads, k, dim", [
         ("gat", 1, 1, 16), ("gat", 2, 1, 32), ("gat", 3, 1, 64),
         ("gat", 1, 2, 24), ("gat", 2, 2, 32), ("gat", 3, 2, 48),
+        ("gat", 5, 1, 64), ("gat", 5, 2, 40), ("gat", 6, 2, 48),
         ("gcn", 1, 2, 32), ("sage", 1, 2, 32)])
     def test_a_query_vector_does_not_depend_on_its_chunk(self, encoder, heads,
                                                          k, dim):
         # a query's vector is the same bit for bit in overlapping, shifted
-        # chunks of 2 to 60 queries (a one-query chunk takes BLAS's one-row
+        # chunks of 2 to 60 queries, encoded as in training or from an
+        # evaluation's entity table (a one-query chunk takes BLAS's one-row
         # kernel for its final projection, so it is left out)
         kg = KnowledgeGraph.build(*generate_synthetic_kg(0))
         model = make_model(kg, encoder=encoder, heads=heads, k=k, dim=dim,
@@ -128,15 +131,16 @@ class TestQueryEncoding:
         seeds = [eval_neighborhood_seed(3, "train", i) for i in range(len(rows))]
         with ad.no_grad():
             want = model.encode_queries(kg, rows, seeds).e_hr.values
-            for size in (2, 7, 23):
-                for shift in range(0, size, max(1, size // 3)):
-                    for start in range(shift, len(rows) - 1, size):
-                        stop = min(start + size, len(rows))
-                        got = model.encode_queries(kg, rows[start:stop],
-                                                   seeds[start:stop])
-                        np.testing.assert_array_equal(
-                            got.e_hr.values, want[start:stop],
-                            err_msg=f"rows {start}-{stop - 1}")
+            for entities in (None, model.entity_table(kg)):
+                for size in (2, 7, 23):
+                    for shift in range(0, size, max(1, size // 3)):
+                        for start in range(shift, len(rows) - 1, size):
+                            stop = min(start + size, len(rows))
+                            got = model.encode_queries(kg, rows[start:stop],
+                                                       seeds[start:stop], entities)
+                            np.testing.assert_array_equal(
+                                got.e_hr.values, want[start:stop],
+                                err_msg=f"rows {start}-{stop - 1}")
 
     def test_block_layout_heads_first(self, chain_kg):
         model = make_model(chain_kg)
@@ -298,6 +302,25 @@ class TestStateRoundtrip:
             assert s1[name].tobytes() == s2[name].tobytes(), name
         assert clone.config == model.config
         assert clone.tokenizer.token_to_id == model.tokenizer.token_to_id
+
+    @pytest.mark.parametrize("text_mode", ["mean_pool", "transformer_lite"])
+    def test_load_makes_no_random_init(self, chain_kg, tmp_path, monkeypatch,
+                                       text_mode):
+        # every parameter is the checkpoint's, so loading derives no init
+        # generator and draws nothing
+        model = make_model(chain_kg, text_mode=text_mode, lambda_weight=0.2)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+
+        def no_init(*args):
+            raise AssertionError("load_model drew a random init")
+
+        monkeypatch.setattr(model_module, "derive_rng", no_init)
+        clone = load_model(path)
+        s1, s2 = model.state_arrays(), clone.state_arrays()
+        assert set(s1) == set(s2) and "vgae.shared" in s2
+        for name in s1:
+            assert s1[name].tobytes() == s2[name].tobytes(), name
 
     def test_two_saves_are_identical_files(self, chain_kg, tmp_path):
         model = make_model(chain_kg)

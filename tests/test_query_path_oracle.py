@@ -178,18 +178,32 @@ def test_empty_neighborhoods_match_the_oracle():
     lambda: synth_batch(encoder="gat", k=2, cap_per_hop=4,
                         text_mode="transformer_lite"),
     isolated_heads_batch,
-], ids=["synth", "transformer", "isolated"])
+    lambda: synth_batch(encoder="gat", heads=1, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", heads=3, dim=24, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", heads=5, dim=40, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", heads=6, dim=48, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", heads=3, layers=1, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gat", heads=2, layers=3, k=2, cap_per_hop=4),
+    lambda: synth_batch(encoder="gcn", k=2),
+    lambda: synth_batch(encoder="sage", k=2),
+    lambda: synth_batch(b=1, encoder="gat", k=2, cap_per_hop=4),
+], ids=["synth", "transformer", "isolated", "gat-1-head", "gat-3-heads",
+        "gat-5-heads", "gat-6-heads", "gat-1-layer", "gat-3-layers", "gcn", "sage",
+        "one-query"])
 def test_eval_table_gives_the_training_path_bits(make_batch):
-    # evaluation reads its table from entity_matrix, training from the tower
+    # evaluation gathers layer 0's stage from rows staged once, training
+    # stages the gathered X: the stage is row-wise, so both give one set of
+    # bits
     model, kg, queries, seeds, golds = make_batch()
-    entities = model.entity_matrix(kg)
+    entities = model.entity_table(kg)
     with ad.no_grad():
         trained = model.encode_queries(kg, queries, seeds, golds=golds)
         evaluated = model.encode_queries(kg, queries, seeds, entities, golds)
-        X, e_hr, _ = oracle_encode(model, kg, queries, seeds, golds, entities)
+        X, e_hr, _ = oracle_encode(model, kg, queries, seeds, golds,
+                                   entities.matrix)
     assert evaluated.X.values.tobytes() == trained.X.values.tobytes()
     assert evaluated.gold.values.tobytes() == trained.gold.values.tobytes()
+    assert evaluated.e_hr.values.tobytes() == trained.e_hr.values.tobytes()
     np.testing.assert_array_equal(evaluated.X.values, X.values)
     np.testing.assert_allclose(evaluated.e_hr.values, e_hr.values,
                                rtol=1e-12, atol=1e-12)
-
