@@ -25,9 +25,13 @@ the ``fact_keys`` of every split's triples and their inverses, so a batch of
 (head, relation) queries finds all its known tails with two ``searchsorted``
 calls (``known_tails``).
 
-A split's queries are one (2m x 3) array of (head, relation, gold) rows
-(``query_columns``), which training and ``evaluate`` slice; ``known_tails``
-and ``query_is_unseen`` each answer a batch of its rows in one call.
+Each split is held as one read-only (m x 3) int64 array of (head, relation,
+tail) ids in ``kg.triples``, a slice of one id table, so a build makes no
+object per triple. ``kg.splits`` rebuilds them as lists of ``Triple`` on each
+read; that view exists only for perfbench and tests. A split's queries are
+one (2m x 3) array of (head, relation, gold) rows (``query_columns``), which
+training and ``evaluate`` slice; ``known_tails`` and ``query_is_unseen`` each
+answer a batch of its rows in one call.
 """
 
 from __future__ import annotations
@@ -160,7 +164,8 @@ class KnowledgeGraph:
     entities: list[EntityRecord]
     relation_ids: dict[str, int]
     relation_labels: list[str]
-    splits: dict[str, list[Triple]]
+    # read-only (m x 3) int64 (head, relation, tail) rows of each split
+    triples: dict[str, np.ndarray]
     neighbor_index: NeighborIndex
     # read-only flags, by entity and base-relation id, of those absent from
     # the train split
@@ -173,6 +178,13 @@ class KnowledgeGraph:
         default_factory=dict, repr=False)
     # every entity text and relation label tokenized once, see text.token_table
     token_table: TokenTable | None = field(default=None, repr=False)
+
+    @property
+    def splits(self) -> dict[str, list[Triple]]:
+        """Each split's triples as ``Triple``s, built anew on every read;
+        ``src/`` reads ``triples``, this view is for perfbench and tests."""
+        return {name: list(map(Triple._make, rows.tolist()))
+                for name, rows in self.triples.items()}
 
     @property
     def num_entities(self) -> int:
@@ -199,12 +211,24 @@ class KnowledgeGraph:
     def build(cls, split_triples: Mapping[str, Sequence[LabelTriple]],
               entity_text: Mapping[str, tuple[str, str]]) -> "KnowledgeGraph":
         """Assemble a graph from raw label triples and an entity text table."""
+        unknown = [name for name in split_triples if name not in SPLITS]
+        if unknown:
+            raise DatasetError(f"unknown split {unknown[0]!r}; "
+                               f"splits are {', '.join(SPLITS)}")
         if not split_triples.get("train"):
             raise DatasetError("train split is empty; nothing to build from")
 
         rows = [row for name in SPLITS for row in split_triples.get(name, ())]
         # label columns in first-appearance order: head before tail, by split
-        ends = [label for h, _, t in rows for label in (h, t)]
+        try:
+            ends = [label for h, _, t in rows for label in (h, t)]
+        except (TypeError, ValueError):
+            name, i, row = next(
+                (name, i, row) for name in SPLITS
+                for i, row in enumerate(split_triples.get(name, ()))
+                if not isinstance(row, Sequence) or len(row) != 3)
+            raise DatasetError(f"{name} row {i}: expected 3 labels "
+                               f"(head, relation, tail), got {row!r}") from None
         relations = [r for _, r, _ in rows]
         entity_labels = list(dict.fromkeys(ends))
         relation_labels = list(dict.fromkeys(relations))
@@ -225,21 +249,17 @@ class KnowledgeGraph:
 
         entities = [EntityRecord(*entity_text[label]) for label in entity_labels]
 
-        heads, tails = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
-                                   len(ends)).reshape(-1, 2).T
-        rels = np.fromiter(map(relation_ids.__getitem__, relations), np.int64, len(rows))
-        columns = (heads.tolist(), rels.tolist(), tails.tolist())
-        splits: dict[str, list[Triple]] = {}
-        start = 0
-        for name in SPLITS:
-            stop = start + len(split_triples.get(name, ()))
-            # tuple.__new__ skips the Python-level Triple.__new__ per triple
-            splits[name] = list(map(tuple.__new__, itertools.repeat(Triple),
-                                    zip(*(c[start:stop] for c in columns))))
-            start = stop
+        # one (head, relation, tail) id row per triple; each split is a slice
+        ids = np.empty((len(rows), 3), np.int64)
+        ids[:, ::2] = np.fromiter(map(entity_ids.__getitem__, ends), np.int64,
+                                  len(ends)).reshape(-1, 2)
+        ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), np.int64,
+                                len(rows))
+        ids.flags.writeable = False
+        sizes = [len(split_triples.get(name, ())) for name in SPLITS]
+        triples = dict(zip(SPLITS, np.split(ids, np.cumsum(sizes)[:-1])))
 
-        train = len(splits["train"])
-        h, r, t = heads[:train], rels[:train], tails[:train]
+        h, r, t = triples["train"].T
         n, num_rel = len(entity_labels), len(relation_labels)
         # out-edge keys sort each row by (relation, tail)
         out_indptr, out_cells = _csr(h * (num_rel * n) + r * n + t, num_rel * n, n)
@@ -265,10 +285,10 @@ class KnowledgeGraph:
 
         kg = cls(entity_ids=entity_ids, entity_labels=entity_labels,
                  entities=entities, relation_ids=relation_ids,
-                 relation_labels=relation_labels + inverse_labels, splits=splits,
+                 relation_labels=relation_labels + inverse_labels, triples=triples,
                  neighbor_index=index, entity_unseen=entity_unseen,
                  relation_unseen=relation_unseen)
-        build_filter_index(kg, heads, rels, tails)
+        build_filter_index(kg, *ids.T)
         return kg
 
 
@@ -333,7 +353,7 @@ def load_dataset_dir(dataset_dir) -> KnowledgeGraph:
 def dataset_counts(kg: KnowledgeGraph) -> dict[str, int]:
     """Entity, base-relation and per-split triple counts, in manifest order."""
     return {"entities": kg.num_entities, "relations": kg.num_base_relations,
-            **{name: len(kg.splits[name]) for name in SPLITS}}
+            **{name: len(kg.triples[name]) for name in SPLITS}}
 
 
 def validate_counts(kg: KnowledgeGraph,
@@ -391,9 +411,7 @@ def query_columns(kg: KnowledgeGraph, split: str) -> np.ndarray:
     """(2m x 3) int64 rows (head, relation, gold) of the split's m triples:
     each triple's forward query (h, r, t), then its inverse query
     (t, r + R, h) on the inverse relation that ``build`` made."""
-    triples = kg.splits[split]
-    forward = np.fromiter(itertools.chain.from_iterable(triples), np.int64,
-                          3 * len(triples)).reshape(-1, 3)
+    forward = kg.triples[split]
     inverse = forward[:, ::-1] + (0, kg.num_base_relations, 0)
     return np.stack([forward, inverse], axis=1).reshape(-1, 3)
 

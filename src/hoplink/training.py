@@ -173,7 +173,7 @@ class Trainer:
 
         cfg = self.config
         records = []
-        has_valid = bool(self.kg.splits.get("valid"))
+        has_valid = len(self.kg.triples["valid"]) > 0
         for _ in range(count):
             epoch = self.epoch
             queries = np.asarray(self.queries, np.int64).reshape(-1, 3)

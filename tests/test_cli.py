@@ -8,8 +8,11 @@ import pytest
 import hoplink.cli as cli
 from hoplink.checkpoint import load_checkpoint, save_checkpoint
 from hoplink.cli import main
-from hoplink.kg import load_dataset_dir
+from hoplink.config import RunConfig
+from hoplink.evaluation import evaluate
+from hoplink.kg import KnowledgeGraph, dataset_counts, load_dataset_dir
 from hoplink.text import tokenize
+from hoplink.training import Trainer
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +548,28 @@ class TestSynthCommand:
                      "--out-dir", "reports"]) == 0
         assert Path("outroot/reports/eval_test.json").exists()
         assert not Path("outroot/outroot").exists()
+
+
+class TestSplitListsUnread:
+    def test_set_up_training_eval_and_cli_never_read_the_triple_lists(
+            self, dataset_dir, trained_run, tmp_path, monkeypatch):
+        # KnowledgeGraph.splits builds a Triple per triple on every read, a
+        # view kept for perfbench and tests; a reader in src/ would put that
+        # cost back into every graph set-up
+        def unread(kg):
+            raise AssertionError("KnowledgeGraph.splits was read")
+
+        monkeypatch.setattr(KnowledgeGraph, "splits", property(unread))
+        kg = load_dataset_dir(dataset_dir)
+        assert dataset_counts(kg) == {"entities": 50, "relations": 5,
+                                      "train": 300, "valid": 15, "test": 15}
+        trainer = Trainer(kg, RunConfig(dim=12, heads=2, batch_size=64, k=1, seed=3))
+        assert trainer.train_epochs(1)[0]["valid_mrr"] > 0
+        assert evaluate(trainer.model, kg, "test").count == 30
+        assert main(["preprocess", "--dataset-dir", str(dataset_dir),
+                     "--out-dir", str(tmp_path / "prep")]) == 0
+        assert main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                     "--head", "item05", "--relation", "cue2"]) == 0
 
 
 class TestUsage:

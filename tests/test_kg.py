@@ -103,6 +103,17 @@ class TestLoading:
         with pytest.raises(DatasetError, match="'b'"):
             load_dataset_dir(tmp_path)
 
+    def test_an_unknown_split_is_rejected(self):
+        with pytest.raises(DatasetError, match="unknown split 'dev'"):
+            KnowledgeGraph.build({"train": CHAIN, "dev": [("a", "r", "c")]},
+                                 {e: (e, "") for e in "abcd"})
+
+    @pytest.mark.parametrize("bad", [("a", "r"), ("a", "r", "b", "c"), None])
+    def test_a_row_without_three_labels_names_its_split_and_index(self, bad):
+        with pytest.raises(DatasetError, match=r"^valid row 1: expected 3 labels"):
+            KnowledgeGraph.build({"train": CHAIN, "valid": [("a", "r", "c"), bad]},
+                                 {e: (e, "") for e in "abcd"})
+
     def test_transductive_violation_warns_and_records(self):
         with pytest.warns(TransductiveWarning):
             kg = KnowledgeGraph.build(
@@ -362,6 +373,31 @@ class TestFilterIndex:
         for key, row in zip(keys, rows):
             assert row.tolist() == sorted(oracle.get(key, ()))
         assert len(kg.filter_index) == sum(map(len, oracle.values()))
+
+
+class TestSplitArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(train=label_rows.filter(bool), valid=label_rows, test=label_rows)
+    @example(train=[("a", "p", "b")], valid=[], test=[("c", "q", "a")])
+    def test_each_split_is_a_read_only_array_of_first_appearance_ids(
+            self, train, valid, test):
+        kg = toy_kg(train, valid, test)
+        ids = filter_oracle({"train": train, "valid": valid, "test": test})[2]
+        assert list(kg.triples) == list(ids)
+        for name, rows in ids.items():
+            array = kg.triples[name]
+            assert array.dtype == np.int64 and array.shape == (len(rows), 3)
+            assert not array.flags.writeable
+            assert array.tolist() == [list(row) for row in rows]
+        assert kg.splits == {name: [Triple(*row) for row in rows]
+                             for name, rows in ids.items()}
+
+    def test_the_triple_view_is_built_on_every_read(self):
+        # a cached view would land in vars(kg), which KnowledgeGraph(**fields)
+        # must accept
+        kg = toy_kg(CHAIN, valid=[("a", "r", "c")])
+        assert kg.splits is not kg.splits and "splits" not in vars(kg)
+        assert kg.splits["valid"] == [Triple(*kg.triples["valid"][0].tolist())]
 
 
 def bfs_oracle(id_triples, head, k):
